@@ -16,7 +16,6 @@ from .chains import (
     extract_min_power,
     verify_chain,
 )
-from .cli import main
 from .errors import (
     DegenerateCharPolyError,
     ExhaustedFieldError,
@@ -65,6 +64,16 @@ from .parse import (
 from .poly import Polynomial, RingSpec, embed, random_polynomial
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    # The command line pulls in argparse and json; load it only when asked.
+    if name == "main":
+        from .cli import main
+
+        return main
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "ChainLevel",

@@ -99,7 +99,7 @@ def extract_min_power(f: Polynomial, k: int) -> MinPowerDecomposition:
         exps[:i] + (exps[i] - power,) + exps[i + 1 :]: c
         for exps, c in rest.terms.items()
     }
-    return MinPowerDecomposition(power, lower_part, Polynomial(ring, shifted))
+    return MinPowerDecomposition(power, lower_part, Polynomial._make(ring, shifted))
 
 
 @dataclass(frozen=True)
@@ -163,6 +163,8 @@ def verify_chain(
     ``failures`` with the offending witnesses, and ``accepted`` reflects the
     whole ladder.
     """
+    if not isinstance(checks_per_level, int) or checks_per_level < 1:
+        raise ValueError(f"checks per level must be at least 1, got {checks_per_level}")
     rng = Random(seed)
     n = ring.nvars
     failures: list[str] = []
@@ -175,15 +177,17 @@ def verify_chain(
             f = f * ring.gen(rng.randint(1, bias_into.level))
         return f
 
-    zero_ideal = MonomialPrimeIdeal(ring, 0)
-    zero_passed = 0
-    for _ in range(checks_per_level):
-        g, h = draw(zero_ideal), draw(None)
-        if zero_ideal.product_check(g, h):
-            zero_passed += 1
-        else:
-            failures.append(f"level 0: product check failed for g={g}, h={h}")
+    def probe(ideal: MonomialPrimeIdeal) -> int:
+        passed = 0
+        for _ in range(checks_per_level):
+            g, h = draw(ideal), draw(None)
+            if ideal.product_check(g, h):
+                passed += 1
+            else:
+                failures.append(f"level {ideal.level}: product check failed for g={g}, h={h}")
+        return passed
 
+    zero_passed = probe(MonomialPrimeIdeal(ring, 0))
     levels = []
     for k in range(1, n + 1):
         upper = MonomialPrimeIdeal(ring, k)
@@ -195,14 +199,7 @@ def verify_chain(
             failures.append(f"level {k}: witness {witness} not in upper ideal")
         if in_lower:
             failures.append(f"level {k}: witness {witness} in lower ideal")
-        passed = 0
-        for _ in range(checks_per_level):
-            g, h = draw(upper), draw(None)
-            if upper.product_check(g, h):
-                passed += 1
-            else:
-                failures.append(f"level {k}: product check failed for g={g}, h={h}")
-        levels.append(ChainLevel(k, witness, in_upper, in_lower, passed))
+        levels.append(ChainLevel(k, witness, in_upper, in_lower, probe(upper)))
 
     proper = ring.one() not in MonomialPrimeIdeal(ring, n)
     if not proper:

@@ -237,36 +237,32 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, handler, help_text, parents=(common,)):
-        p = sub.add_parser(name, parents=list(parents), help=help_text)
+    def command(name, handler, help_text, *positionals):
+        p = sub.add_parser(name, parents=[common], help=help_text)
         p.set_defaults(func=handler)
+        for positional in positionals:
+            p.add_argument(positional)
         return p
 
-    p = command("eval", _cmd_eval, "evaluate a polynomial at a point")
-    p.add_argument("poly")
+    p = command("eval", _cmd_eval, "evaluate a polynomial at a point", "poly")
     p.add_argument("--at", required=True, help="comma-separated coordinates")
 
-    p = command("degree", _cmd_degree, "total degree, or degree in one variable")
-    p.add_argument("poly")
+    p = command("degree", _cmd_degree, "total degree, or degree in one variable", "poly")
     p.add_argument("--in", dest="var", metavar="VAR", help="variable name or 1-based index")
 
-    p = command("homog", _cmd_homog, "homogeneity test, component, or leading form")
-    p.add_argument("poly")
+    p = command("homog", _cmd_homog, "homogeneity test, component, or leading form", "poly")
     p.add_argument("-d", "--degree", type=int, help="extract this degree's component")
     p.add_argument(
         "--leading", action="store_true", help="extract the leading form"
     )
 
-    p = command("split", _cmd_split, "split into dependent and free parts")
-    p.add_argument("poly")
+    p = command("split", _cmd_split, "split into dependent and free parts", "poly")
     p.add_argument("-k", "--level", type=int, required=True)
 
-    p = command("member", _cmd_member, "membership in the level-k variable ideal")
-    p.add_argument("poly")
+    p = command("member", _cmd_member, "membership in the level-k variable ideal", "poly")
     p.add_argument("-k", "--level", type=int, required=True)
 
-    p = command("minpow", _cmd_minpow, "extract the minimal power of t_k")
-    p.add_argument("poly")
+    p = command("minpow", _cmd_minpow, "extract the minimal power of t_k", "poly")
     p.add_argument("-k", "--level", type=int, required=True)
 
     p = command("chain-verify", _cmd_chain_verify, "verify the full ideal chain")
@@ -274,28 +270,18 @@ def build_parser() -> argparse.ArgumentParser:
         "--checks", type=int, default=100, help="product checks per level"
     )
 
-    p = command("nonvanish", _cmd_nonvanish, "find a non-vanishing point")
-    p.add_argument("poly")
+    p = command("nonvanish", _cmd_nonvanish, "find a non-vanishing point", "poly")
     p.add_argument(
         "--homogeneous",
         action="store_true",
         help="normalize the last coordinate to 1 (input must be a form)",
     )
 
-    p = command("monicize", _cmd_monicize, "make monic in the last variable")
-    p.add_argument("poly")
-
-    p = command("divide", _cmd_divide, "divide by a monic-in-t_n generator")
-    p.add_argument("poly")
-    p.add_argument("generator")
-
-    p = command("pmember", _cmd_pmember, "membership in a monic principal ideal")
-    p.add_argument("poly")
-    p.add_argument("generator")
-
-    p = command("witness", _cmd_witness, "integral dependence of a coset")
-    p.add_argument("poly")
-    p.add_argument("generator")
+    both = ("poly", "generator")
+    command("monicize", _cmd_monicize, "make monic in the last variable", "poly")
+    command("divide", _cmd_divide, "divide by a monic-in-t_n generator", *both)
+    command("pmember", _cmd_pmember, "membership in a monic principal ideal", *both)
+    command("witness", _cmd_witness, "integral dependence of a coset", *both)
 
     p = command("power-reduce", _cmd_power_reduce, "reduce a power to basis coordinates")
     p.add_argument(
@@ -305,13 +291,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("-i", "--power", type=int, required=True)
 
-    p = command(
+    command(
         "contract-witness",
         _cmd_contract_witness,
         "nonzero last-variable-free constant in the contracted ideal",
+        *both,
     )
-    p.add_argument("poly")
-    p.add_argument("generator")
 
     return parser
 

@@ -2,12 +2,15 @@
 
 A :class:`FieldSpec` names the field; a :class:`FieldElement` is one scalar in
 canonical form (a reduced ``Fraction`` over the rationals, the least
-nonnegative residue modulo ``p`` over a prime field).  All arithmetic is
-exact; there is no floating point anywhere.
+nonnegative residue modulo ``p`` over a prime field).  Polynomials store the
+plain canonical values that :meth:`FieldSpec.scalar` produces and wrap them
+in elements only at their API.  All arithmetic is exact; there is no
+floating point anywhere.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from enum import Enum
@@ -77,34 +80,53 @@ class FieldSpec:
             return "Q"
         return f"F{self.modulus}"
 
-    def element(self, value: "FieldElement | Fraction | int") -> "FieldElement":
-        """Coerce an int, Fraction, or FieldElement into this field."""
+    def scalar(self, value: "FieldElement | Fraction | int") -> "Fraction | int":
+        """The canonical plain value of an int, Fraction, or element of this field.
+
+        That is a ``Fraction`` over the rationals and the least nonnegative
+        residue ``int`` modulo p over a prime field; it may be zero.
+        """
         if isinstance(value, FieldElement):
             if value.spec != self:
                 raise FieldMismatchError(
                     f"cannot coerce element of {value.spec} into {self}"
                 )
-            return value
+            return value.value
         if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
             raise TypeError(f"cannot make a field element from {value!r}")
-        if self.kind is FieldKind.RATIONALS:
-            return FieldElement(self, Fraction(value))
         p = self.modulus
+        if p is None:
+            return Fraction(value)
         if isinstance(value, int):
-            return FieldElement(self, value % p)
+            return value % p
         if value.denominator % p == 0:
             raise ZeroDivisionError(
                 f"denominator {value.denominator} is not invertible mod {p}"
             )
-        num = value.numerator % p
-        den_inv = pow(value.denominator % p, -1, p)
-        return FieldElement(self, (num * den_inv) % p)
+        return value.numerator * pow(value.denominator, -1, p) % p
+
+    def element(self, value: "FieldElement | Fraction | int") -> "FieldElement":
+        """Coerce an int, Fraction, or FieldElement into this field."""
+        if isinstance(value, FieldElement) and value.spec == self:
+            return value
+        return FieldElement(self, self.scalar(value))
 
     def zero(self) -> "FieldElement":
         return self.element(0)
 
     def one(self) -> "FieldElement":
         return self.element(1)
+
+
+def _arith(op):
+    # A FieldElement operator that applies op to the two plain values.
+    def method(self, other):
+        rhs = self._coerce(other)
+        if rhs is None:
+            return NotImplemented
+        return self.spec.element(op(self.value, rhs.value))
+
+    return method
 
 
 class FieldElement:
@@ -137,33 +159,10 @@ class FieldElement:
             return None
         return self.spec.element(other)
 
-    def __add__(self, other):
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return self.spec.element(self.value + rhs.value)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return self.spec.element(self.value - rhs.value)
-
-    def __rsub__(self, other):
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return self.spec.element(rhs.value - self.value)
-
-    def __mul__(self, other):
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return self.spec.element(self.value * rhs.value)
-
-    __rmul__ = __mul__
+    __add__ = __radd__ = _arith(operator.add)
+    __sub__ = _arith(operator.sub)
+    __rsub__ = _arith(lambda a, b: b - a)
+    __mul__ = __rmul__ = _arith(operator.mul)
 
     def __truediv__(self, other):
         rhs = self._coerce(other)

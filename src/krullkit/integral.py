@@ -67,21 +67,11 @@ class MonicGenerator:
         return f"MonicGenerator({self.polynomial!r})"
 
 
-def _generator(g: "Polynomial | MonicGenerator") -> MonicGenerator:
-    return g if isinstance(g, MonicGenerator) else MonicGenerator(g)
-
-
-def _slice(f: Polynomial, e: int) -> Polynomial:
-    # Coefficient of t_n^e, free of t_n.
-    i = f.ring.nvars - 1
-    return Polynomial(
-        f.ring,
-        {
-            exps[:i] + (0,): c
-            for exps, c in f.terms.items()
-            if exps[i] == e
-        },
-    )
+def _generator(g: "Polynomial | MonicGenerator", ring: RingSpec | None = None) -> MonicGenerator:
+    gen = g if isinstance(g, MonicGenerator) else MonicGenerator(g)
+    if ring is not None and ring != gen.ring:
+        raise RingMismatchError(f"{ring} is not {gen.ring}")
+    return gen
 
 
 def divide_monic(
@@ -93,18 +83,18 @@ def divide_monic(
     inverses beyond the coefficients already present, and the (q, r) pair
     is unique.
     """
-    gen = _generator(g)
-    if f.ring != gen.ring:
-        raise RingMismatchError(f"{f.ring} is not {gen.ring}")
+    gen = _generator(g, f.ring)
     n = f.ring.nvars
     d = gen.degree
+    t_n = f.ring.gen(n)
     q = f.ring.zero()
     r = f
     while not r.is_zero:
-        e = r.degree_in(n)
+        slices = r.coefficients_in(n)
+        e = max(slices)
         if e < d:
             break
-        term = _slice(r, e) * f.ring.gen(n) ** (e - d)
+        term = slices[e] * t_n ** (e - d)
         q = q + term
         r = r - term * gen.polynomial
     return q, r
@@ -130,9 +120,7 @@ def subring_intersection_trivial(
     nonzero candidates this is always True and the check is a direct
     certificate that R' meets the ideal only in zero.
     """
-    gen = _generator(g)
-    if candidate.ring != gen.ring:
-        raise RingMismatchError(f"{candidate.ring} is not {gen.ring}")
+    gen = _generator(g, candidate.ring)
     n = candidate.ring.nvars
     if not candidate.is_zero and candidate.degree_in(n) != 0:
         raise PreconditionViolatedError(
@@ -165,17 +153,17 @@ def coset_action_matrix(
     Row i lists the coordinates of f * t_n^i reduced modulo g; every entry
     is free of t_n.
     """
-    gen = _generator(g)
-    if f.ring != gen.ring:
-        raise RingMismatchError(f"{f.ring} is not {gen.ring}")
+    gen = _generator(g, f.ring)
     ring = f.ring
     n = ring.nvars
     d = gen.degree
     rows = []
     image = reduce_mod(f, gen)
     t_n = ring.gen(n)
+    zero = ring.zero()
     for _ in range(d):
-        rows.append([_slice(image, j) for j in range(d)])
+        slices = image.coefficients_in(n)
+        rows.append([slices.get(j, zero) for j in range(d)])
         image = reduce_mod(image * t_n, gen)
     return rows
 
@@ -193,13 +181,6 @@ def _poly_mul(a: dict, b: dict) -> dict:
         for kb, vb in b.items():
             if vb:
                 _conv_add(out, ka + kb, va * vb)
-    return out
-
-
-def _poly_add(a: dict, b: dict) -> dict:
-    out = dict(a)
-    for k, v in b.items():
-        _conv_add(out, k, v)
     return out
 
 
@@ -237,10 +218,8 @@ def characteristic_polynomial(matrix, *, zero=0, one=1) -> list:
             entry = entries[row][col]
             if not any(entry.values()):
                 continue
-            term = _poly_mul(entry, minor(cols[:pos] + cols[pos + 1 :]))
-            if pos % 2:
-                term = {k: -v for k, v in term.items()}
-            acc = _poly_add(acc, term)
+            for k, v in _poly_mul(entry, minor(cols[:pos] + cols[pos + 1 :])).items():
+                _conv_add(acc, k, -v if pos % 2 else v)
         memo[cols] = acc
         return acc
 
@@ -362,8 +341,9 @@ def contraction_witness(
     if residue.is_zero:
         raise ZeroCosetError("the element is a multiple of the generator")
     ring = gen.ring
-    witness = coset_integrality_witness(f, gen)
-    coeffs = witness.coefficients
+    coeffs = characteristic_polynomial(
+        coset_action_matrix(residue, gen), zero=ring.zero(), one=ring.one()
+    )
     e = next(i for i, c in enumerate(coeffs) if not c.is_zero)
     if e == len(coeffs) - 1:
         raise DegenerateCharPolyError(

@@ -1,9 +1,11 @@
 """Sparse multivariate polynomials over an exact coefficient field.
 
-A :class:`Polynomial` is a dict from exponent vectors to nonzero field
-scalars, tagged with its :class:`RingSpec`.  Values are immutable by
-convention: every operation returns a new polynomial and normalizes away
-zero coefficients, so equal polynomials always have equal term dicts.
+A :class:`Polynomial` is a dict from exponent vectors to nonzero raw
+scalars (a ``Fraction`` over Q, an ``int`` in 1..p-1 over F_p), tagged with
+its :class:`RingSpec`.  Arithmetic works on the raw scalars and builds its
+results with the unchecked :meth:`Polynomial._make`; scalars cross the API
+as :class:`FieldElement` values.  Every operation returns a new polynomial
+with zero coefficients dropped, so equal polynomials have equal term dicts.
 
 Degrees follow the convention that the zero polynomial has no degree:
 ``total_degree`` and ``degree_in`` return ``None`` for it and an ``int``
@@ -20,6 +22,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 from random import Random
 from typing import Iterator, Mapping, Sequence
 
@@ -74,21 +77,21 @@ class RingSpec:
         return RingSpec(self.field, self.variables[:m])
 
     def zero(self) -> "Polynomial":
-        return Polynomial(self, {})
+        return Polynomial._make(self, {})
 
     def one(self) -> "Polynomial":
         return self.constant(1)
 
     def constant(self, value) -> "Polynomial":
-        c = self.field.element(value)
-        return Polynomial(self, {(0,) * self.nvars: c})
+        c = self.field.scalar(value)
+        return Polynomial._make(self, {(0,) * self.nvars: c} if c else {})
 
     def gen(self, j: int) -> "Polynomial":
         """The variable t_j as a polynomial (j is 1-based)."""
         if not 1 <= j <= self.nvars:
             raise ValueError(f"variable index must be in 1..{self.nvars}, got {j}")
         exps = tuple(1 if i == j - 1 else 0 for i in range(self.nvars))
-        return Polynomial(self, {exps: self.field.one()})
+        return Polynomial._make(self, {exps: self.field.scalar(1)})
 
     def gens(self) -> tuple["Polynomial", ...]:
         return tuple(self.gen(j) for j in range(1, self.nvars + 1))
@@ -97,13 +100,17 @@ class RingSpec:
         return f"{self.field}[{','.join(self.variables)}]"
 
 
-def _order_key(exps: tuple[int, ...]) -> tuple:
-    # Graded lex, for descending sort: negate so bigger sorts first.
-    return (-sum(exps), tuple(-e for e in exps))
+def _graded(item: tuple[tuple[int, ...], object]) -> tuple:
+    # Graded lex sort key of a term; sort with reverse=True for highest first.
+    return (sum(item[0]), item[0])
 
 
 class Polynomial:
-    """A sparse polynomial; ``terms`` maps exponent tuples to nonzero scalars."""
+    """A sparse polynomial; ``terms`` maps exponent tuples to raw scalars.
+
+    The constructor validates exponents, coerces ints, Fractions and
+    FieldElements to raw scalars, and merges duplicate keys.
+    """
 
     __slots__ = ("ring", "terms")
 
@@ -114,34 +121,41 @@ class Polynomial:
     ) -> None:
         self.ring = ring
         n = ring.nvars
-        acc: dict[tuple[int, ...], FieldElement] = {}
+        scalar = ring.field.scalar
+        acc: dict[tuple[int, ...], Fraction | int] = {}
         items = terms.items() if isinstance(terms, Mapping) else terms
         for exps, coeff in items:
             exps = tuple(exps)
             if len(exps) != n or any(not isinstance(e, int) or e < 0 for e in exps):
                 raise ValueError(f"bad exponent vector {exps!r} for {ring}")
-            c = ring.field.element(coeff)
-            prev = acc.get(exps)
-            c = c if prev is None else prev + c
-            if c.is_zero:
-                acc.pop(exps, None)
-            else:
-                acc[exps] = c
-        self.terms = acc
+            acc[exps] = scalar(acc.get(exps, 0) + scalar(coeff))
+        self.terms = {e: c for e, c in acc.items() if c}
+
+    @classmethod
+    def _make(cls, ring: RingSpec, terms: dict) -> "Polynomial":
+        """Wrap a term dict that is already canonical, without checking it."""
+        f = object.__new__(cls)
+        f.ring = ring
+        f.terms = terms
+        return f
 
     @property
     def is_zero(self) -> bool:
         return not self.terms
 
     def coefficient(self, exps: Sequence[int]) -> FieldElement:
-        return self.terms.get(tuple(exps), self.ring.field.zero())
+        return self.ring.field.element(self.terms.get(tuple(exps), 0))
+
+    def _sorted_raw(self) -> list[tuple[tuple[int, ...], Fraction | int]]:
+        return sorted(self.terms.items(), key=_graded, reverse=True)
 
     def sorted_terms(self) -> list[tuple[tuple[int, ...], FieldElement]]:
         """Terms in canonical order (graded lex, highest first)."""
-        return sorted(self.terms.items(), key=lambda kv: _order_key(kv[0]))
+        spec = self.ring.field
+        return [(e, FieldElement(spec, c)) for e, c in self._sorted_raw()]
 
     def _require_same_ring(self, other: "Polynomial") -> None:
-        if other.ring != self.ring:
+        if other.ring is not self.ring and other.ring != self.ring:
             raise RingMismatchError(
                 f"cannot combine polynomials over {self.ring} and {other.ring}"
             )
@@ -156,19 +170,25 @@ class Polynomial:
             return self.ring.constant(other)
         return None
 
+    def _plus(self, terms: dict) -> "Polynomial":
+        # Add a canonical term dict of the same ring.
+        p = self.ring.field.modulus
+        acc = dict(self.terms)
+        for exps, c in terms.items():
+            prev = acc.get(exps)
+            if prev is not None:
+                c = (prev + c) % p if p else prev + c
+                if not c:
+                    del acc[exps]
+                    continue
+            acc[exps] = c
+        return Polynomial._make(self.ring, acc)
+
     def __add__(self, other):
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        acc = dict(self.terms)
-        for exps, c in rhs.terms.items():
-            prev = acc.get(exps)
-            s = c if prev is None else prev + c
-            if s.is_zero:
-                acc.pop(exps, None)
-            else:
-                acc[exps] = s
-        return Polynomial(self.ring, acc)
+        return self._plus(rhs.terms)
 
     __radd__ = __add__
 
@@ -176,7 +196,7 @@ class Polynomial:
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        return self + (-rhs)
+        return self._plus((-rhs).terms)
 
     def __rsub__(self, other):
         rhs = self._coerce(other)
@@ -188,23 +208,26 @@ class Polynomial:
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        acc: dict[tuple[int, ...], FieldElement] = {}
+        # Sum the products unreduced; reduce once per output term at the end.
+        acc: dict[tuple[int, ...], Fraction | int] = {}
+        get = acc.get
+        right = list(rhs.terms.items())
         for e1, c1 in self.terms.items():
-            for e2, c2 in rhs.terms.items():
-                key = tuple(a + b for a, b in zip(e1, e2))
-                c = c1 * c2
-                prev = acc.get(key)
-                s = c if prev is None else prev + c
-                if s.is_zero:
-                    acc.pop(key, None)
-                else:
-                    acc[key] = s
-        return Polynomial(self.ring, acc)
+            for e2, c2 in right:
+                key = tuple(map(add, e1, e2))
+                acc[key] = get(key, 0) + c1 * c2
+        p = self.ring.field.modulus
+        return Polynomial._make(
+            self.ring, {e: r for e, c in acc.items() if (r := c % p if p else c)}
+        )
 
     __rmul__ = __mul__
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(self.ring, {e: -c for e, c in self.terms.items()})
+        p = self.ring.field.modulus
+        return Polynomial._make(
+            self.ring, {e: p - c if p else -c for e, c in self.terms.items()}
+        )
 
     def __pow__(self, exponent: int) -> "Polynomial":
         if not isinstance(exponent, int) or exponent < 0:
@@ -251,15 +274,16 @@ class Polynomial:
             raise ValueError(
                 f"point has {len(point)} coordinates, ring has {self.ring.nvars} variables"
             )
-        values = [self.ring.field.element(v) for v in point]
-        total = self.ring.field.zero()
+        spec = self.ring.field
+        p = spec.modulus
+        values = [spec.scalar(v) for v in point]
+        total = 0
         for exps, c in self.terms.items():
-            term = c
             for v, e in zip(values, exps):
                 if e:
-                    term = term * v**e
-            total = total + term
-        return total
+                    c = c * pow(v, e, p) % p if p else c * v**e
+            total += c
+        return spec.element(total)
 
     def substitute(self, images: Sequence["Polynomial"]) -> "Polynomial":
         """Apply the ring map sending variable j to images[j - 1].
@@ -283,9 +307,10 @@ class Polynomial:
             )
         # powers[j] caches images[j]^0, ^1, ... as needed.
         powers: list[list[Polynomial]] = [[target.one(), img] for img in images]
+        one = (0,) * target.nvars
         result = target.zero()
         for exps, c in self.terms.items():
-            term = target.constant(c)
+            term = Polynomial._make(target, {one: c})
             for j, e in enumerate(exps):
                 if not e:
                     continue
@@ -300,7 +325,7 @@ class Polynomial:
         """The sum of the terms of exactly the given total degree."""
         if degree < 0:
             raise ValueError(f"degree must be nonnegative, got {degree}")
-        return Polynomial(
+        return Polynomial._make(
             self.ring, {e: c for e, c in self.terms.items() if sum(e) == degree}
         )
 
@@ -333,7 +358,7 @@ class Polynomial:
                 dependent[exps] = c
             else:
                 free[exps] = c
-        return Polynomial(self.ring, dependent), Polynomial(self.ring, free)
+        return Polynomial._make(self.ring, dependent), Polynomial._make(self.ring, free)
 
     def coefficients_in(self, j: int) -> dict[int, "Polynomial"]:
         """Coefficients of the powers of variable j (1-based).
@@ -343,13 +368,13 @@ class Polynomial:
         """
         if not 1 <= j <= self.ring.nvars:
             raise ValueError(f"variable index must be in 1..{self.ring.nvars}, got {j}")
-        buckets: dict[int, dict[tuple[int, ...], FieldElement]] = {}
+        buckets: dict[int, dict[tuple[int, ...], Fraction | int]] = {}
         i = j - 1
         for exps, c in self.terms.items():
             e = exps[i]
             stripped = exps[:i] + (0,) + exps[i + 1 :]
             buckets.setdefault(e, {})[stripped] = c
-        return {e: Polynomial(self.ring, terms) for e, terms in buckets.items()}
+        return {e: Polynomial._make(self.ring, terms) for e, terms in buckets.items()}
 
     def __iter__(self) -> Iterator[tuple[tuple[int, ...], FieldElement]]:
         return iter(self.sorted_terms())
@@ -360,8 +385,7 @@ class Polynomial:
         rational = self.ring.field.kind is FieldKind.RATIONALS
         names = self.ring.variables
         pieces: list[str] = []
-        for idx, (exps, coeff) in enumerate(self.sorted_terms()):
-            value = coeff.value
+        for idx, (exps, value) in enumerate(self._sorted_raw()):
             negative = rational and value < 0
             magnitude = -value if negative else value
             factors = [
@@ -395,7 +419,7 @@ def embed(f: Polynomial, target: RingSpec) -> Polynomial:
     ):
         raise RingMismatchError(f"{target} does not extend {f.ring}")
     pad = (0,) * (target.nvars - n)
-    return Polynomial(target, {exps + pad: c for exps, c in f.terms.items()})
+    return Polynomial._make(target, {exps + pad: c for exps, c in f.terms.items()})
 
 
 def random_scalar(rng: Random, field: FieldSpec) -> FieldElement:

@@ -14,7 +14,7 @@ from itertools import permutations
 
 def raw(f) -> dict:
     """Raw term dict of a package polynomial (scalar values, not elements)."""
-    return {exps: c.value for exps, c in f.terms.items()}
+    return dict(f.terms)
 
 
 def _norm(terms: dict, modulus) -> dict:

@@ -194,6 +194,12 @@ class TestVerifyChain:
         b = verify_chain(QR2, checks_per_level=10, seed=DEFAULT_SEED)
         assert a == b
 
+    @pytest.mark.parametrize("checks", [0, -5])
+    def test_rejects_fewer_than_one_check(self, checks):
+        # Zero checks would accept the chain without any evidence.
+        with pytest.raises(ValueError):
+            verify_chain(QR2, checks_per_level=checks)
+
     def test_json_shape(self):
         report = verify_chain(QR2, checks_per_level=5)
         doc = report.to_json_dict()

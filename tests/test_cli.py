@@ -1,6 +1,10 @@
 """Command line golden transcripts: byte-exact text, JSON shapes, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -187,6 +191,11 @@ class TestChainVerify:
             "product_checks_passed",
         }
 
+    def test_nonpositive_checks_rejected(self, capsys):
+        code, out, err = run(capsys, "chain-verify", "--vars", "2", "--checks", "-5")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: InvalidArgument:")
+
     def test_prime_field(self, capsys):
         code, out, _ = run(
             capsys, "chain-verify", "--vars", "2", "--field", "F5", "--checks", "5",
@@ -275,3 +284,36 @@ class TestErrorsAndExitCodes:
             capsys, "degree", "--vars", "x,y", "--field", "F5", "x^2*y"
         )
         assert (code, out) == (0, "3\n")
+
+
+class TestEntryPoints:
+    SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+    def python(self, *args):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [self.SRC, *filter(None, [env.get("PYTHONPATH")])]
+        )
+        return subprocess.run(
+            [sys.executable, *args], capture_output=True, text=True, env=env, timeout=60
+        )
+
+    def test_library_import_skips_cli_modules(self):
+        proc = self.python(
+            "-c",
+            "import sys, krullkit; "
+            "print(sorted({'argparse', 'json', 'krullkit.cli'} & set(sys.modules)))",
+        )
+        assert (proc.returncode, proc.stdout) == (0, "[]\n")
+
+    def test_main_stays_importable(self):
+        import krullkit
+
+        assert krullkit.main is main
+        with pytest.raises(AttributeError):
+            krullkit.no_such_name
+
+    @pytest.mark.parametrize("module", ["krullkit", "krullkit.cli"])
+    def test_run_as_module(self, module):
+        proc = self.python("-m", module, "eval", "--vars", "2", "--at", "2,2", EXAMPLE)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "56\n", "")

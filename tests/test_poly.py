@@ -348,3 +348,54 @@ class TestRandomPolynomial:
             assert not f.is_zero
             assert f.total_degree() <= 3
             assert len(f.terms) <= 4
+
+
+F7R3 = RingSpec.default(FieldSpec.prime(7), 3)
+
+
+def assert_canonical(f):
+    """Every stored scalar is canonical, and the trusted result round-trips."""
+    p = f.ring.field.modulus
+    for c in f.terms.values():
+        if p is None:
+            assert type(c) is Fraction and c != 0
+        else:
+            assert type(c) is int and 1 <= c < p
+    assert Polynomial(f.ring, f.terms) == f
+
+
+def ring_with_polys(count):
+    return st.sampled_from([QR3, F7R3]).flatmap(
+        lambda ring: st.tuples(st.just(ring), *[polys(ring, max_terms=4)] * count)
+    )
+
+
+class TestRawRepresentation:
+    @given(
+        case=ring_with_polys(5),
+        e=st.integers(min_value=0, max_value=3),
+        j=st.integers(min_value=1, max_value=3),
+        k=st.integers(min_value=0, max_value=3),
+        d=st.integers(min_value=0, max_value=6),
+        scalar=st.integers(min_value=-8, max_value=8),
+    )
+    @settings(max_examples=150)
+    def test_results_hold_canonical_scalars(self, case, e, j, k, d, scalar):
+        ring, f, g, *images = case
+        results = [
+            f + g, f - g, f - f, f * g, -f, f**e,
+            f + scalar, scalar - f, f * scalar,
+            f.substitute(images),
+            f.homogeneous_component(d),
+            embed(f, RingSpec.default(ring.field, 4)),
+            *f.split_by_support(k),
+            *f.coefficients_in(j).values(),
+        ]
+        for result in results:
+            assert_canonical(result)
+
+    def test_scalar_forms(self):
+        assert QR2.gen(1).terms == {(1, 0): Fraction(1)}
+        assert type(QR2.constant(3).terms[(0, 0)]) is Fraction
+        assert parse_polynomial("-t1 + 9", FR2).terms == {(1, 0): 4, (0, 0): 4}
+        assert QR2.constant(0).is_zero and FR2.constant(5).is_zero
