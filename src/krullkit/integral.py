@@ -168,63 +168,40 @@ def coset_action_matrix(
     return rows
 
 
-def _conv_add(acc: dict, key: int, value) -> None:
-    prev = acc.get(key)
-    acc[key] = value if prev is None else prev + value
-
-
-def _poly_mul(a: dict, b: dict) -> dict:
-    out: dict = {}
-    for ka, va in a.items():
-        if not va:
-            continue
-        for kb, vb in b.items():
-            if vb:
-                _conv_add(out, ka + kb, va * vb)
-    return out
+def _dot(xs, ys, zero):
+    # Sum of products, skipping zero factors; the action matrices are sparse.
+    return sum((x * y for x, y in zip(xs, ys) if x and y), zero)
 
 
 def characteristic_polynomial(matrix, *, zero=0, one=1) -> list:
     """Coefficients of det(t*I - M), lowest degree first, length d + 1.
 
-    Computed by cofactor expansion over univariate polynomials in t whose
-    coefficients are the matrix's value type (ints, field scalars, or
-    polynomials), memoized on the surviving column set so the work is
-    O(2^d) minors instead of d! products.  ``zero`` and ``one`` supply the
-    constants of the value type.
+    Computed by Berkowitz's division-free algorithm, so the entries may come
+    from any commutative ring: ints, field scalars or polynomials.  Border
+    the leading r x r block A by the column C above and the row R left of
+    the new diagonal entry a; the characteristic polynomial of the grown
+    block is the lower triangular Toeplitz matrix with first column
+    (1, -a, -R C, -R A C, ..., -R A^(r-1) C) applied to that of A.  That
+    is O(d^4) ring operations, and every product skips zero entries, which
+    keeps the sparse action matrices cheap.  ``zero`` and ``one`` supply
+    the constants of the value type.
     """
     d = len(matrix)
     if d == 0 or any(len(row) != d for row in matrix):
         raise ValueError("matrix must be square and nonempty")
-    entries = [
-        [
-            {0: -matrix[i][j], 1: one} if i == j else {0: -matrix[i][j]}
-            for j in range(d)
-        ]
-        for i in range(d)
-    ]
-    memo: dict[tuple[int, ...], dict] = {}
-
-    def minor(cols: tuple[int, ...]) -> dict:
-        # det of the submatrix on rows d-len(cols).. and the given columns
-        if not cols:
-            return {0: one}
-        cached = memo.get(cols)
-        if cached is not None:
-            return cached
-        row = d - len(cols)
-        acc: dict = {}
-        for pos, col in enumerate(cols):
-            entry = entries[row][col]
-            if not any(entry.values()):
-                continue
-            for k, v in _poly_mul(entry, minor(cols[:pos] + cols[pos + 1 :])).items():
-                _conv_add(acc, k, -v if pos % 2 else v)
-        memo[cols] = acc
-        return acc
-
-    det = minor(tuple(range(d)))
-    return [det.get(k, zero) for k in range(d + 1)]
+    # p and q hold the coefficients below the leading 1, highest degree first.
+    p = [-matrix[0][0]]
+    for r in range(1, d):
+        # w runs through R, R A, ..., R A^(r-2); cols[r] is C.
+        cols = list(zip(*matrix[:r]))
+        w = matrix[r][:r]
+        q = [-matrix[r][r], -_dot(w, cols[r], zero)]
+        for _ in range(r - 1):
+            w = [_dot(w, col, zero) for col in cols[:r]]
+            q.append(-_dot(w, cols[r], zero))
+        p.append(zero)
+        p = [q[k] + p[k] + _dot(reversed(q[:k]), p, zero) for k in range(r + 1)]
+    return [*p[::-1], one]
 
 
 @dataclass(frozen=True)
@@ -299,13 +276,16 @@ def power_reduce(
 ) -> ReductionCoefficients:
     """Coordinates of a^i, given the coordinates of a^d as the relation.
 
-    ``relation`` holds the d coordinates expressing a^d in the basis
-    1, ..., a^(d-1) (for a monic dependence these are the negated lower
-    coefficients).  Powers below d are unit vectors; higher powers follow
-    the recurrence obtained by multiplying the previous coordinates by a
-    and substituting the relation for the overflowing a^d:
+    ``relation`` holds the d coordinates c_0..c_(d-1) expressing a^d in the
+    basis 1, ..., a^(d-1) (for a monic dependence these are the negated
+    lower coefficients).  Powers below d are unit vectors.  Higher powers
+    come by square-and-multiply over the bits of i, in O(d^2 log i) ring
+    operations.  Multiplying coordinates r by a shifts them up one place
+    and substitutes the relation for the overflowing a^d:
 
-        r'_0 = r_(d-1) * c_0,   r'_j = r_(j-1) + r_(d-1) * c_j.
+        r'_0 = r_(d-1) * c_0,   r'_j = r_(j-1) + r_(d-1) * c_j,
+
+    and squaring sums r_j a^j r by Horner's rule in that step.
     """
     if not isinstance(i, int) or i < 0:
         raise ValueError(f"power must be a nonnegative int, got {i!r}")
@@ -315,10 +295,19 @@ def power_reduce(
         return ReductionCoefficients(
             tuple(one if j == i else zero for j in range(d))
         )
-    r = list(c)
-    for _ in range(i - d):
+
+    def times_a(r):
         top = r[d - 1]
-        r = [top * c[0]] + [r[j - 1] + top * c[j] for j in range(1, d)]
+        return [top * c[0]] + [r[j - 1] + top * c[j] for j in range(1, d)]
+
+    r = [one] + [zero] * (d - 1)
+    for bit in bin(i)[2:]:
+        square = [zero] * d
+        for x in reversed(r):
+            square = times_a(square)
+            if x:
+                square = [s + x * y for s, y in zip(square, r)]
+        r = times_a(square) if bit == "1" else square
     return ReductionCoefficients(tuple(r))
 
 

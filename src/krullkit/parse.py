@@ -12,7 +12,8 @@ Multiplication is always explicit (``2*t1``, never ``2t1``), ``^`` binds
 tighter than ``*`` binds tighter than ``+``/``-``, and rational literals
 are reduced at parse time (over a prime field, ``a/b`` means ``a * b^-1``
 and a denominator divisible by the characteristic is a parse error).
-Exponents are capped at 2^31 - 1.
+Exponents are capped at 2^31 - 1, and parentheses nest at most
+:data:`MAX_DEPTH` deep.
 
 Errors are always :class:`ParseError` values carrying the byte offset into
 the UTF-8 encoding of the input, never raw exceptions from the internals.
@@ -40,6 +41,10 @@ __all__ = [
 ]
 
 MAX_EXPONENT = 2**31 - 1
+# The parser recurses through parse_expr/term/factor/atom, four frames per
+# parenthesis level, so 100 levels take 400 of the default recursion limit
+# of 1000 and leave the rest to the caller's stack and the arithmetic.
+MAX_DEPTH = 100
 
 
 class ParseError(KrullkitError):
@@ -121,6 +126,7 @@ class _Parser:
     def __init__(self, tokens: list[_Token], ring: RingSpec):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
         self.ring = ring
 
     def peek(self) -> _Token:
@@ -179,9 +185,13 @@ class _Parser:
                 raise UnknownVariableError(tok.offset, tok.text) from None
             return self.ring.gen(j)
         if tok.kind == "(":
+            if self.depth == MAX_DEPTH:
+                raise ParseError(tok.offset, f"parentheses nested deeper than {MAX_DEPTH}")
             self.advance()
+            self.depth += 1
             value = self.parse_expr()
             self.expect(")", "')'")
+            self.depth -= 1
             return value
         raise ParseError(
             tok.offset, "expected a value", expected=("number", "variable", "'('")

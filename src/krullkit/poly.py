@@ -108,8 +108,9 @@ def _graded(item: tuple[tuple[int, ...], object]) -> tuple:
 class Polynomial:
     """A sparse polynomial; ``terms`` maps exponent tuples to raw scalars.
 
-    The constructor validates exponents, coerces ints, Fractions and
-    FieldElements to raw scalars, and merges duplicate keys.
+    The constructor validates exponents (plain nonnegative ints, so not
+    bools), coerces ints, Fractions and FieldElements to raw scalars, and
+    merges duplicate keys.
     """
 
     __slots__ = ("ring", "terms")
@@ -126,7 +127,7 @@ class Polynomial:
         items = terms.items() if isinstance(terms, Mapping) else terms
         for exps, coeff in items:
             exps = tuple(exps)
-            if len(exps) != n or any(not isinstance(e, int) or e < 0 for e in exps):
+            if len(exps) != n or any(type(e) is not int or e < 0 for e in exps):
                 raise ValueError(f"bad exponent vector {exps!r} for {ring}")
             acc[exps] = scalar(acc.get(exps, 0) + scalar(coeff))
         self.terms = {e: c for e, c in acc.items() if c}

@@ -275,6 +275,12 @@ class TestErrorsAndExitCodes:
         assert main(["member", "--vars", "2", "t1"]) == 2  # missing -k
         capsys.readouterr()
 
+    def test_deep_nesting_exits_two(self, capsys):
+        text = "(" * 3000 + "t1" + ")" * 3000
+        code, out, err = run(capsys, "degree", "--vars", "1", text)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ParseError:")
+
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
         capsys.readouterr()
@@ -317,3 +323,11 @@ class TestEntryPoints:
     def test_run_as_module(self, module):
         proc = self.python("-m", module, "eval", "--vars", "2", "--at", "2,2", EXAMPLE)
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, "56\n", "")
+
+    @pytest.mark.parametrize("power,coords", [(100_000_000, "1,0\n"), (100_000_001, "0,1\n")])
+    def test_huge_power_reduce_finishes(self, power, coords):
+        # The timeout only guards against a hang; it is not a timing gate.
+        proc = self.python(
+            "-m", "krullkit", "power-reduce", "--relation=-1,0", "-i", str(power)
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, coords, "")

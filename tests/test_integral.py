@@ -38,16 +38,17 @@ Q = FieldSpec.rationals()
 QR2 = RingSpec.default(Q, 2)
 QR3 = RingSpec.default(Q, 3)
 F5R2 = RingSpec.default(FieldSpec.prime(5), 2)
+F7R2 = RingSpec.default(FieldSpec.prime(7), 2)
 
 
 def P(text, ring=QR2):
     return parse_polynomial(text, ring)
 
 
-def random_monic(rng, ring, max_degree=4, coeff_degree=2):
+def random_monic(rng, ring, max_degree=4, coeff_degree=2, degree=None):
     """t_n^d plus a random tail of strictly smaller t_n-degree."""
     n = ring.nvars
-    d = rng.randint(1, max_degree)
+    d = degree or rng.randint(1, max_degree)
     g = ring.gen(n) ** d
     for e in range(d):
         if n > 1:
@@ -305,6 +306,48 @@ class TestCharacteristicPolynomial:
             expected = oracles.leibniz_charpoly(evaluated)
             assert [Fraction(c.evaluate(point).value) for c in coeffs] == expected
 
+    def test_half_zero_matrices_against_permutation_sum(self):
+        rng = random.Random(47)
+        for d in range(1, 7):
+            for _ in range(6):
+                matrix = [
+                    [
+                        Fraction(rng.randint(-6, 6)) if rng.random() < 0.5 else Fraction(0)
+                        for _ in range(d)
+                    ]
+                    for _ in range(d)
+                ]
+                expected = oracles.leibniz_charpoly(matrix)
+                got = characteristic_polynomial(matrix, zero=Fraction(0), one=Fraction(1))
+                assert got == expected
+
+    @pytest.mark.parametrize("ring", [QR2, F7R2], ids=["Q", "F7"])
+    def test_coset_matrices_against_evaluated_permutation_sum(self, ring):
+        # Polynomial entries: compare at random points, then check that the
+        # char poly kills the coset.
+        rng = random.Random(48)
+        p = ring.field.modulus
+        for d in range(1, 7):
+            for _ in range(3):
+                g = random_monic(rng, ring, degree=d)
+                f = random_polynomial(rng, ring, max_degree=3, max_terms=3)
+                matrix = coset_action_matrix(f, g)
+                coeffs = characteristic_polynomial(
+                    matrix, zero=ring.zero(), one=ring.one()
+                )
+                point = [rng.randint(-5, 5), rng.randint(-5, 5)]
+                evaluated = [
+                    [Fraction(e.evaluate(point).value) for e in row] for row in matrix
+                ]
+                expected = oracles.leibniz_charpoly(evaluated)
+                if p:
+                    expected = [int(c) % p for c in expected]
+                assert [c.evaluate(point).value for c in coeffs] == expected
+                witness = integrality_witness_from_action(
+                    matrix, f, zero=ring.zero(), one=ring.one()
+                )
+                assert witness.annihilates_modulo(g)
+
 
 class TestIntegralityWitness:
     def test_gaussian_worked_example(self):
@@ -380,6 +423,35 @@ class TestPowerReduce:
                 list(relation.coefficients), i
             )
             assert list(got.coefficients) == expected
+
+    def test_every_power_to_300_against_division_oracle(self):
+        # Covers every exponent bit pattern of up to eight bits.
+        rng = random.Random(49)
+        for d in range(1, 7):
+            tail = [rng.choice([0, 0, -1, 1]) for _ in range(d - 1)]
+            relation = ReductionCoefficients(
+                tuple(Fraction(c) for c in [rng.choice([-1, 1]), *tail])
+            )
+            for i in range(301):
+                got = power_reduce(relation, i, zero=Fraction(0), one=Fraction(1))
+                expected = oracles.power_coords_by_division(
+                    list(relation.coefficients), i
+                )
+                assert list(got.coefficients) == expected
+
+    @pytest.mark.parametrize("ring", [QR2, F7R2], ids=["Q", "F7"])
+    def test_polynomial_relations_match_monomial_reduction(self, ring):
+        rng = random.Random(50)
+        t2 = ring.gen(2)
+        for d in (1, 2, 3):
+            for _ in range(3):
+                gen = MonicGenerator(random_monic(rng, ring, coeff_degree=1, degree=d))
+                relation = ReductionCoefficients(tuple(-c for c in gen.coefficients))
+                for i in (0, d - 1, d, d + 1, 2 * d + 1, 13, 24, 33):
+                    got = power_reduce(relation, i, zero=ring.zero(), one=ring.one())
+                    buckets = reduce_mod(t2**i, gen).coefficients_in(2)
+                    expected = tuple(buckets.get(j, ring.zero()) for j in range(d))
+                    assert got.coefficients == expected
 
     def test_matches_monomial_reduction(self):
         # coordinates of t2^i modulo g, by actual division, for ring values

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 
 from krullkit.field import FieldSpec
 from krullkit.parse import (
+    MAX_DEPTH,
     FieldLiteralError,
     ParseError,
     UnknownVariableError,
@@ -132,6 +133,19 @@ class TestErrors:
         with pytest.raises(ParseError) as exc_info:
             P("t1^2147483648")
         assert exc_info.value.offset == 3
+
+    @pytest.mark.parametrize(
+        "opener,factor", [("(", 1), ("-(", -1), ("2*(", 2)], ids=["bare", "minus", "times"]
+    )
+    def test_nesting_depth_limit(self, opener, factor):
+        def nested(depth):
+            return opener * depth + "t1" + ")" * depth
+
+        assert P(nested(MAX_DEPTH)) == factor**MAX_DEPTH * QR2.gen(1)
+        for depth in (MAX_DEPTH + 1, 3000):
+            with pytest.raises(ParseError) as exc_info:
+                P(nested(depth))
+            assert exc_info.value.offset == len(opener) * (MAX_DEPTH + 1) - 1
 
     def test_byte_offsets_with_non_ascii(self):
         with pytest.raises(ParseError) as exc_info:

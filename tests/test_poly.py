@@ -53,6 +53,8 @@ class TestConstruction:
             Polynomial(QR2, {(-1, 0): 1})
         with pytest.raises(ValueError):
             Polynomial(QR2, {(1, 0.5): 1})
+        with pytest.raises(ValueError):
+            Polynomial(QR2, {(True, 0): 1})
 
     def test_ring_validation(self):
         with pytest.raises(ValueError):
