@@ -5,13 +5,14 @@ default names t1..tn, or an explicit comma-separated name list) and
 ``--field`` (``Q`` or ``F<p>``), prints text by default or a single JSON
 document under ``--json``, and exits 0 on success, 1 on a domain error
 (reported as ``error: <Identifier>: <message>`` on stderr), or 2 on a
-usage or parse error.
+usage or parse error.  A reader that closes stdout early gets exit 1.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -322,7 +323,16 @@ def main(argv=None) -> int:
     except KrullkitError as exc:
         print(f"error: {exc.identifier}: {exc}", file=sys.stderr)
         return 1
-    print(json.dumps(doc, indent=2) if args.json else text)
+    try:
+        print(json.dumps(doc, indent=2) if args.json else text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed the pipe.  Point stdout at devnull so that the
+        # flush at interpreter exit does not fail a second time.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     return 0
 
 

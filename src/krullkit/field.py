@@ -26,17 +26,32 @@ class FieldKind(Enum):
     PRIME = "prime"
 
 
+# Miller-Rabin with the 13 prime bases 2..41 is exact below this bound
+# (Sorenson and Webster, Math. Comp. 86, 2017); larger moduli are refused.
+MAX_MODULUS = 3_317_044_064_679_887_385_961_981
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
 def _is_prime(n: int) -> bool:
-    # Trial division; moduli in this toolkit stay small.
+    # Deterministic Miller-Rabin, exact for n < MAX_MODULUS.
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for a in _BASES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -53,6 +68,8 @@ class FieldSpec:
 
     def __post_init__(self) -> None:
         if self.kind is FieldKind.PRIME:
+            if self.modulus is not None and self.modulus >= MAX_MODULUS:
+                raise ValueError(f"modulus must be below {MAX_MODULUS}")
             if self.modulus is None or not _is_prime(self.modulus):
                 raise ValueError(f"modulus must be a prime, got {self.modulus!r}")
         elif self.modulus is not None:

@@ -81,23 +81,29 @@ def divide_monic(
 
     Because the divisor is monic in t_n, the division needs no field
     inverses beyond the coefficients already present, and the (q, r) pair
-    is unique.
+    is unique.  Each step moves the top t_n-slice c of f into the quotient
+    and subtracts c times the generator's tail from the slices below.
     """
     gen = _generator(g, f.ring)
-    n = f.ring.nvars
     d = gen.degree
-    t_n = f.ring.gen(n)
-    q = f.ring.zero()
-    r = f
-    while not r.is_zero:
-        slices = r.coefficients_in(n)
-        e = max(slices)
-        if e < d:
-            break
-        term = slices[e] * t_n ** (e - d)
-        q = q + term
-        r = r - term * gen.polynomial
-    return q, r
+    zero = f.ring.zero()
+    slices = f.coefficients_in(f.ring.nvars)
+    quotient = {}
+    for e in range(max(slices, default=0), d - 1, -1):
+        c = slices.pop(e, None)
+        if not c:
+            continue
+        quotient[e - d] = c
+        for j, b in enumerate(gen.coefficients):
+            if b:
+                slices[e - d + j] = slices.get(e - d + j, zero) - c * b
+    return _join(f.ring, quotient), _join(f.ring, slices)
+
+
+def _join(ring: RingSpec, slices: dict[int, Polynomial]) -> Polynomial:
+    # The inverse of coefficients_in(n): t_n-free slices keyed by t_n-degree.
+    terms = {k[:-1] + (e,): c for e, s in slices.items() for k, c in s.terms.items()}
+    return Polynomial._make(ring, terms)
 
 
 def reduce_mod(f: Polynomial, g: "Polynomial | MonicGenerator") -> Polynomial:
@@ -151,21 +157,28 @@ def coset_action_matrix(
     """The matrix of multiplication by f on the basis 1, t_n, ..., t_n^(d-1).
 
     Row i lists the coordinates of f * t_n^i reduced modulo g; every entry
-    is free of t_n.
+    is free of t_n.  Each row after the first is the one before times t_n,
+    a root of t_n^d = -(c_0 + ... + c_(d-1) t_n^(d-1)) modulo g.
     """
     gen = _generator(g, f.ring)
-    ring = f.ring
-    n = ring.nvars
-    d = gen.degree
-    rows = []
-    image = reduce_mod(f, gen)
-    t_n = ring.gen(n)
-    zero = ring.zero()
-    for _ in range(d):
-        slices = image.coefficients_in(n)
-        rows.append([slices.get(j, zero) for j in range(d)])
-        image = reduce_mod(image * t_n, gen)
+    zero = f.ring.zero()
+    slices = reduce_mod(f, gen).coefficients_in(f.ring.nvars)
+    rows = [[slices.get(j, zero) for j in range(gen.degree)]]
+    relation = [-c for c in gen.coefficients]
+    for _ in range(gen.degree - 1):
+        rows.append(_times_root(rows[-1], relation))
     return rows
+
+
+def _times_root(r, relation):
+    # Coordinates r times a root a of a^d = sum(c_j a^j): shift up one place
+    # and substitute for a^d, r'_0 = r_(d-1) c_0, r'_j = r_(j-1) + r_(d-1) c_j.
+    # Zero factors are skipped: coset rows and generator tails are sparse.
+    top = r[-1]
+    if not top:
+        return [top, *r[:-1]]
+    shifted = (x + top * c if c else x for x, c in zip(r, relation[1:]))
+    return [top * relation[0], *shifted]
 
 
 def _dot(xs, ys, zero):
@@ -278,36 +291,22 @@ def power_reduce(
 
     ``relation`` holds the d coordinates c_0..c_(d-1) expressing a^d in the
     basis 1, ..., a^(d-1) (for a monic dependence these are the negated
-    lower coefficients).  Powers below d are unit vectors.  Higher powers
-    come by square-and-multiply over the bits of i, in O(d^2 log i) ring
-    operations.  Multiplying coordinates r by a shifts them up one place
-    and substitutes the relation for the overflowing a^d:
-
-        r'_0 = r_(d-1) * c_0,   r'_j = r_(j-1) + r_(d-1) * c_j,
-
-    and squaring sums r_j a^j r by Horner's rule in that step.
+    lower coefficients).  Square-and-multiply over the bits of i takes
+    O(d^2 log i) ring operations: multiplying by a is the shift step
+    ``_times_root``, and squaring sums r_j a^j r by Horner's rule in it.
     """
     if not isinstance(i, int) or i < 0:
         raise ValueError(f"power must be a nonnegative int, got {i!r}")
     c = relation.coefficients
     d = len(c)
-    if i < d:
-        return ReductionCoefficients(
-            tuple(one if j == i else zero for j in range(d))
-        )
-
-    def times_a(r):
-        top = r[d - 1]
-        return [top * c[0]] + [r[j - 1] + top * c[j] for j in range(1, d)]
-
     r = [one] + [zero] * (d - 1)
     for bit in bin(i)[2:]:
         square = [zero] * d
         for x in reversed(r):
-            square = times_a(square)
+            square = _times_root(square, c)
             if x:
                 square = [s + x * y for s, y in zip(square, r)]
-        r = times_a(square) if bit == "1" else square
+        r = _times_root(square, c) if bit == "1" else square
     return ReductionCoefficients(tuple(r))
 
 
@@ -340,12 +339,10 @@ def contraction_witness(
         )
     stripped = coeffs[e:]
     constant = stripped[0]
+    # Horner's rule for w = -(b_1 + b_2 f + ... + b_m f^(m-1)) modulo g.
     w = ring.zero()
-    power = ring.one()
-    for b in stripped[1:]:
-        w = w + b * power
-        power = reduce_mod(power * residue, gen)
-    w = reduce_mod(-w, gen)
+    for b in reversed(stripped[1:]):
+        w = reduce_mod(w * residue - b, gen)
     if not reduce_mod(f * w - constant, gen).is_zero:
         raise DegenerateCharPolyError(
             "stripped relation does not hold, the coset is a zero divisor"

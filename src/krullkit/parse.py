@@ -12,7 +12,8 @@ Multiplication is always explicit (``2*t1``, never ``2t1``), ``^`` binds
 tighter than ``*`` binds tighter than ``+``/``-``, and rational literals
 are reduced at parse time (over a prime field, ``a/b`` means ``a * b^-1``
 and a denominator divisible by the characteristic is a parse error).
-Exponents are capped at 2^31 - 1, and parentheses nest at most
+Exponents are capped at 2^31 - 1, number literals at
+:data:`MAX_LITERAL_DIGITS` digits, and parentheses nest at most
 :data:`MAX_DEPTH` deep.
 
 Errors are always :class:`ParseError` values carrying the byte offset into
@@ -41,6 +42,8 @@ __all__ = [
 ]
 
 MAX_EXPONENT = 2**31 - 1
+# CPython refuses to convert longer digit strings to int (sys.int_info).
+MAX_LITERAL_DIGITS = 4300
 # The parser recurses through parse_expr/term/factor/atom, four frames per
 # parenthesis level, so 100 levels take 400 of the default recursion limit
 # of 1000 and leave the rest to the caller's stack and the arithmetic.
@@ -167,9 +170,10 @@ class _Parser:
         if self.peek().kind == "^":
             self.advance()
             tok = self.expect("number", "exponent")
-            e = int(tok.text)
+            digits = tok.text.lstrip("0") or "0"
+            e = int(digits) if len(digits) <= 10 else MAX_EXPONENT + 1
             if e > MAX_EXPONENT:
-                raise ParseError(tok.offset, f"exponent {e} exceeds {MAX_EXPONENT}")
+                raise ParseError(tok.offset, f"exponent {digits} exceeds {MAX_EXPONENT}")
             value = value**e
         return value
 
@@ -197,19 +201,25 @@ class _Parser:
             tok.offset, "expected a value", expected=("number", "variable", "'('")
         )
 
+    def literal(self, tok: _Token) -> int:
+        if len(tok.text) > MAX_LITERAL_DIGITS:
+            raise ParseError(
+                tok.offset, f"number longer than {MAX_LITERAL_DIGITS} digits"
+            )
+        return int(tok.text)
+
     def parse_rational(self) -> Polynomial:
         sign = 1
         if self.peek().kind == "-":
             self.advance()
             sign = -1
-        num_tok = self.expect("number", "number")
-        numerator = sign * int(num_tok.text)
+        numerator = sign * self.literal(self.expect("number", "number"))
         denominator = 1
         den_tok = None
         if self.peek().kind == "/":
             self.advance()
             den_tok = self.expect("number", "positive denominator")
-            denominator = int(den_tok.text)
+            denominator = self.literal(den_tok)
             if denominator == 0:
                 raise ParseError(den_tok.offset, "denominator must be positive")
         try:

@@ -1,5 +1,6 @@
 """Command line golden transcripts: byte-exact text, JSON shapes, exit codes."""
 
+import ast
 import json
 import os
 import subprocess
@@ -295,13 +296,17 @@ class TestErrorsAndExitCodes:
 class TestEntryPoints:
     SRC = str(Path(__file__).resolve().parents[1] / "src")
 
-    def python(self, *args):
+    def env(self):
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
             [self.SRC, *filter(None, [env.get("PYTHONPATH")])]
         )
+        return env
+
+    def python(self, *args):
         return subprocess.run(
-            [sys.executable, *args], capture_output=True, text=True, env=env, timeout=60
+            [sys.executable, *args], capture_output=True, text=True, env=self.env(),
+            timeout=60,
         )
 
     def test_library_import_skips_cli_modules(self):
@@ -323,6 +328,39 @@ class TestEntryPoints:
     def test_run_as_module(self, module):
         proc = self.python("-m", module, "eval", "--vars", "2", "--at", "2,2", EXAMPLE)
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, "56\n", "")
+
+    def test_huge_prime_modulus_rejected(self):
+        # The timeout only guards against a hang; it is not a timing gate.
+        proc = self.python(
+            "-m", "krullkit", "degree", "--field", f"F{2**127 - 1}", "t1"
+        )
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr.startswith("error: InvalidArgument: modulus must be below")
+
+    def test_closed_pipe_exits_one_without_traceback(self):
+        # About 175 KB of JSON, well past a pipe buffer, so the write fails.
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "krullkit", "chain-verify", "--vars", "1200",
+             "--checks", "1", "--json"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=self.env(),
+        )
+        assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+        assert (proc.returncode, err) == (1, b"")
+
+    def test_package_imports_only_stdlib(self):
+        # The package stays stdlib-only: every import is relative or stdlib.
+        for path in sorted(Path(self.SRC, "krullkit").glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and not node.level:
+                    names = [node.module]
+                else:
+                    continue
+                for name in names:
+                    assert name.split(".")[0] in sys.stdlib_module_names, (path, name)
 
     @pytest.mark.parametrize("power,coords", [(100_000_000, "1,0\n"), (100_000_001, "0,1\n")])
     def test_huge_power_reduce_finishes(self, power, coords):

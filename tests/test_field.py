@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from krullkit.errors import ExhaustedFieldError, FieldMismatchError
-from krullkit.field import FieldKind, FieldSpec, enumerate_nonzero
+from krullkit.field import MAX_MODULUS, FieldKind, FieldSpec, enumerate_nonzero
 
 Q = FieldSpec.rationals()
 F2 = FieldSpec.prime(2)
@@ -27,14 +27,22 @@ class TestFieldSpec:
         with pytest.raises(ValueError):
             FieldSpec.from_text(bad)
 
-    @pytest.mark.parametrize("p", [0, 1, 4, 6, 9, 15, 121])
+    # 561 is a Carmichael number; 3215031751 is a strong pseudoprime to the
+    # bases 2, 3, 5 and 7.
+    @pytest.mark.parametrize("p", [0, 1, 4, 6, 9, 15, 121, 561, 3215031751])
     def test_composite_modulus_rejected(self, p):
         with pytest.raises(ValueError):
             FieldSpec.prime(p)
 
-    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 97])
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 97, 2**61 - 1])
     def test_prime_modulus_accepted(self, p):
         assert FieldSpec.prime(p).modulus == p
+
+    @pytest.mark.parametrize("p", [MAX_MODULUS, 2**127 - 1])
+    def test_modulus_cap(self, p):
+        # Miller-Rabin on the 13 fixed bases is exact only below the cap.
+        with pytest.raises(ValueError, match="must be below"):
+            FieldSpec.prime(p)
 
     def test_rationals_take_no_modulus(self):
         with pytest.raises(ValueError):

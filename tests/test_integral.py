@@ -35,10 +35,14 @@ from krullkit.parse import parse_polynomial
 from krullkit.poly import RingSpec, embed, random_polynomial, random_scalar
 
 Q = FieldSpec.rationals()
+QR1 = RingSpec.default(Q, 1)
 QR2 = RingSpec.default(Q, 2)
 QR3 = RingSpec.default(Q, 3)
 F5R2 = RingSpec.default(FieldSpec.prime(5), 2)
 F7R2 = RingSpec.default(FieldSpec.prime(7), 2)
+# Division and the coset action run on t_n-slices; at n = 1 those are
+# constants, so these rings also cover the rebuild of one-slot keys.
+SLICE_RINGS = (QR2, QR1, QR3, F7R2)
 
 
 def P(text, ring=QR2):
@@ -107,29 +111,34 @@ class TestDivideMonic:
 
     def test_identity_and_degree_bound(self):
         rng = random.Random(31)
-        for _ in range(150):
-            g = random_monic(rng, QR2)
-            gen = MonicGenerator(g)
-            f = random_polynomial(rng, QR2, max_degree=7, max_terms=6)
-            q, r = divide_monic(f, gen)
-            # checked with naive raw-dict arithmetic, not the class ops
-            lhs = oracles.naive_add(
-                oracles.naive_mul(oracles.raw(q), oracles.raw(g)), oracles.raw(r)
-            )
-            assert lhs == oracles.raw(f)
-            assert r.is_zero or r.degree_in(2) < gen.degree
+        for ring in SLICE_RINGS:
+            p = ring.field.modulus
+            for _ in range(150):
+                g = random_monic(rng, ring)
+                gen = MonicGenerator(g)
+                f = random_polynomial(rng, ring, max_degree=7, max_terms=6)
+                q, r = divide_monic(f, gen)
+                # checked with naive raw-dict arithmetic, not the class ops
+                lhs = oracles.naive_add(
+                    oracles.naive_mul(oracles.raw(q), oracles.raw(g), p),
+                    oracles.raw(r),
+                    p,
+                )
+                assert lhs == oracles.raw(f)
+                assert r.is_zero or r.degree_in(ring.nvars) < gen.degree
 
     def test_uniqueness_by_reconstruction(self):
         rng = random.Random(32)
-        for _ in range(150):
-            g = random_monic(rng, QR2)
-            d = MonicGenerator(g).degree
-            q_expected = random_polynomial(rng, QR2, max_degree=4, max_terms=4)
-            r_expected = _random_low_remainder(rng, QR2, d)
-            f = q_expected * g + r_expected
-            q, r = divide_monic(f, g)
-            assert q == q_expected
-            assert r == r_expected
+        for ring in SLICE_RINGS:
+            for _ in range(150):
+                g = random_monic(rng, ring)
+                d = MonicGenerator(g).degree
+                q_expected = random_polynomial(rng, ring, max_degree=4, max_terms=4)
+                r_expected = _random_low_remainder(rng, ring, d)
+                f = q_expected * g + r_expected
+                q, r = divide_monic(f, g)
+                assert q == q_expected
+                assert r == r_expected
 
     def test_prime_field(self):
         rng = random.Random(33)
@@ -237,18 +246,19 @@ class TestCosetActionMatrix:
 
     def test_action_matches_multiplication(self):
         rng = random.Random(39)
-        t2 = QR2.gen(2)
-        for _ in range(60):
-            g = random_monic(rng, QR2, max_degree=3)
-            d = MonicGenerator(g).degree
-            f = random_polynomial(rng, QR2, max_degree=4, max_terms=4)
-            matrix = coset_action_matrix(f, g)
-            for i in range(d):
-                lhs = reduce_mod(f * t2**i, g)
-                rhs = QR2.zero()
-                for j in range(d):
-                    rhs = rhs + matrix[i][j] * t2**j
-                assert lhs == rhs
+        for ring in SLICE_RINGS:
+            t_n = ring.gen(ring.nvars)
+            for _ in range(60):
+                g = random_monic(rng, ring, max_degree=3)
+                d = MonicGenerator(g).degree
+                f = random_polynomial(rng, ring, max_degree=4, max_terms=4)
+                matrix = coset_action_matrix(f, g)
+                for i in range(d):
+                    lhs = reduce_mod(f * t_n**i, g)
+                    rhs = ring.zero()
+                    for j in range(d):
+                        rhs = rhs + matrix[i][j] * t_n**j
+                    assert lhs == rhs
 
 
 class TestCharacteristicPolynomial:

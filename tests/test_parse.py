@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from krullkit.field import FieldSpec
 from krullkit.parse import (
     MAX_DEPTH,
+    MAX_LITERAL_DIGITS,
     FieldLiteralError,
     ParseError,
     UnknownVariableError,
@@ -85,6 +86,8 @@ class TestAcceptedForms:
     def test_exponent_cap_boundary(self):
         f = P("t1^2147483647")
         assert f.degree_in(1) == 2**31 - 1
+        assert P("t1^" + "0" * 20 + "3") == QR2.gen(1) ** 3
+        assert P("9" * MAX_LITERAL_DIGITS + "*0") == QR2.zero()
 
 
 class TestErrors:
@@ -133,6 +136,21 @@ class TestErrors:
         with pytest.raises(ParseError) as exc_info:
             P("t1^2147483648")
         assert exc_info.value.offset == 3
+
+    @pytest.mark.parametrize(
+        "text,offset,message",
+        [
+            ("t1^" + "9" * 5000, 3, "exceeds 2147483647"),
+            ("t1 + 1/" + "7" * (MAX_LITERAL_DIGITS + 1), 7, "longer than 4300 digits"),
+        ],
+        ids=["exponent", "literal"],
+    )
+    def test_long_number_token(self, text, offset, message):
+        # Longer digit strings than CPython converts to int stay ParseErrors.
+        with pytest.raises(ParseError) as exc_info:
+            P(text)
+        assert exc_info.value.offset == offset
+        assert message in exc_info.value.message
 
     @pytest.mark.parametrize(
         "opener,factor", [("(", 1), ("-(", -1), ("2*(", 2)], ids=["bare", "minus", "times"]
