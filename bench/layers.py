@@ -1,0 +1,112 @@
+"""Layer cases for the polynomial kernel, timed in one process.
+
+Each case runs a fixed input; its time is the minimum per call over
+``timeit.repeat``.  The script prints one JSON object with the Python
+version, the platform and one entry per case.  It uses only the standard
+library and imports krullkit from ``src/`` next to this directory, or from
+the checkout given with ``--src`` (to time another commit the same way).
+
+    python3 bench/layers.py                  # full sizes, 5 repeats
+    python3 bench/layers.py --smoke          # smallest sizes, one repeat
+    python3 bench/layers.py --src OTHER/src  # the package in another checkout
+
+There is no timing gate; the numbers are a record, not a test.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import sys
+import timeit
+from fractions import Fraction
+
+POWER = "(t1+2*t2-3/5*t3+1)^{e}"
+OTHER = "(t1-7/3*t2+5/2*t3-4/5)^{e}"
+SIX = ("t1^2 - 2/3*t1*t2 + 5/7*t2^2 + 3*t1 - 1/2*t3 + 4/5",
+       "3/4*t1^2 + t2*t3 - 7/5*t2 + 2/9*t3^2 - 5*t1 + 1/3")
+CUBIC = "t3^3 + t1*t3 - t2"
+
+
+def _primes(count: int, start: int) -> list[int]:
+    # The first `count` primes at or above `start`, by trial division.
+    found = []
+    n = start
+    while len(found) < count:
+        if n > 1 and all(n % q for q in range(2, int(n**0.5) + 1)):
+            found.append(n)
+        n += 1
+    return found
+
+
+def cases(smoke: bool) -> dict:
+    """Map each case name to (layer, zero-argument callable)."""
+    from krullkit import FieldSpec, RingSpec, parse_polynomial
+    from krullkit.chains import verify_chain
+    from krullkit.integral import divide_monic
+    from krullkit.poly import Polynomial
+
+    e = 2 if smoke else 8
+    n_wide = 3 if smoke else 200
+    out = {}
+    for field in (FieldSpec.rationals(), FieldSpec.prime(32003)):
+        ring = RingSpec.default(field, 3)
+
+        def p(text, ring=ring):
+            return parse_polynomial(text, ring)
+
+        name = str(field)
+        big, other = p(POWER.format(e=e)), p(OTHER.format(e=e))
+        one, one2 = p("3/5*t1*t2"), p("-7/3*t2*t3")
+        six, six2 = p(SIX[0]), p(SIX[1])
+        cubic = p(CUBIC)
+        size = len(big.terms)
+        out[f"{name} mul {size}x{len(other.terms)}: {POWER.format(e=e)} * {OTHER.format(e=e)}"] = (
+            "poly.mul", lambda a=big, b=other: a * b)
+        out[f"{name} mul 6x6"] = ("poly.mul", lambda a=six, b=six2: a * b)
+        out[f"{name} mul 1x1"] = ("poly.mul", lambda a=one, b=one2: a * b)
+        if field.modulus is None:
+            out[f"Q divide_monic: {size}-term {POWER.format(e=e)} by {CUBIC}"] = (
+                "integral.divide_monic", lambda a=big, g=cubic: divide_monic(a, g))
+            # The same supports with pairwise-coprime 20-bit denominators:
+            # the worst case for one common denominator per factor.
+            primes = _primes(2 * size, 1 << 19)
+            left = Polynomial(ring, {k: Fraction(i + 1, q) for i, (k, q) in
+                                     enumerate(zip(big.terms, primes[:size]))})
+            right = Polynomial(ring, {k: Fraction(i + 2, q) for i, (k, q) in
+                                      enumerate(zip(other.terms, primes[size:]))})
+            out[f"Q mul {size}x{size}, pairwise-coprime 20-bit denominators"] = (
+                "poly.mul", lambda a=left, b=right: a * b)
+    ring = RingSpec.default(FieldSpec.rationals(), n_wide)
+    out[f"Q verify_chain n={n_wide}, checks_per_level=2"] = (
+        "chains.verify_chain", lambda: verify_chain(ring, checks_per_level=2))
+    return out
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--smoke", action="store_true", help="smallest sizes, one repeat")
+    ap.add_argument("--src", help="directory holding the krullkit package")
+    args = ap.parse_args(argv)
+    src = args.src or os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+    sys.path.insert(0, os.path.abspath(src))
+    repeat = 1 if args.smoke else 5
+    result = {}
+    for name, (layer, fn) in cases(args.smoke).items():
+        once = min(timeit.repeat(fn, number=1, repeat=1))
+        # Aim for about 0.2 s per repeat, at least one call.
+        number = 1 if args.smoke else max(1, int(0.2 / max(once, 1e-7)))
+        best = min(timeit.repeat(fn, number=number, repeat=repeat)) / number
+        result[name] = {"layer": layer, "min_s": best, "number": number, "repeat": repeat}
+    print(json.dumps({
+        "python": platform.python_version(),
+        "platform": platform.platform(),
+        "cases": result,
+    }, indent=1))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

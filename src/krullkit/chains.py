@@ -38,13 +38,13 @@ class MonomialPrimeIdeal:
     def contains(self, f: Polynomial) -> bool:
         """Membership: every term touches one of the first ``level`` variables.
 
-        Decided exactly via the support split; level 0 contains only the
+        Decided exactly on the exponent vectors; level 0 contains only the
         zero polynomial.
         """
         if f.ring != self.ring:
             raise RingMismatchError(f"{f.ring} is not {self.ring}")
-        _, free = f.split_by_support(self.level)
-        return free.is_zero
+        k = self.level
+        return all(any(e[:k]) for e in f.terms)
 
     def __contains__(self, f: Polynomial) -> bool:
         return self.contains(f)

@@ -49,7 +49,9 @@ def _parse_scalar(text: str, field: FieldSpec) -> FieldElement:
     try:
         value = Fraction(text.strip())
     except (ValueError, ZeroDivisionError):
-        raise ValueError(f"bad scalar literal {text!r}") from None
+        # A long literal is described by its length, not echoed.
+        shown = repr(text) if len(text) <= 10 else f"of {len(text)} characters"
+        raise ValueError(f"bad scalar literal {shown}") from None
     return field.element(value)
 
 

@@ -88,9 +88,13 @@ class FieldSpec:
         m = _FIELD_TEXT_RE.match(text.strip())
         if m is None:
             raise ValueError(f"unrecognized field {text!r}, expected Q or F<p>")
-        if m.group(2) is None:
+        digits = m.group(2)
+        if digits is None:
             return cls.rationals()
-        return cls.prime(int(m.group(2)))
+        # Refuse before int(), which fails past 4300 digits with its own text.
+        if len(digits) > len(str(MAX_MODULUS)):
+            raise ValueError(f"modulus must be below {MAX_MODULUS}")
+        return cls.prime(int(digits))
 
     def __str__(self) -> str:
         if self.kind is FieldKind.RATIONALS:

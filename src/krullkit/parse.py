@@ -173,7 +173,8 @@ class _Parser:
             digits = tok.text.lstrip("0") or "0"
             e = int(digits) if len(digits) <= 10 else MAX_EXPONENT + 1
             if e > MAX_EXPONENT:
-                raise ParseError(tok.offset, f"exponent {digits} exceeds {MAX_EXPONENT}")
+                shown = digits if len(digits) <= 10 else f"of {len(digits)} digits"
+                raise ParseError(tok.offset, f"exponent {shown} exceeds {MAX_EXPONENT}")
             value = value**e
         return value
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from operator import add
 from random import Random
 from typing import Iterator, Mapping, Sequence
@@ -90,7 +91,7 @@ class RingSpec:
         """The variable t_j as a polynomial (j is 1-based)."""
         if not 1 <= j <= self.nvars:
             raise ValueError(f"variable index must be in 1..{self.nvars}, got {j}")
-        exps = tuple(1 if i == j - 1 else 0 for i in range(self.nvars))
+        exps = (0,) * (j - 1) + (1,) + (0,) * (self.nvars - j)
         return Polynomial._make(self, {exps: self.field.scalar(1)})
 
     def gens(self) -> tuple["Polynomial", ...]:
@@ -98,6 +99,12 @@ class RingSpec:
 
     def __str__(self) -> str:
         return f"{self.field}[{','.join(self.variables)}]"
+
+
+def _numerators(terms: dict) -> tuple[int, list[tuple[tuple[int, ...], int]]]:
+    # (D, [(exps, c * D)]) for Fraction terms, D the lcm of their denominators.
+    d = lcm(*[c.denominator for c in terms.values()])
+    return d, [(e, c.numerator * (d // c.denominator)) for e, c in terms.items()]
 
 
 def _graded(item: tuple[tuple[int, ...], object]) -> tuple:
@@ -210,17 +217,27 @@ class Polynomial:
         if rhs is None:
             return NotImplemented
         # Sum the products unreduced; reduce once per output term at the end.
-        acc: dict[tuple[int, ...], Fraction | int] = {}
+        # Over Q each factor is first scaled to integer numerators over one
+        # common denominator, so the loop adds and multiplies plain ints.
+        p = self.ring.field.modulus
+        if p:
+            left = self.terms.items()
+            right = list(rhs.terms.items())
+        else:
+            d1, left = _numerators(self.terms)
+            d2, right = _numerators(rhs.terms)
+        acc: dict[tuple[int, ...], int] = {}
         get = acc.get
-        right = list(rhs.terms.items())
-        for e1, c1 in self.terms.items():
+        for e1, c1 in left:
             for e2, c2 in right:
                 key = tuple(map(add, e1, e2))
                 acc[key] = get(key, 0) + c1 * c2
-        p = self.ring.field.modulus
-        return Polynomial._make(
-            self.ring, {e: r for e, c in acc.items() if (r := c % p if p else c)}
-        )
+        if p:
+            return Polynomial._make(
+                self.ring, {e: r for e, c in acc.items() if (r := c % p)}
+            )
+        d = d1 * d2
+        return Polynomial._make(self.ring, {e: Fraction(c, d) for e, c in acc.items() if c})
 
     __rmul__ = __mul__
 
@@ -355,7 +372,7 @@ class Polynomial:
         dependent = {}
         free = {}
         for exps, c in self.terms.items():
-            if any(exps[i] for i in range(k)):
+            if any(exps[:k]):
                 dependent[exps] = c
             else:
                 free[exps] = c
@@ -423,11 +440,16 @@ def embed(f: Polynomial, target: RingSpec) -> Polynomial:
     return Polynomial._make(target, {exps + pad: c for exps, c in f.terms.items()})
 
 
+def _random_raw(rng: Random, field: FieldSpec) -> Fraction | int:
+    # The raw canonical value behind random_scalar; may be zero.
+    if field.modulus:
+        return rng.randrange(field.modulus)
+    return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+
+
 def random_scalar(rng: Random, field: FieldSpec) -> FieldElement:
     """A small random scalar; may be zero."""
-    if field.kind is FieldKind.PRIME:
-        return field.element(rng.randrange(field.modulus))
-    return field.element(Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
+    return field.element(_random_raw(rng, field))
 
 
 def random_polynomial(
@@ -440,13 +462,18 @@ def random_polynomial(
 ) -> Polynomial:
     """A random sparse polynomial with small coefficients, for test sampling."""
     n = ring.nvars
+    field = ring.field
+    p = field.modulus
     while True:
-        terms = []
+        # Duplicate exponent vectors merge as in Polynomial.__init__.
+        acc: dict[tuple[int, ...], Fraction | int] = {}
         for _ in range(rng.randint(0, max_terms)):
             exps = [0] * n
             for _ in range(rng.randint(0, max_degree)):
                 exps[rng.randrange(n)] += 1
-            terms.append((tuple(exps), random_scalar(rng, ring.field)))
-        f = Polynomial(ring, terms)
+            key = tuple(exps)
+            c = acc.get(key, 0) + _random_raw(rng, field)
+            acc[key] = c % p if p else c
+        f = Polynomial._make(ring, {e: c for e, c in acc.items() if c})
         if not (nonzero and f.is_zero):
             return f

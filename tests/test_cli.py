@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from krullkit.cli import main
+from krullkit.field import MAX_MODULUS
 
 EXAMPLE = "t1^3 + 2*t1^2*t2 + 4*t2^3"
 
@@ -267,6 +268,30 @@ class TestErrorsAndExitCodes:
         code, _, err = run(capsys, "eval", "--vars", "1", "--at", "x", "t1")
         assert code == 2
         assert err.startswith("error: InvalidArgument:")
+
+    def test_oversized_modulus_names_the_cap(self, capsys):
+        code, out, err = run(capsys, "degree", "--field", "F" + "7" * 5000, "t1")
+        assert (code, out) == (2, "")
+        assert err == f"error: InvalidArgument: modulus must be below {MAX_MODULUS}\n"
+
+    @pytest.mark.parametrize(
+        "argv, tail",
+        [
+            (("degree", "t1^" + "9" * 5000), "exponent of 5000 digits exceeds 2147483647 (byte 3)"),
+            (("eval", "--vars", "1", "--at", "9" * 5000, "t1"), "bad scalar literal of 5000 characters"),
+        ],
+    )
+    def test_huge_token_error_line_stays_short(self, capsys, argv, tail):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.endswith(tail + "\n")
+        assert len(err.encode()) < 200
+
+    def test_short_token_errors_unchanged(self, capsys):
+        _, _, err = run(capsys, "degree", "t1^9999999999")
+        assert err == "error: ParseError: exponent 9999999999 exceeds 2147483647 (byte 3)\n"
+        _, _, err = run(capsys, "eval", "--vars", "1", "--at", "1/0", "t1")
+        assert err == "error: InvalidArgument: bad scalar literal '1/0'\n"
 
     def test_usage_error_exits_two(self, capsys):
         assert main(["bogus"]) == 2

@@ -11,7 +11,7 @@ import oracles
 from krullkit.errors import RingMismatchError, ZeroPolynomialError
 from krullkit.field import FieldSpec
 from krullkit.parse import parse_polynomial
-from krullkit.poly import Polynomial, RingSpec, embed, random_polynomial
+from krullkit.poly import Polynomial, RingSpec, embed, random_polynomial, random_scalar
 
 Q = FieldSpec.rationals()
 F5 = FieldSpec.prime(5)
@@ -351,6 +351,33 @@ class TestRandomPolynomial:
             assert f.total_degree() <= 3
             assert len(f.terms) <= 4
 
+    @pytest.mark.parametrize("field", [Q, FieldSpec.prime(7)])
+    @pytest.mark.parametrize("n", [3, 200])
+    def test_canonical_and_seeded(self, field, n):
+        ring = RingSpec.default(field, n)
+        for seed in range(40):
+            f = random_polynomial(random.Random(seed), ring, max_terms=6)
+            assert_canonical(f)
+            assert random_polynomial(random.Random(seed), ring, max_terms=6).terms == f.terms
+
+    @pytest.mark.parametrize("field", [Q, FieldSpec.prime(7)])
+    def test_same_draws_as_checked_constructor(self, field):
+        # Drawing term by term through random_scalar and the checked
+        # constructor gives the same polynomials and leaves the RNG in the
+        # same state, so seeded chain reports do not change.
+        ring = RingSpec.default(field, 2)
+        fast, slow = random.Random(3), random.Random(3)
+        for _ in range(200):
+            terms = []
+            for _ in range(slow.randint(0, 6)):
+                exps = [0, 0]
+                for _ in range(slow.randint(0, 2)):
+                    exps[slow.randrange(2)] += 1
+                terms.append((tuple(exps), random_scalar(slow, field)))
+            f = random_polynomial(fast, ring, max_degree=2, max_terms=6)
+            assert f.terms == Polynomial(ring, terms).terms
+        assert fast.getstate() == slow.getstate()
+
 
 F7R3 = RingSpec.default(FieldSpec.prime(7), 3)
 
@@ -401,3 +428,61 @@ class TestRawRepresentation:
         assert type(QR2.constant(3).terms[(0, 0)]) is Fraction
         assert parse_polynomial("-t1 + 9", FR2).terms == {(1, 0): 4, (0, 0): 4}
         assert QR2.constant(0).is_zero and FR2.constant(5).is_zero
+
+
+def q_polys(max_terms=6):
+    coeffs = st.fractions(max_denominator=10**12)
+    pairs = st.tuples(exponents(3), coeffs)
+    return st.lists(pairs, max_size=max_terms).map(lambda ts: Polynomial(QR3, ts))
+
+
+class TestRationalProduct:
+    """Q products run on integer numerators over one denominator per factor."""
+
+    def check(self, f, g):
+        h = f * g
+        assert oracles.raw(h) == oracles.naive_mul(oracles.raw(f), oracles.raw(g))
+        assert_canonical(h)
+        return h
+
+    @given(q_polys(), q_polys())
+    @settings(max_examples=150, deadline=None)
+    def test_against_naive_product(self, f, g):
+        self.check(f, g)
+
+    def test_cancelling_terms(self):
+        h = self.check(P("1/2*t1 + 1/3*t2"), P("1/2*t1 - 1/3*t2"))
+        assert h.terms == {(2, 0): Fraction(1, 4), (0, 2): Fraction(-1, 9)}
+        assert self.check(P("3/4*t1 - 5/6"), P("3/4*t1 + 5/6")) == P("9/16*t1^2 - 25/36")
+
+    def test_zero_factor(self):
+        f = P("2/3*t1^2 - 5/7*t2 + 1/11")
+        assert self.check(f, QR2.zero()).is_zero
+        assert self.check(QR2.zero(), f).is_zero
+        assert (f * 0).is_zero and (0 * f).is_zero
+
+    def test_integer_coefficients(self):
+        h = self.check(P("2*t1 + 3"), P("t1 - 5"))
+        assert h.terms == {(2, 0): 2, (1, 0): -7, (0, 0): -15}
+        assert all(type(c) is Fraction and c.denominator == 1 for c in h.terms.values())
+
+    def test_one_integral_factor(self):
+        h = self.check(P("t1 + 2*t2"), P("1/6*t1 - 1/4"))
+        assert h == P("1/6*t1^2 + 1/3*t1*t2 - 1/4*t1 - 1/2*t2")
+
+    def test_pairwise_coprime_denominators(self):
+        h = self.check(P("1/3*t1 + 1/5*t2 + 1/7"), P("1/11*t1 - 1/13*t2 + 1/17"))
+        assert h.terms[(0, 0)] == Fraction(1, 119)
+        assert h.terms[(1, 1)] == Fraction(1, 55) - Fraction(1, 39)
+        big = [2**61 - 1, 2**89 - 1, 2**107 - 1]
+        f = Polynomial(QR2, {(1, 0): Fraction(1, big[0]), (0, 1): Fraction(3, big[1])})
+        g = Polynomial(QR2, {(1, 0): Fraction(5, big[2]), (0, 0): Fraction(-7, 2)})
+        self.check(f, g)
+
+    def test_constants(self):
+        a, b = QR2.constant(Fraction(2, 3)), QR2.constant(Fraction(9, 4))
+        assert self.check(a, b) == Fraction(3, 2)
+        f = P("3/4*t1 - 1/2")
+        assert self.check(f, QR2.constant(Fraction(-8, 3))) == P("-2*t1 + 4/3")
+        assert f * Fraction(4, 3) == Fraction(4, 3) * f == P("t1 - 2/3")
+        assert f * 4 == P("3*t1 - 2")
