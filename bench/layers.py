@@ -28,6 +28,10 @@ OTHER = "(t1-7/3*t2+5/2*t3-4/5)^{e}"
 SIX = ("t1^2 - 2/3*t1*t2 + 5/7*t2^2 + 3*t1 - 1/2*t3 + 4/5",
        "3/4*t1^2 + t2*t3 - 7/5*t2 + 2/9*t3^2 - 5*t1 + 1/3")
 CUBIC = "t3^3 + t1*t3 - t2"
+# Powers of a linear form in four variables: C(e+4, 4) terms, 210 at e=6
+# and 1,820 at e=12.
+LINEAR4 = "(t1-2/3*t2+5/7*t3-3*t4+1/2)^{e}"
+MONICIZE = "t1 + t2^{e}"
 
 
 def _primes(count: int, start: int) -> list[int]:
@@ -46,6 +50,7 @@ def cases(smoke: bool) -> dict:
     from krullkit import FieldSpec, RingSpec, parse_polynomial
     from krullkit.chains import verify_chain
     from krullkit.integral import divide_monic
+    from krullkit.normalize import monicize
     from krullkit.poly import Polynomial
 
     e = 2 if smoke else 8
@@ -67,6 +72,8 @@ def cases(smoke: bool) -> dict:
             "poly.mul", lambda a=big, b=other: a * b)
         out[f"{name} mul 6x6"] = ("poly.mul", lambda a=six, b=six2: a * b)
         out[f"{name} mul 1x1"] = ("poly.mul", lambda a=one, b=one2: a * b)
+        out[f"{name} monicize {size}-term {POWER.format(e=e)}"] = (
+            "normalize.monicize", lambda a=big: monicize(a))
         if field.modulus is None:
             out[f"Q divide_monic: {size}-term {POWER.format(e=e)} by {CUBIC}"] = (
                 "integral.divide_monic", lambda a=big, g=cubic: divide_monic(a, g))
@@ -79,6 +86,24 @@ def cases(smoke: bool) -> dict:
                                       enumerate(zip(other.terms, primes[size:]))})
             out[f"Q mul {size}x{size}, pairwise-coprime 20-bit denominators"] = (
                 "poly.mul", lambda a=left, b=right: a * b)
+        ring4 = RingSpec.default(field, 4)
+        for power in (2, 3) if smoke else (6, 12):
+            f = parse_polynomial(LINEAR4.format(e=power), ring4)
+            text = str(f)
+            out[f"{name} parse {len(f.terms)} terms: canonical {LINEAR4.format(e=power)}"] = (
+                "parse.parse_polynomial", lambda t=text, r=ring4: parse_polynomial(t, r))
+        # The form the benchmark decks send: "(c)*t1^2*t2 + ...".
+        grouped = " + ".join(
+            "*".join([f"({c})"] + [f"t{j + 1}" if k == 1 else f"t{j + 1}^{k}"
+                                   for j, k in enumerate(exps) if k])
+            for exps, c in f.terms.items())
+        out[f"{name} parse {len(f.terms)} terms, parenthesized coefficients"] = (
+            "parse.parse_polynomial", lambda t=grouped, r=ring4: parse_polynomial(t, r))
+    e_mon = 100 if smoke else 100000
+    ring2 = RingSpec.default(FieldSpec.rationals(), 2)
+    g = parse_polynomial(MONICIZE.format(e=e_mon), ring2)
+    out[f"Q monicize {MONICIZE.format(e=e_mon)}"] = (
+        "normalize.monicize", lambda f=g: monicize(f))
     ring = RingSpec.default(FieldSpec.rationals(), n_wide)
     out[f"Q verify_chain n={n_wide}, checks_per_level=2"] = (
         "chains.verify_chain", lambda: verify_chain(ring, checks_per_level=2))

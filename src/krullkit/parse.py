@@ -6,7 +6,7 @@ The accepted grammar (whitespace between tokens is ignored)::
     term     := ("-")? factor ("*" factor)*
     factor   := atom ("^" nat)?
     atom     := rational | varname | "(" expr ")"
-    rational := int ("/" posint)?
+    rational := "-"? int ("/" posint)?
 
 Multiplication is always explicit (``2*t1``, never ``2t1``), ``^`` binds
 tighter than ``*`` binds tighter than ``+``/``-``, and rational literals
@@ -18,6 +18,8 @@ Exponents are capped at 2^31 - 1, number literals at
 
 Errors are always :class:`ParseError` values carrying the byte offset into
 the UTF-8 encoding of the input, never raw exceptions from the internals.
+Undecodable bytes (lone surrogates from ``surrogateescape``, as in argv)
+encode back to themselves and are reported as unexpected characters.
 
 :func:`format_polynomial` is the exact inverse on canonical text: it prints
 terms in graded lexicographic order (highest first), and parsing its output
@@ -26,10 +28,11 @@ returns the identical polynomial.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
 from fractions import Fraction
 
 from .errors import KrullkitError
+from .field import FieldSpec
 from .poly import Polynomial, RingSpec
 
 __all__ = [
@@ -44,8 +47,8 @@ __all__ = [
 MAX_EXPONENT = 2**31 - 1
 # CPython refuses to convert longer digit strings to int (sys.int_info).
 MAX_LITERAL_DIGITS = 4300
-# The parser recurses through parse_expr/term/factor/atom, four frames per
-# parenthesis level, so 100 levels take 400 of the default recursion limit
+# The parser recurses through parse_expr and parse_term, two frames per
+# parenthesis level, so 100 levels take 200 of the default recursion limit
 # of 1000 and leave the rest to the caller's stack and the arithmetic.
 MAX_DEPTH = 100
 
@@ -74,7 +77,7 @@ class UnknownVariableError(ParseError):
     identifier = "UnknownVariable"
 
     def __init__(self, offset: int, name: str):
-        super().__init__(offset, f"unknown variable {name!r}")
+        super().__init__(offset, f"unknown variable {_shown(name, 'name')}")
         self.name = name
 
 
@@ -82,165 +85,140 @@ class FieldLiteralError(ParseError):
     """A rational literal with no meaning in the coefficient field."""
 
 
-_DIGIT = frozenset(b"0123456789")
-_LETTER = frozenset(b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz")
-_ALNUM = _DIGIT | _LETTER
-_OPS = frozenset(b"+-*^/()")
+# Matched against the UTF-8 bytes decoded as Latin-1, one character per
+# byte, so match offsets are byte offsets.  Whitespace is exactly
+# [ \t\r\n]; any other byte outside a token is "bad".
+_TOKEN = re.compile(
+    r"(?P<number>[0-9]+)|(?P<name>[A-Za-z][A-Za-z0-9]*)|(?P<op>[-+*^/()])|(?P<bad>[^ \t\r\n])"
+)
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # "number" | "name" | one of + - * ^ / ( ) | "end"
-    text: str
-    offset: int
-
-
-def _tokenize(text: str) -> list[_Token]:
-    data = text.encode("utf-8")
-    tokens: list[_Token] = []
-    i, n = 0, len(data)
-    while i < n:
-        b = data[i]
-        if b in b" \t\r\n":
-            i += 1
-        elif b in _DIGIT:
-            j = i + 1
-            while j < n and data[j] in _DIGIT:
-                j += 1
-            tokens.append(_Token("number", data[i:j].decode("ascii"), i))
-            i = j
-        elif b in _LETTER:
-            j = i + 1
-            while j < n and data[j] in _ALNUM:
-                j += 1
-            tokens.append(_Token("name", data[i:j].decode("ascii"), i))
-            i = j
-        elif b in _OPS:
-            tokens.append(_Token(chr(b), chr(b), i))
-            i += 1
-        else:
-            shown = repr(chr(b)) if b < 0x80 else f"0x{b:02x}"
-            raise ParseError(i, f"unexpected character {shown}")
-    tokens.append(_Token("end", "", n))
-    return tokens
+def _shown(token: str, noun: str) -> str:
+    # A long token is described by its length, not echoed.
+    return repr(token) if len(token) <= 10 else f"{noun} of {len(token)} characters"
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token], ring: RingSpec):
-        self.tokens = tokens
+    """Recursive descent over (kind, text, byte offset) token tuples."""
+
+    def __init__(self, text: str, ring: RingSpec):
+        data = text.encode("utf-8", "surrogateescape").decode("latin-1")
+        self.tokens = []
+        for m in _TOKEN.finditer(data):
+            kind, token, i = m.lastgroup, m.group(), m.start()
+            if kind == "bad":
+                shown = repr(token) if token < "\x80" else f"0x{ord(token):02x}"
+                raise ParseError(i, f"unexpected character {shown}")
+            self.tokens.append((token if kind == "op" else kind, token, i))
+        self.tokens.append(("end", "", len(data)))
         self.pos = 0
         self.depth = 0
         self.ring = ring
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
-
-    def advance(self) -> _Token:
+    def take(self, kind: str, what: str = "") -> tuple[str, str, int] | None:
+        """Consume the next token if it is of this kind; else raise if ``what``."""
         tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect(self, kind: str, what: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            raise ParseError(tok.offset, f"expected {what}", expected=(what,))
-        return self.advance()
+        if tok[0] == kind:
+            self.pos += 1
+            return tok
+        if what:
+            raise ParseError(tok[2], f"expected {what}", expected=(what,))
+        return None
 
     def parse_expr(self) -> Polynomial:
-        value = self.parse_term()
-        while self.peek().kind in ("+", "-"):
-            op = self.advance()
-            rhs = self.parse_term()
-            value = value + rhs if op.kind == "+" else value - rhs
-        return value
+        first = self.parse_term(1)
+        rest = []
+        while (kind := self.tokens[self.pos][0]) == "+" or kind == "-":
+            self.pos += 1
+            rest.append(self.parse_term(1 if kind == "+" else -1).terms)
+        return first._plus(*rest) if rest else first
 
-    def parse_term(self) -> Polynomial:
-        negate = False
-        if self.peek().kind == "-":
-            self.advance()
-            negate = True
-        value = self.parse_factor()
-        while self.peek().kind == "*":
-            self.advance()
-            value = value * self.parse_factor()
-        return -value if negate else value
+    def parse_term(self, sign: int) -> Polynomial:
+        # A term is one raw scalar times one monomial times its groups; only
+        # a parenthesized group is multiplied in as a Polynomial.
+        ring = self.ring
+        field, p = ring.field, ring.field.modulus
+        scalar = field.scalar(-sign if self.take("-") else sign)
+        exps = [0] * ring.nvars
+        value = None
+        while True:
+            kind, token, offset = self.tokens[self.pos]
+            if kind == "(":
+                if self.depth == MAX_DEPTH:
+                    raise ParseError(offset, f"parentheses nested deeper than {MAX_DEPTH}")
+                self.pos += 1
+                self.depth += 1
+                group = self.parse_expr()
+                self.take(")", "')'")
+                self.depth -= 1
+                e = self.exponent()
+                group = group if e == 1 else group**e
+                value = group if value is None else value * group
+            elif kind == "name":
+                self.pos += 1
+                try:
+                    j = ring.index_of(token)
+                except KeyError:
+                    raise UnknownVariableError(offset, token) from None
+                exps[j - 1] += self.exponent()
+            elif kind == "number" or kind == "-":
+                c = self.rational(field)
+                e = self.exponent()
+                scalar = scalar * pow(c, e, p) % p if p else scalar * c**e
+            else:
+                raise ParseError(
+                    offset, "expected a value", expected=("number", "variable", "'('")
+                )
+            if not self.take("*"):
+                break
+        monomial = Polynomial._make(ring, {tuple(exps): scalar} if scalar else {})
+        if value is None:
+            return monomial
+        return value if scalar == 1 and not any(exps) else value * monomial
 
-    def parse_factor(self) -> Polynomial:
-        value = self.parse_atom()
-        if self.peek().kind == "^":
-            self.advance()
-            tok = self.expect("number", "exponent")
-            digits = tok.text.lstrip("0") or "0"
-            e = int(digits) if len(digits) <= 10 else MAX_EXPONENT + 1
-            if e > MAX_EXPONENT:
-                shown = digits if len(digits) <= 10 else f"of {len(digits)} digits"
-                raise ParseError(tok.offset, f"exponent {shown} exceeds {MAX_EXPONENT}")
-            value = value**e
-        return value
+    def exponent(self) -> int:
+        if not self.take("^"):
+            return 1
+        _, token, offset = self.take("number", "exponent")
+        digits = token.lstrip("0") or "0"
+        e = int(digits) if len(digits) <= 10 else MAX_EXPONENT + 1
+        if e > MAX_EXPONENT:
+            shown = digits if len(digits) <= 10 else f"of {len(digits)} digits"
+            raise ParseError(offset, f"exponent {shown} exceeds {MAX_EXPONENT}")
+        return e
 
-    def parse_atom(self) -> Polynomial:
-        tok = self.peek()
-        if tok.kind == "-" or tok.kind == "number":
-            return self.parse_rational()
-        if tok.kind == "name":
-            self.advance()
-            try:
-                j = self.ring.index_of(tok.text)
-            except KeyError:
-                raise UnknownVariableError(tok.offset, tok.text) from None
-            return self.ring.gen(j)
-        if tok.kind == "(":
-            if self.depth == MAX_DEPTH:
-                raise ParseError(tok.offset, f"parentheses nested deeper than {MAX_DEPTH}")
-            self.advance()
-            self.depth += 1
-            value = self.parse_expr()
-            self.expect(")", "')'")
-            self.depth -= 1
-            return value
-        raise ParseError(
-            tok.offset, "expected a value", expected=("number", "variable", "'('")
-        )
+    def literal(self, what: str) -> tuple[int, int]:
+        _, token, offset = self.take("number", what)
+        if len(token) > MAX_LITERAL_DIGITS:
+            raise ParseError(offset, f"number longer than {MAX_LITERAL_DIGITS} digits")
+        return int(token), offset
 
-    def literal(self, tok: _Token) -> int:
-        if len(tok.text) > MAX_LITERAL_DIGITS:
-            raise ParseError(
-                tok.offset, f"number longer than {MAX_LITERAL_DIGITS} digits"
-            )
-        return int(tok.text)
-
-    def parse_rational(self) -> Polynomial:
-        sign = 1
-        if self.peek().kind == "-":
-            self.advance()
-            sign = -1
-        numerator = sign * self.literal(self.expect("number", "number"))
-        denominator = 1
-        den_tok = None
-        if self.peek().kind == "/":
-            self.advance()
-            den_tok = self.expect("number", "positive denominator")
-            denominator = self.literal(den_tok)
-            if denominator == 0:
-                raise ParseError(den_tok.offset, "denominator must be positive")
+    def rational(self, field: FieldSpec) -> Fraction | int:
+        # The raw field scalar of a signed literal ``-a/b``.
+        sign = -1 if self.take("-") else 1
+        numerator = sign * self.literal("number")[0]
+        if not self.take("/"):
+            return field.scalar(numerator)
+        denominator, offset = self.literal("positive denominator")
+        if denominator == 0:
+            raise ParseError(offset, "denominator must be positive")
         try:
-            return self.ring.constant(Fraction(numerator, denominator))
+            return field.scalar(Fraction(numerator, denominator))
         except ZeroDivisionError:
             raise FieldLiteralError(
-                den_tok.offset,
-                f"denominator {denominator} is not invertible in {self.ring.field}",
+                offset, f"denominator {denominator} is not invertible in {field}"
             ) from None
 
 
 def parse_polynomial(text: str, ring: RingSpec) -> Polynomial:
     """Parse an expression into a polynomial over the given ring."""
-    parser = _Parser(_tokenize(text), ring)
+    parser = _Parser(text, ring)
     value = parser.parse_expr()
-    trailing = parser.peek()
-    if trailing.kind != "end":
+    kind, token, offset = parser.tokens[parser.pos]
+    if kind != "end":
         raise ParseError(
-            trailing.offset,
-            f"unexpected {trailing.text!r} after expression",
+            offset,
+            f"unexpected {_shown(token, 'token')} after expression",
             expected=("'+'", "'-'", "'*'", "end of input"),
         )
     return value

@@ -178,18 +178,19 @@ class Polynomial:
             return self.ring.constant(other)
         return None
 
-    def _plus(self, terms: dict) -> "Polynomial":
-        # Add a canonical term dict of the same ring.
+    def _plus(self, *others: dict) -> "Polynomial":
+        # Add canonical term dicts of the same ring, in one pass.
         p = self.ring.field.modulus
         acc = dict(self.terms)
-        for exps, c in terms.items():
-            prev = acc.get(exps)
-            if prev is not None:
-                c = (prev + c) % p if p else prev + c
-                if not c:
-                    del acc[exps]
-                    continue
-            acc[exps] = c
+        for terms in others:
+            for exps, c in terms.items():
+                prev = acc.get(exps)
+                if prev is not None:
+                    c = (prev + c) % p if p else prev + c
+                    if not c:
+                        del acc[exps]
+                        continue
+                acc[exps] = c
         return Polynomial._make(self.ring, acc)
 
     def __add__(self, other):
@@ -323,8 +324,10 @@ class Polynomial:
             raise RingMismatchError(
                 f"cannot move coefficients from {self.ring.field} to {target.field}"
             )
-        # powers[j] caches images[j]^0, ^1, ... as needed.
-        powers: list[list[Polynomial]] = [[target.one(), img] for img in images]
+        # powers[j] caches images[j]^e by e.  A missing power comes from a
+        # cached one: e-1 times the image for odd e, the square of e//2 for
+        # even e, so the cost is logarithmic in the exponent value.
+        powers: list[dict[int, Polynomial]] = [{1: img} for img in images]
         one = (0,) * target.nvars
         result = target.zero()
         for exps, c in self.terms.items():
@@ -332,9 +335,13 @@ class Polynomial:
             for j, e in enumerate(exps):
                 if not e:
                     continue
-                cache = powers[j]
-                while len(cache) <= e:
-                    cache.append(cache[-1] * cache[1])
+                cache, k, missing = powers[j], e, []
+                while k not in cache:
+                    missing.append(k)
+                    k = k - 1 if k & 1 else k >> 1
+                for k in reversed(missing):
+                    h = cache[k - 1] if k & 1 else cache[k >> 1]
+                    cache[k] = h * cache[1] if k & 1 else h * h
                 term = term * cache[e]
             result = result + term
         return result

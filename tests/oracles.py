@@ -4,8 +4,10 @@ Everything here works on raw dicts mapping exponent tuples to scalars
 (Fractions over the rationals, least nonnegative residues mod a prime),
 with deliberately naive algorithms: schoolbook products, repeated
 multiplication instead of binary powering, dense univariate division,
-permutation-sum determinants.  The only package coupling allowed is
-reading ``Polynomial.terms`` when a test converts a value for comparison.
+permutation-sum determinants, and a recursive-descent parser that makes
+every atom a dict and combines them with the naive operations.  The only
+package coupling allowed is reading ``Polynomial.terms`` when a test
+converts a value for comparison.
 """
 
 from fractions import Fraction
@@ -156,3 +158,198 @@ def leibniz_charpoly(matrix: list) -> list:
         for k, v in enumerate(prod):
             total[k] += sign * v
     return total
+
+
+class ReferenceParseError(Exception):
+    """A parse error of the reference parser, named by the package class it mirrors."""
+
+    IDENTIFIERS = {
+        "ParseError": "ParseError",
+        "UnknownVariableError": "UnknownVariable",
+        "FieldLiteralError": "ParseError",
+    }
+
+    def __init__(self, offset: int, message: str, expected=(), cls="ParseError"):
+        super().__init__(message)
+        self.cls = cls
+        self.identifier = self.IDENTIFIERS[cls]
+        self.offset = offset
+        self.message = message
+        self.expected = tuple(expected)
+
+
+_MAX_EXPONENT = 2**31 - 1
+_MAX_LITERAL_DIGITS = 4300
+_MAX_DEPTH = 100
+_DIGITS = b"0123456789"
+_LETTERS = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz"
+
+
+def _shown(token: str, noun: str) -> str:
+    return repr(token) if len(token) <= 10 else f"{noun} of {len(token)} characters"
+
+
+def _tokenize(text: str) -> list:
+    # (kind, text, byte offset) tokens by a loop over the UTF-8 bytes.
+    data = text.encode("utf-8", "surrogateescape")
+    tokens = []
+    i, n = 0, len(data)
+    while i < n:
+        b = data[i]
+        if b in b" \t\r\n":
+            i += 1
+        elif b in _DIGITS:
+            j = i + 1
+            while j < n and data[j] in _DIGITS:
+                j += 1
+            tokens.append(("number", data[i:j].decode("ascii"), i))
+            i = j
+        elif b in _LETTERS:
+            j = i + 1
+            while j < n and (data[j] in _LETTERS or data[j] in _DIGITS):
+                j += 1
+            tokens.append(("name", data[i:j].decode("ascii"), i))
+            i = j
+        elif b in b"+-*^/()":
+            tokens.append((chr(b), chr(b), i))
+            i += 1
+        else:
+            shown = repr(chr(b)) if b < 0x80 else f"0x{b:02x}"
+            raise ReferenceParseError(i, f"unexpected character {shown}")
+    tokens.append(("end", "", n))
+    return tokens
+
+
+class _ReferenceParser:
+    """Recursive descent with one raw dict per atom, combined by the naive ops."""
+
+    def __init__(self, text: str, names, modulus):
+        self.tokens = _tokenize(text)
+        self.pos = 0
+        self.depth = 0
+        self.names = list(names)
+        self.modulus = modulus
+
+    def peek(self):
+        return self.tokens[self.pos]
+
+    def advance(self):
+        tok = self.tokens[self.pos]
+        self.pos += 1
+        return tok
+
+    def expect(self, kind: str, what: str):
+        tok = self.peek()
+        if tok[0] != kind:
+            raise ReferenceParseError(tok[2], f"expected {what}", (what,))
+        return self.advance()
+
+    def parse_expr(self) -> dict:
+        value = self.parse_term()
+        while self.peek()[0] in ("+", "-"):
+            op = self.advance()
+            rhs = self.parse_term()
+            if op[0] == "-":
+                rhs = naive_neg(rhs, self.modulus)
+            value = naive_add(value, rhs, self.modulus)
+        return value
+
+    def parse_term(self) -> dict:
+        negate = False
+        if self.peek()[0] == "-":
+            self.advance()
+            negate = True
+        value = self.parse_factor()
+        while self.peek()[0] == "*":
+            self.advance()
+            value = naive_mul(value, self.parse_factor(), self.modulus)
+        return naive_neg(value, self.modulus) if negate else value
+
+    def parse_factor(self) -> dict:
+        value = self.parse_atom()
+        if self.peek()[0] == "^":
+            self.advance()
+            _, token, offset = self.expect("number", "exponent")
+            digits = token.lstrip("0") or "0"
+            if len(digits) > 10 or int(digits) > _MAX_EXPONENT:
+                shown = digits if len(digits) <= 10 else f"of {len(digits)} digits"
+                raise ReferenceParseError(offset, f"exponent {shown} exceeds {_MAX_EXPONENT}")
+            value = naive_pow(value, int(digits), len(self.names), self.modulus)
+        return value
+
+    def parse_atom(self) -> dict:
+        kind, token, offset = self.peek()
+        if kind in ("-", "number"):
+            return self.parse_rational()
+        if kind == "name":
+            self.advance()
+            if token not in self.names:
+                raise ReferenceParseError(
+                    offset, f"unknown variable {_shown(token, 'name')}",
+                    cls="UnknownVariableError",
+                )
+            exps = tuple(int(name == token) for name in self.names)
+            return {exps: 1 if self.modulus else Fraction(1)}
+        if kind == "(":
+            if self.depth == _MAX_DEPTH:
+                raise ReferenceParseError(
+                    offset, f"parentheses nested deeper than {_MAX_DEPTH}"
+                )
+            self.advance()
+            self.depth += 1
+            value = self.parse_expr()
+            self.expect(")", "')'")
+            self.depth -= 1
+            return value
+        raise ReferenceParseError(
+            offset, "expected a value", ("number", "variable", "'('")
+        )
+
+    def literal(self, what: str):
+        _, token, offset = self.expect("number", what)
+        if len(token) > _MAX_LITERAL_DIGITS:
+            raise ReferenceParseError(
+                offset, f"number longer than {_MAX_LITERAL_DIGITS} digits"
+            )
+        return int(token), offset
+
+    def parse_rational(self) -> dict:
+        sign = 1
+        if self.peek()[0] == "-":
+            self.advance()
+            sign = -1
+        numerator = sign * self.literal("number")[0]
+        value = Fraction(numerator)
+        if self.peek()[0] == "/":
+            self.advance()
+            denominator, offset = self.literal("positive denominator")
+            if denominator == 0:
+                raise ReferenceParseError(offset, "denominator must be positive")
+            value = Fraction(numerator, denominator)
+            if self.modulus and value.denominator % self.modulus == 0:
+                raise ReferenceParseError(
+                    offset,
+                    f"denominator {denominator} is not invertible in F{self.modulus}",
+                    cls="FieldLiteralError",
+                )
+        if self.modulus:
+            value = value.numerator * pow(value.denominator, -1, self.modulus)
+        return _norm({(0,) * len(self.names): value}, self.modulus)
+
+
+def reference_parse(text: str, names, modulus=None) -> dict:
+    """Raw term dict of an expression over Q (modulus None) or F_modulus.
+
+    Raises :class:`ReferenceParseError` where the package raises a
+    ``ParseError``, with the same offset, message and expected tokens.
+    """
+    parser = _ReferenceParser(text, names, modulus)
+    value = parser.parse_expr()
+    kind, token, offset = parser.peek()
+    if kind != "end":
+        raise ReferenceParseError(
+            offset,
+            f"unexpected {_shown(token, 'token')} after expression",
+            ("'+'", "'-'", "'*'", "end of input"),
+        )
+    return value

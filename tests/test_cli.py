@@ -279,6 +279,10 @@ class TestErrorsAndExitCodes:
         [
             (("degree", "t1^" + "9" * 5000), "exponent of 5000 digits exceeds 2147483647 (byte 3)"),
             (("eval", "--vars", "1", "--at", "9" * 5000, "t1"), "bad scalar literal of 5000 characters"),
+            (("degree", "t1 " + "9" * 5000),
+             "unexpected token of 5000 characters after expression (byte 3), "
+             "expected '+' or '-' or '*' or end of input"),
+            (("degree", "x" * 5000), "unknown variable name of 5000 characters (byte 0)"),
         ],
     )
     def test_huge_token_error_line_stays_short(self, capsys, argv, tail):
@@ -292,6 +296,18 @@ class TestErrorsAndExitCodes:
         assert err == "error: ParseError: exponent 9999999999 exceeds 2147483647 (byte 3)\n"
         _, _, err = run(capsys, "eval", "--vars", "1", "--at", "1/0", "t1")
         assert err == "error: InvalidArgument: bad scalar literal '1/0'\n"
+
+    def test_short_trailing_and_unknown_tokens_unchanged(self, capsys):
+        # Tokens of up to 10 characters are still echoed whole.
+        _, _, err = run(capsys, "degree", "t1 abcdefghij")
+        assert err == (
+            "error: ParseError: unexpected 'abcdefghij' after expression (byte 3), "
+            "expected '+' or '-' or '*' or end of input\n"
+        )
+        _, _, err = run(capsys, "degree", "abcdefghij + abcdefghijk")
+        assert err == "error: UnknownVariable: unknown variable 'abcdefghij' (byte 0)\n"
+        _, _, err = run(capsys, "degree", "t1 + abcdefghijk")
+        assert err == "error: UnknownVariable: unknown variable name of 11 characters (byte 5)\n"
 
     def test_usage_error_exits_two(self, capsys):
         assert main(["bogus"]) == 2
@@ -386,6 +402,22 @@ class TestEntryPoints:
                     continue
                 for name in names:
                     assert name.split(".")[0] in sys.stdlib_module_names, (path, name)
+
+    def test_undecodable_argv_bytes(self):
+        # argv bytes that are not UTF-8 arrive as surrogate escapes.
+        proc = self.python("-m", "krullkit", "degree", b"t1 + \xff")
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == "error: ParseError: unexpected character 0xff (byte 5)\n"
+
+    def test_monicize_at_the_exponent_cap_finishes(self):
+        # The timeout only guards against a hang; it is not a timing gate.
+        proc = self.python(
+            "-m", "krullkit", "monicize", "--vars", "2", "t1 + t2^2147483647"
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == (
+            "a: 1\nlambda: 1\ng: t2^2147483647 + t1 + t2\ndegree: 2147483647\n"
+        )
 
     @pytest.mark.parametrize("power,coords", [(100_000_000, "1,0\n"), (100_000_001, "0,1\n")])
     def test_huge_power_reduce_finishes(self, power, coords):

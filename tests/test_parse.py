@@ -1,10 +1,14 @@
 """Grammar acceptance, precedence, canonical round-trips, positioned errors."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+import oracles
 
 from krullkit.field import FieldSpec
 from krullkit.parse import (
@@ -24,6 +28,8 @@ Q = FieldSpec.rationals()
 QR2 = RingSpec.default(Q, 2)
 QR3 = RingSpec.default(Q, 3)
 F5R2 = RingSpec.default(FieldSpec.prime(5), 2)
+F5R3 = RingSpec.default(FieldSpec.prime(5), 3)
+F2XY = RingSpec(FieldSpec.prime(2), ("x", "y2", "t1"))
 
 
 def P(text, ring=QR2):
@@ -173,6 +179,24 @@ class TestErrors:
             P("é + t1")
         assert exc_info.value.offset == 0
 
+    def test_undecodable_bytes_are_positioned(self):
+        # surrogateescape maps each undecodable byte back to itself.
+        with pytest.raises(ParseError) as exc_info:
+            P("t1 + \udcff")
+        assert (exc_info.value.offset, exc_info.value.message) == (
+            5, "unexpected character 0xff"
+        )
+
+    def test_long_tokens_described_by_length(self):
+        with pytest.raises(UnknownVariableError) as exc_info:
+            P("t1 + " + "x" * 5000)
+        err = exc_info.value
+        assert (err.offset, err.message) == (5, "unknown variable name of 5000 characters")
+        assert err.name == "x" * 5000
+        with pytest.raises(ParseError) as exc_info:
+            P("t1 " + "9" * 5000)
+        assert exc_info.value.message == "unexpected token of 5000 characters after expression"
+
     def test_error_text_mentions_position(self):
         with pytest.raises(ParseError) as exc_info:
             P("t1 +")
@@ -216,3 +240,105 @@ class TestRoundTrip:
         for _ in range(100):
             f = random_polynomial(rng, QR3, max_degree=6, max_terms=6)
             assert parse_polynomial(format_polynomial(f), QR3) == f
+
+
+def outcome(text, ring):
+    """The package parser's raw dict, or its error as comparable fields."""
+    try:
+        return oracles.raw(parse_polynomial(text, ring))
+    except ParseError as err:
+        return (type(err).__name__, err.identifier, err.offset, err.message, err.expected)
+
+
+def reference_outcome(text, ring):
+    try:
+        return oracles.reference_parse(text, ring.variables, ring.field.modulus)
+    except oracles.ReferenceParseError as err:
+        return (err.cls, err.identifier, err.offset, err.message, err.expected)
+
+
+# The reference raises powers by repeated multiplication, so texts with an
+# exponent of 10 or more are left to the fixed tests.
+LARGE_EXPONENT = re.compile(r"\^[ \t\r\n]*0*[1-9][0-9]")
+
+LITERALS = st.builds(
+    lambda sign, num, den: f"{sign}{num}" + ("" if den is None else f"/{den}"),
+    st.sampled_from(["", "", "-"]),
+    st.integers(0, 12),
+    st.none() | st.integers(0, 12),
+)
+EXPONENTS = st.sampled_from(["", "", "^0", "^1", "^2", "^3", " ^ 2"])
+RINGS = [QR3, F5R3, F2XY]
+
+
+@st.composite
+def expression_text(draw, names, depth=2):
+    """Text in the grammar: signed literals, names, groups and small powers."""
+    terms = []
+    for _ in range(draw(st.integers(1, 3))):
+        factors = []
+        for _ in range(draw(st.integers(1, 3))):
+            kind = draw(st.sampled_from(["name", "number", "group"][: 3 if depth else 2]))
+            if kind == "name":
+                atom = draw(names)
+            elif kind == "number":
+                atom = draw(LITERALS)
+            else:
+                atom = "(" + draw(expression_text(names, depth - 1)) + ")"
+            factors.append(atom + draw(EXPONENTS))
+        star = draw(st.sampled_from(["*", " * "]))
+        terms.append(draw(st.sampled_from(["", "", "-", "- "])) + star.join(factors))
+    ops = draw(st.lists(st.sampled_from([" + ", " - ", "+", "-"]), min_size=len(terms)))
+    return terms[0] + "".join(op + term for op, term in zip(ops, terms[1:]))
+
+
+@st.composite
+def ring_and_text(draw):
+    """A ring and grammar text over its names (and one unknown name), with up
+    to two characters replaced to reach the errors."""
+    ring = draw(st.sampled_from(RINGS))
+    text = draw(expression_text(st.sampled_from([*ring.variables] * 4 + ["t9"])))
+    for _ in range(draw(st.integers(0, 2))):
+        i = draw(st.integers(0, len(text)))
+        piece = draw(st.sampled_from(["", "+", "-", "*", "^", "/", "(", ")", " ", "0",
+                                      "12", "t2", "\u00e9", "@", "\udcff"]))
+        text = text[:i] + piece + text[i + 1 :]
+    return ring, text
+
+
+class TestReferenceParser:
+    """The package parser against the recursive-descent reference in oracles."""
+
+    @pytest.mark.parametrize(
+        "text,expected",
+        [
+            ("t1*-3", "-3*t1"),
+            ("--1", "1"),
+            ("-t1^2", "-t1^2"),
+            ("2*-3^2", "18"),
+            ("-3^2", "-9"),
+            ("0^0", "1"),
+            ("(3/5)*t1", "3/5*t1"),
+            ("t1^0", "1"),
+            ("-(t1 + 1)", "-t1 - 1"),
+            ("(t1 + 1)*2*t2*(t1 - 1)", "2*t1^2*t2 - 2*t2"),
+        ],
+    )
+    def test_corners(self, text, expected):
+        assert format_polynomial(P(text, QR3)) == expected
+        for ring in (QR3, F5R3):
+            assert outcome(text, ring) == reference_outcome(text, ring)
+
+    @given(ring_text=ring_and_text())
+    @settings(max_examples=600, deadline=None)
+    def test_grammar_text_matches_reference(self, ring_text):
+        ring, text = ring_text
+        assume(not LARGE_EXPONENT.search(text))
+        assert outcome(text, ring) == reference_outcome(text, ring)
+
+    @given(text=st.text(), ring=st.sampled_from(RINGS))
+    @settings(max_examples=600, deadline=None)
+    def test_arbitrary_text_matches_reference(self, text, ring):
+        # Any exception other than a ParseError escapes outcome() and fails.
+        assume(not LARGE_EXPONENT.search(text))
+        assert outcome(text, ring) == reference_outcome(text, ring)

@@ -275,6 +275,16 @@ class TestSubstitution:
         )
         assert oracles.raw(f.substitute(images)) == expected
 
+    def test_large_exponents_against_oracle(self):
+        # Powers built by squaring and by one more factor, in either order.
+        f = P("t1^37*t2^5 - 2*t1^20 + t2^64 + 1/3*t1^19*t2^6")
+        t1, t2 = QR2.gens()
+        images = [t1 + t2, 2 * t2 - 1]
+        expected = oracles.naive_subst(
+            oracles.raw(f), [oracles.raw(img) for img in images], 2
+        )
+        assert oracles.raw(f.substitute(images)) == expected
+
     @given(f=polys(QR2, max_terms=4))
     @settings(max_examples=40)
     def test_compatible_with_evaluation(self, f):
