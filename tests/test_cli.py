@@ -334,6 +334,317 @@ class TestErrorsAndExitCodes:
         assert (code, out) == (0, "3\n")
 
 
+# argparse's own text: ``--help`` pages, usage lines and exit-2 errors, as
+# CPython 3.11 lays them out at 80 columns.  (argv, exit code, stream, text);
+# the other stream stays empty.
+ARGPARSE_TRANSCRIPTS = [
+    (('--help',), 0, 'out', """\
+usage: krullkit [-h]
+                {eval,degree,homog,split,member,minpow,chain-verify,nonvanish,monicize,divide,pmember,witness,power-reduce,contract-witness}
+                ...
+
+Exact polynomial-ring toolkit: chains, monicization, integral extensions
+
+positional arguments:
+  {eval,degree,homog,split,member,minpow,chain-verify,nonvanish,monicize,divide,pmember,witness,power-reduce,contract-witness}
+    eval                evaluate a polynomial at a point
+    degree              total degree, or degree in one variable
+    homog               homogeneity test, component, or leading form
+    split               split into dependent and free parts
+    member              membership in the level-k variable ideal
+    minpow              extract the minimal power of t_k
+    chain-verify        verify the full ideal chain
+    nonvanish           find a non-vanishing point
+    monicize            make monic in the last variable
+    divide              divide by a monic-in-t_n generator
+    pmember             membership in a monic principal ideal
+    witness             integral dependence of a coset
+    power-reduce        reduce a power to basis coordinates
+    contract-witness    nonzero last-variable-free constant in the contracted
+                        ideal
+
+options:
+  -h, --help            show this help message and exit
+"""),
+    (('eval', '--help'), 0, 'out', """\
+usage: krullkit eval [-h] [--vars VARS] [--field FIELD] [--json] [--seed SEED]
+                     --at AT
+                     poly
+
+positional arguments:
+  poly
+
+options:
+  -h, --help     show this help message and exit
+  --vars VARS    variable count (default names t1..tn) or comma-separated
+                 names
+  --field FIELD  coefficient field, Q or F<p>
+  --json         print one JSON document instead of text
+  --seed SEED    seed for randomized checks
+  --at AT        comma-separated coordinates
+"""),
+    (('degree', '--help'), 0, 'out', """\
+usage: krullkit degree [-h] [--vars VARS] [--field FIELD] [--json]
+                       [--seed SEED] [--in VAR]
+                       poly
+
+positional arguments:
+  poly
+
+options:
+  -h, --help     show this help message and exit
+  --vars VARS    variable count (default names t1..tn) or comma-separated
+                 names
+  --field FIELD  coefficient field, Q or F<p>
+  --json         print one JSON document instead of text
+  --seed SEED    seed for randomized checks
+  --in VAR       variable name or 1-based index
+"""),
+    (('homog', '--help'), 0, 'out', """\
+usage: krullkit homog [-h] [--vars VARS] [--field FIELD] [--json]
+                      [--seed SEED] [-d DEGREE] [--leading]
+                      poly
+
+positional arguments:
+  poly
+
+options:
+  -h, --help            show this help message and exit
+  --vars VARS           variable count (default names t1..tn) or comma-
+                        separated names
+  --field FIELD         coefficient field, Q or F<p>
+  --json                print one JSON document instead of text
+  --seed SEED           seed for randomized checks
+  -d DEGREE, --degree DEGREE
+                        extract this degree's component
+  --leading             extract the leading form
+"""),
+    (('split', '--help'), 0, 'out', """\
+usage: krullkit split [-h] [--vars VARS] [--field FIELD] [--json]
+                      [--seed SEED] -k LEVEL
+                      poly
+
+positional arguments:
+  poly
+
+options:
+  -h, --help            show this help message and exit
+  --vars VARS           variable count (default names t1..tn) or comma-
+                        separated names
+  --field FIELD         coefficient field, Q or F<p>
+  --json                print one JSON document instead of text
+  --seed SEED           seed for randomized checks
+  -k LEVEL, --level LEVEL
+"""),
+    (('member', '--help'), 0, 'out', """\
+usage: krullkit member [-h] [--vars VARS] [--field FIELD] [--json]
+                       [--seed SEED] -k LEVEL
+                       poly
+
+positional arguments:
+  poly
+
+options:
+  -h, --help            show this help message and exit
+  --vars VARS           variable count (default names t1..tn) or comma-
+                        separated names
+  --field FIELD         coefficient field, Q or F<p>
+  --json                print one JSON document instead of text
+  --seed SEED           seed for randomized checks
+  -k LEVEL, --level LEVEL
+"""),
+    (('minpow', '--help'), 0, 'out', """\
+usage: krullkit minpow [-h] [--vars VARS] [--field FIELD] [--json]
+                       [--seed SEED] -k LEVEL
+                       poly
+
+positional arguments:
+  poly
+
+options:
+  -h, --help            show this help message and exit
+  --vars VARS           variable count (default names t1..tn) or comma-
+                        separated names
+  --field FIELD         coefficient field, Q or F<p>
+  --json                print one JSON document instead of text
+  --seed SEED           seed for randomized checks
+  -k LEVEL, --level LEVEL
+"""),
+    (('chain-verify', '--help'), 0, 'out', """\
+usage: krullkit chain-verify [-h] [--vars VARS] [--field FIELD] [--json]
+                             [--seed SEED] [--checks CHECKS]
+
+options:
+  -h, --help       show this help message and exit
+  --vars VARS      variable count (default names t1..tn) or comma-separated
+                   names
+  --field FIELD    coefficient field, Q or F<p>
+  --json           print one JSON document instead of text
+  --seed SEED      seed for randomized checks
+  --checks CHECKS  product checks per level
+"""),
+    (('nonvanish', '--help'), 0, 'out', """\
+usage: krullkit nonvanish [-h] [--vars VARS] [--field FIELD] [--json]
+                          [--seed SEED] [--homogeneous]
+                          poly
+
+positional arguments:
+  poly
+
+options:
+  -h, --help     show this help message and exit
+  --vars VARS    variable count (default names t1..tn) or comma-separated
+                 names
+  --field FIELD  coefficient field, Q or F<p>
+  --json         print one JSON document instead of text
+  --seed SEED    seed for randomized checks
+  --homogeneous  normalize the last coordinate to 1 (input must be a form)
+"""),
+    (('monicize', '--help'), 0, 'out', """\
+usage: krullkit monicize [-h] [--vars VARS] [--field FIELD] [--json]
+                         [--seed SEED]
+                         poly
+
+positional arguments:
+  poly
+
+options:
+  -h, --help     show this help message and exit
+  --vars VARS    variable count (default names t1..tn) or comma-separated
+                 names
+  --field FIELD  coefficient field, Q or F<p>
+  --json         print one JSON document instead of text
+  --seed SEED    seed for randomized checks
+"""),
+    (('divide', '--help'), 0, 'out', """\
+usage: krullkit divide [-h] [--vars VARS] [--field FIELD] [--json]
+                       [--seed SEED]
+                       poly generator
+
+positional arguments:
+  poly
+  generator
+
+options:
+  -h, --help     show this help message and exit
+  --vars VARS    variable count (default names t1..tn) or comma-separated
+                 names
+  --field FIELD  coefficient field, Q or F<p>
+  --json         print one JSON document instead of text
+  --seed SEED    seed for randomized checks
+"""),
+    (('pmember', '--help'), 0, 'out', """\
+usage: krullkit pmember [-h] [--vars VARS] [--field FIELD] [--json]
+                        [--seed SEED]
+                        poly generator
+
+positional arguments:
+  poly
+  generator
+
+options:
+  -h, --help     show this help message and exit
+  --vars VARS    variable count (default names t1..tn) or comma-separated
+                 names
+  --field FIELD  coefficient field, Q or F<p>
+  --json         print one JSON document instead of text
+  --seed SEED    seed for randomized checks
+"""),
+    (('witness', '--help'), 0, 'out', """\
+usage: krullkit witness [-h] [--vars VARS] [--field FIELD] [--json]
+                        [--seed SEED]
+                        poly generator
+
+positional arguments:
+  poly
+  generator
+
+options:
+  -h, --help     show this help message and exit
+  --vars VARS    variable count (default names t1..tn) or comma-separated
+                 names
+  --field FIELD  coefficient field, Q or F<p>
+  --json         print one JSON document instead of text
+  --seed SEED    seed for randomized checks
+"""),
+    (('power-reduce', '--help'), 0, 'out', """\
+usage: krullkit power-reduce [-h] [--vars VARS] [--field FIELD] [--json]
+                             [--seed SEED] --relation RELATION -i POWER
+
+options:
+  -h, --help            show this help message and exit
+  --vars VARS           variable count (default names t1..tn) or comma-
+                        separated names
+  --field FIELD         coefficient field, Q or F<p>
+  --json                print one JSON document instead of text
+  --seed SEED           seed for randomized checks
+  --relation RELATION   comma-separated coordinates of a^d in the basis
+                        1..a^(d-1)
+  -i POWER, --power POWER
+"""),
+    (('contract-witness', '--help'), 0, 'out', """\
+usage: krullkit contract-witness [-h] [--vars VARS] [--field FIELD] [--json]
+                                 [--seed SEED]
+                                 poly generator
+
+positional arguments:
+  poly
+  generator
+
+options:
+  -h, --help     show this help message and exit
+  --vars VARS    variable count (default names t1..tn) or comma-separated
+                 names
+  --field FIELD  coefficient field, Q or F<p>
+  --json         print one JSON document instead of text
+  --seed SEED    seed for randomized checks
+"""),
+    ((), 2, 'err', """\
+usage: krullkit [-h]
+                {eval,degree,homog,split,member,minpow,chain-verify,nonvanish,monicize,divide,pmember,witness,power-reduce,contract-witness}
+                ...
+krullkit: error: the following arguments are required: command
+"""),
+    (('bogus',), 2, 'err', """\
+usage: krullkit [-h]
+                {eval,degree,homog,split,member,minpow,chain-verify,nonvanish,monicize,divide,pmember,witness,power-reduce,contract-witness}
+                ...
+krullkit: error: argument command: invalid choice: 'bogus' (choose from 'eval', 'degree', 'homog', 'split', 'member', 'minpow', 'chain-verify', 'nonvanish', 'monicize', 'divide', 'pmember', 'witness', 'power-reduce', 'contract-witness')
+"""),
+    (('member', '--vars', '2', 't1'), 2, 'err', """\
+usage: krullkit member [-h] [--vars VARS] [--field FIELD] [--json]
+                       [--seed SEED] -k LEVEL
+                       poly
+krullkit member: error: the following arguments are required: -k/--level
+"""),
+    (('member', '-k', 'x', 't1'), 2, 'err', """\
+usage: krullkit member [-h] [--vars VARS] [--field FIELD] [--json]
+                       [--seed SEED] -k LEVEL
+                       poly
+krullkit member: error: argument -k/--level: invalid int value: 'x'
+"""),
+    (('chain-verify', '--checks', 'y'), 2, 'err', """\
+usage: krullkit chain-verify [-h] [--vars VARS] [--field FIELD] [--json]
+                             [--seed SEED] [--checks CHECKS]
+krullkit chain-verify: error: argument --checks: invalid int value: 'y'
+"""),
+]
+
+
+@pytest.mark.skipif(
+    sys.version_info[:2] != (3, 11), reason="argparse's layout differs between CPython versions"
+)
+class TestArgparseText:
+    @pytest.mark.parametrize(
+        "argv, code, stream, text", ARGPARSE_TRANSCRIPTS,
+        ids=[" ".join(case[0]) or "no-arguments" for case in ARGPARSE_TRANSCRIPTS],
+    )
+    def test_transcript(self, capsys, monkeypatch, argv, code, stream, text):
+        monkeypatch.setenv("COLUMNS", "80")
+        expected = (code, text, "") if stream == "out" else (code, "", text)
+        assert run(capsys, *argv) == expected
+
+
 class TestEntryPoints:
     SRC = str(Path(__file__).resolve().parents[1] / "src")
 
