@@ -16,6 +16,8 @@ There is no timing gate; the numbers are a record, not a test.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import os
 import platform
@@ -32,6 +34,7 @@ CUBIC = "t3^3 + t1*t3 - t2"
 # and 1,820 at e=12.
 LINEAR4 = "(t1-2/3*t2+5/7*t3-3*t4+1/2)^{e}"
 MONICIZE = "t1 + t2^{e}"
+EVAL_ARGV = ["eval", "--vars", "2", "--at", "2,2", "t1^3 + 2*t1^2*t2 + 4*t2^3"]
 
 
 def _primes(count: int, start: int) -> list[int]:
@@ -49,6 +52,7 @@ def cases(smoke: bool) -> dict:
     """Map each case name to (layer, zero-argument callable)."""
     from krullkit import FieldSpec, RingSpec, parse_polynomial
     from krullkit.chains import verify_chain
+    from krullkit.cli import main
     from krullkit.integral import divide_monic
     from krullkit.normalize import monicize
     from krullkit.poly import Polynomial
@@ -107,6 +111,12 @@ def cases(smoke: bool) -> dict:
     ring = RingSpec.default(FieldSpec.rationals(), n_wide)
     out[f"Q verify_chain n={n_wide}, checks_per_level=2"] = (
         "chains.verify_chain", lambda: verify_chain(ring, checks_per_level=2))
+
+    def cli_eval():
+        with contextlib.redirect_stdout(io.StringIO()):
+            main(EVAL_ARGV)
+
+    out[f"cli.main in process: krullkit {' '.join(EVAL_ARGV)}"] = ("cli.main", cli_eval)
     return out
 
 

@@ -11,6 +11,7 @@ usage or parse error.  A reader that closes stdout early gets exit 1.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -34,6 +35,12 @@ from .poly import Polynomial, RingSpec
 
 def _bool_text(value: bool) -> str:
     return "true" if value else "false"
+
+
+def _fields(**doc) -> tuple[str, dict]:
+    # The doc as "key: value" lines in its key order; a list joins with ",".
+    text = "\n".join(f"{k}: {','.join(v) if isinstance(v, list) else v}" for k, v in doc.items())
+    return text, doc
 
 
 def _make_ring(args: argparse.Namespace) -> RingSpec:
@@ -103,8 +110,7 @@ def _cmd_homog(args, ring):
 def _cmd_split(args, ring):
     f = _poly_arg(args, ring)
     dependent, free = f.split_by_support(args.level)
-    text = f"dependent: {dependent}\nfree: {free}"
-    return text, {"dependent": str(dependent), "free": str(free)}
+    return _fields(dependent=str(dependent), free=str(free))
 
 
 def _cmd_member(args, ring):
@@ -116,12 +122,7 @@ def _cmd_member(args, ring):
 def _cmd_minpow(args, ring):
     f = _poly_arg(args, ring)
     dec = extract_min_power(f, args.level)
-    text = f"power: {dec.power}\nlower: {dec.lower_part}\ncofactor: {dec.cofactor}"
-    return text, {
-        "power": dec.power,
-        "lower": str(dec.lower_part),
-        "cofactor": str(dec.cofactor),
-    }
+    return _fields(power=dec.power, lower=str(dec.lower_part), cofactor=str(dec.cofactor))
 
 
 def _cmd_chain_verify(args, ring):
@@ -154,24 +155,14 @@ def _cmd_nonvanish(args, ring):
 
 
 def _cmd_monicize(args, ring):
-    result = monicize(_poly_arg(args, ring))
-    doc = result.to_json_dict()
-    text = "\n".join(
-        [
-            f"a: {','.join(doc['a'])}",
-            f"lambda: {doc['lambda']}",
-            f"g: {doc['g']}",
-            f"degree: {doc['degree']}",
-        ]
-    )
-    return text, doc
+    return _fields(**monicize(_poly_arg(args, ring)).to_json_dict())
 
 
 def _cmd_divide(args, ring):
     f = _poly_arg(args, ring, "poly")
     g = _poly_arg(args, ring, "generator")
     q, r = divide_monic(f, g)
-    return f"quotient: {q}\nremainder: {r}", {"quotient": str(q), "remainder": str(r)}
+    return _fields(quotient=str(q), remainder=str(r))
 
 
 def _cmd_pmember(args, ring):
@@ -214,11 +205,13 @@ def _cmd_contract_witness(args, ring):
     f = _poly_arg(args, ring, "poly")
     g = _poly_arg(args, ring, "generator")
     constant, cofactor = contraction_witness(f, g)
-    text = f"constant: {constant}\ncofactor: {cofactor}"
-    return text, {"constant": str(constant), "cofactor": str(cofactor)}
+    return _fields(constant=str(constant), cofactor=str(cofactor))
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: callers share it and must not change it."""
+    # Safe to share: argparse looks up the streams and terminal width only to print.
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--vars",
@@ -305,9 +298,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -19,7 +19,8 @@ Exponents are capped at 2^31 - 1, number literals at
 Errors are always :class:`ParseError` values carrying the byte offset into
 the UTF-8 encoding of the input, never raw exceptions from the internals.
 Undecodable bytes (lone surrogates from ``surrogateescape``, as in argv)
-encode back to themselves and are reported as unexpected characters.
+encode back to themselves and are reported as unexpected characters; any
+other lone surrogate is reported by its code point.
 
 :func:`format_polynomial` is the exact inverse on canonical text: it prints
 terms in graded lexicographic order (highest first), and parsing its output
@@ -102,7 +103,13 @@ class _Parser:
     """Recursive descent over (kind, text, byte offset) token tuples."""
 
     def __init__(self, text: str, ring: RingSpec):
-        data = text.encode("utf-8", "surrogateescape").decode("latin-1")
+        try:
+            data = text.encode("utf-8", "surrogateescape").decode("latin-1")
+        except UnicodeEncodeError as exc:
+            # Everything before the first unencodable character encodes.
+            offset = len(text[: exc.start].encode("utf-8", "surrogateescape"))
+            code_point = ord(text[exc.start])
+            raise ParseError(offset, f"unexpected character U+{code_point:04X}") from None
         self.tokens = []
         for m in _TOKEN.finditer(data):
             kind, token, i = m.lastgroup, m.group(), m.start()

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from krullkit.cli import main
+from krullkit.cli import build_parser, main
 from krullkit.field import MAX_MODULUS
 
 EXAMPLE = "t1^3 + 2*t1^2*t2 + 4*t2^3"
@@ -308,6 +308,12 @@ class TestErrorsAndExitCodes:
         assert err == "error: UnknownVariable: unknown variable 'abcdefghij' (byte 0)\n"
         _, _, err = run(capsys, "degree", "t1 + abcdefghijk")
         assert err == "error: UnknownVariable: unknown variable name of 11 characters (byte 5)\n"
+
+    def test_field_literal_error_line(self, capsys):
+        # FieldLiteralError is reported under the ParseError identifier.
+        assert run(capsys, "degree", "--field", "F2", "1/2*t1") == (
+            2, "", "error: ParseError: denominator 2 is not invertible in F2 (byte 2)\n"
+        )
 
     def test_usage_error_exits_two(self, capsys):
         assert main(["bogus"]) == 2
@@ -660,6 +666,31 @@ class TestEntryPoints:
             [sys.executable, *args], capture_output=True, text=True, env=self.env(),
             timeout=60,
         )
+
+    def test_parser_is_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_calls_in_one_process_match_fresh_processes(self, capsys, monkeypatch):
+        # Each call in this sequence answers as it does in a process of its own.
+        monkeypatch.setenv("COLUMNS", "80")
+        calls = [
+            ("homog", "--vars", "2", "--leading", "t1^2 + t2"),
+            ("homog", "--vars", "2", "-d", "2", "t1^2 + t2"),
+            ("homog", "--vars", "2", "t1^2 + t2"),
+            ("degree", "--vars", "2", "--in", "2", "t1^3 + t2"),
+            ("degree", "--vars", "2", "t1^3 + t2"),
+            ("member", "--vars", "2", "-k", "2", "--json", EXAMPLE),
+            ("member", "--vars", "2", "-k", "2", EXAMPLE),
+            ("member", "--vars", "2", "t1"),
+            ("nonvanish", "--vars", "2", "--field", "F2", "t1^2 + t1*t2"),
+            ("member", "--vars", "2", "-k", "1", EXAMPLE),
+        ]
+        in_sequence = [run(capsys, *argv) for argv in calls]
+        alone = []
+        for argv in calls:
+            proc = self.python("-m", "krullkit", *argv)
+            alone.append((proc.returncode, proc.stdout, proc.stderr))
+        assert in_sequence == alone
 
     def test_library_import_skips_cli_modules(self):
         proc = self.python(

@@ -187,6 +187,16 @@ class TestErrors:
             5, "unexpected character 0xff"
         )
 
+    @pytest.mark.parametrize("char", ["\ud800", "\udfff"])
+    def test_other_lone_surrogates_are_positioned(self, char):
+        # No argv byte becomes these surrogates; they have no UTF-8 encoding.
+        for prefix in ("t1 + ", "\u00e9 + "):
+            with pytest.raises(ParseError) as exc_info:
+                P(prefix + char + " + t2")
+            assert (exc_info.value.offset, exc_info.value.message) == (
+                len(prefix.encode()), f"unexpected character U+{ord(char):04X}"
+            )
+
     def test_long_tokens_described_by_length(self):
         with pytest.raises(UnknownVariableError) as exc_info:
             P("t1 + " + "x" * 5000)
