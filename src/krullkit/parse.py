@@ -106,8 +106,8 @@ class _Parser:
         try:
             data = text.encode("utf-8", "surrogateescape").decode("latin-1")
         except UnicodeEncodeError as exc:
-            # Everything before the first unencodable character encodes.
-            offset = len(text[: exc.start].encode("utf-8", "surrogateescape"))
+            # An earlier bad character wins; the prefix's end token is at the surrogate.
+            offset = _Parser(text[: exc.start], ring).tokens[-1][2]
             code_point = ord(text[exc.start])
             raise ParseError(offset, f"unexpected character U+{code_point:04X}") from None
         self.tokens = []

@@ -190,11 +190,17 @@ class TestErrors:
     @pytest.mark.parametrize("char", ["\ud800", "\udfff"])
     def test_other_lone_surrogates_are_positioned(self, char):
         # No argv byte becomes these surrogates; they have no UTF-8 encoding.
-        for prefix in ("t1 + ", "\u00e9 + "):
+        with pytest.raises(ParseError) as exc_info:
+            P("t1 + " + char + " + t2")
+        assert (exc_info.value.offset, exc_info.value.message) == (
+            5, f"unexpected character U+{ord(char):04X}"
+        )
+        # A bad character before the surrogate is reported first, as elsewhere.
+        for prefix, offset, shown in (("\u00e9 + ", 0, "0xc3"), ("t1 + \udcff + ", 5, "0xff")):
             with pytest.raises(ParseError) as exc_info:
-                P(prefix + char + " + t2")
+                P(prefix + char)
             assert (exc_info.value.offset, exc_info.value.message) == (
-                len(prefix.encode()), f"unexpected character U+{ord(char):04X}"
+                offset, f"unexpected character {shown}"
             )
 
     def test_long_tokens_described_by_length(self):
