@@ -43,8 +43,7 @@ class MonomialPrimeIdeal:
         """
         if f.ring != self.ring:
             raise RingMismatchError(f"{f.ring} is not {self.ring}")
-        k = self.level
-        return all(any(e[:k]) for e in f.terms)
+        return f.in_variable_ideal(self.level)
 
     def __contains__(self, f: Polynomial) -> bool:
         return self.contains(f)
@@ -86,20 +85,16 @@ def extract_min_power(f: Polynomial, k: int) -> MinPowerDecomposition:
     ring = f.ring
     if not 1 <= k <= ring.nvars:
         raise ValueError(f"k must be in 1..{ring.nvars}, got {k}")
-    upper = MonomialPrimeIdeal(ring, k)
-    lower = MonomialPrimeIdeal(ring, k - 1)
-    if not upper.contains(f) or lower.contains(f):
+    if not f.in_variable_ideal(k) or f.in_variable_ideal(k - 1):
         raise PreconditionViolatedError(
             f"need membership at level {k} but not at level {k - 1}"
         )
     lower_part, rest = f.split_by_support(k - 1)
-    i = k - 1
-    power = min(exps[i] for exps in rest.terms)
-    shifted = {
-        exps[:i] + (exps[i] - power,) + exps[i + 1 :]: c
-        for exps, c in rest.terms.items()
-    }
-    return MinPowerDecomposition(power, lower_part, Polynomial._make(ring, shifted))
+    slices = rest.coefficients_in(k)
+    power = min(slices)
+    shifted = {e - power: s for e, s in slices.items()}
+    cofactor = Polynomial.from_coefficients_in(ring, k, shifted)
+    return MinPowerDecomposition(power, lower_part, cofactor)
 
 
 @dataclass(frozen=True)
@@ -149,8 +144,6 @@ def verify_chain(
     *,
     checks_per_level: int = 100,
     seed: int = DEFAULT_SEED,
-    max_degree: int = 4,
-    max_terms: int = 4,
 ) -> ChainReport:
     """Verify the strict chain of variable ideals over a ring.
 
@@ -170,7 +163,7 @@ def verify_chain(
     failures: list[str] = []
 
     def draw(bias_into: MonomialPrimeIdeal | None) -> Polynomial:
-        f = random_polynomial(rng, ring, max_degree=max_degree, max_terms=max_terms)
+        f = random_polynomial(rng, ring, max_degree=4, max_terms=4)
         if bias_into is not None and rng.random() < 0.5:
             if bias_into.level == 0:
                 return ring.zero()

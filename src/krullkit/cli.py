@@ -46,7 +46,7 @@ def _fields(**doc) -> tuple[str, dict]:
 def _make_ring(args: argparse.Namespace) -> RingSpec:
     field = FieldSpec.from_text(args.field)
     spec = args.vars.strip()
-    if spec.isdigit():
+    if spec.isdecimal():
         return RingSpec.default(field, int(spec))
     names = tuple(name.strip() for name in spec.split(","))
     return RingSpec(field, names)
@@ -54,12 +54,11 @@ def _make_ring(args: argparse.Namespace) -> RingSpec:
 
 def _parse_scalar(text: str, field: FieldSpec) -> FieldElement:
     try:
-        value = Fraction(text.strip())
+        return field.element(Fraction(text.strip()))
     except (ValueError, ZeroDivisionError):
         # A long literal is described by its length, not echoed.
         shown = repr(text) if len(text) <= 10 else f"of {len(text)} characters"
         raise ValueError(f"bad scalar literal {shown}") from None
-    return field.element(value)
 
 
 def _poly_arg(args: argparse.Namespace, ring: RingSpec, name: str = "poly") -> Polynomial:
@@ -74,11 +73,9 @@ def _cmd_eval(args, ring):
 
 
 def _resolve_variable(ring: RingSpec, spec: str) -> int:
-    if spec.isdigit():
-        index = int(spec)
-        if not 1 <= index <= ring.nvars:
-            raise ValueError(f"variable index {index} out of range for {ring}")
-        return index
+    # An index is range-checked by degree_in.
+    if spec.isdecimal():
+        return int(spec)
     try:
         return ring.index_of(spec)
     except KeyError:

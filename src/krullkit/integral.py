@@ -87,7 +87,8 @@ def divide_monic(
     gen = _generator(g, f.ring)
     d = gen.degree
     zero = f.ring.zero()
-    slices = f.coefficients_in(f.ring.nvars)
+    n = f.ring.nvars
+    slices = f.coefficients_in(n)
     quotient = {}
     for e in range(max(slices, default=0), d - 1, -1):
         c = slices.pop(e, None)
@@ -97,13 +98,8 @@ def divide_monic(
         for j, b in enumerate(gen.coefficients):
             if b:
                 slices[e - d + j] = slices.get(e - d + j, zero) - c * b
-    return _join(f.ring, quotient), _join(f.ring, slices)
-
-
-def _join(ring: RingSpec, slices: dict[int, Polynomial]) -> Polynomial:
-    # The inverse of coefficients_in(n): t_n-free slices keyed by t_n-degree.
-    terms = {k[:-1] + (e,): c for e, s in slices.items() for k, c in s.terms.items()}
-    return Polynomial._make(ring, terms)
+    join = Polynomial.from_coefficients_in
+    return join(f.ring, n, quotient), join(f.ring, n, slices)
 
 
 def reduce_mod(f: Polynomial, g: "Polynomial | MonicGenerator") -> Polynomial:

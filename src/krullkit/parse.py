@@ -137,7 +137,7 @@ class _Parser:
         rest = []
         while (kind := self.tokens[self.pos][0]) == "+" or kind == "-":
             self.pos += 1
-            rest.append(self.parse_term(1 if kind == "+" else -1).terms)
+            rest.append(self.parse_term(1 if kind == "+" else -1))
         return first._plus(*rest) if rest else first
 
     def parse_term(self, sign: int) -> Polynomial:
@@ -178,7 +178,7 @@ class _Parser:
                 )
             if not self.take("*"):
                 break
-        monomial = Polynomial._make(ring, {tuple(exps): scalar} if scalar else {})
+        monomial = ring.monomial(tuple(exps), scalar)
         if value is None:
             return monomial
         return value if scalar == 1 and not any(exps) else value * monomial

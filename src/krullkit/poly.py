@@ -6,6 +6,7 @@ its :class:`RingSpec`.  Arithmetic works on the raw scalars and builds its
 results with the unchecked :meth:`Polynomial._make`; scalars cross the API
 as :class:`FieldElement` values.  Every operation returns a new polynomial
 with zero coefficients dropped, so equal polynomials have equal term dicts.
+No other module reads or builds a term dict; ``terms`` is a view for tests.
 
 Degrees follow the convention that the zero polynomial has no degree:
 ``total_degree`` and ``degree_in`` return ``None`` for it and an ``int``
@@ -84,15 +85,18 @@ class RingSpec:
         return self.constant(1)
 
     def constant(self, value) -> "Polynomial":
-        c = self.field.scalar(value)
-        return Polynomial._make(self, {(0,) * self.nvars: c} if c else {})
+        return self.monomial((0,) * self.nvars, self.field.scalar(value))
 
     def gen(self, j: int) -> "Polynomial":
         """The variable t_j as a polynomial (j is 1-based)."""
         if not 1 <= j <= self.nvars:
             raise ValueError(f"variable index must be in 1..{self.nvars}, got {j}")
         exps = (0,) * (j - 1) + (1,) + (0,) * (self.nvars - j)
-        return Polynomial._make(self, {exps: self.field.scalar(1)})
+        return self.monomial(exps, self.field.scalar(1))
+
+    def monomial(self, exps: tuple[int, ...], c: Fraction | int) -> "Polynomial":
+        """The term c * t^exps for a raw scalar c (as FieldSpec.scalar gives); unchecked."""
+        return Polynomial._make(self, {exps: c} if c else {})
 
     def gens(self) -> tuple["Polynomial", ...]:
         return tuple(self.gen(j) for j in range(1, self.nvars + 1))
@@ -178,12 +182,12 @@ class Polynomial:
             return self.ring.constant(other)
         return None
 
-    def _plus(self, *others: dict) -> "Polynomial":
-        # Add canonical term dicts of the same ring, in one pass.
+    def _plus(self, *others: "Polynomial") -> "Polynomial":
+        # Add polynomials of the same ring, in one pass.
         p = self.ring.field.modulus
         acc = dict(self.terms)
-        for terms in others:
-            for exps, c in terms.items():
+        for other in others:
+            for exps, c in other.terms.items():
                 prev = acc.get(exps)
                 if prev is not None:
                     c = (prev + c) % p if p else prev + c
@@ -197,7 +201,7 @@ class Polynomial:
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        return self._plus(rhs.terms)
+        return self._plus(rhs)
 
     __radd__ = __add__
 
@@ -205,7 +209,7 @@ class Polynomial:
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        return self._plus((-rhs).terms)
+        return self._plus(-rhs)
 
     def __rsub__(self, other):
         rhs = self._coerce(other)
@@ -331,7 +335,7 @@ class Polynomial:
         one = (0,) * target.nvars
         result = target.zero()
         for exps, c in self.terms.items():
-            term = Polynomial._make(target, {one: c})
+            term = target.monomial(one, c)
             for j, e in enumerate(exps):
                 if not e:
                     continue
@@ -385,6 +389,12 @@ class Polynomial:
                 free[exps] = c
         return Polynomial._make(self.ring, dependent), Polynomial._make(self.ring, free)
 
+    def in_variable_ideal(self, k: int) -> bool:
+        """Whether every term touches one of variables 1..k (the split's free part is 0)."""
+        if not 0 <= k <= self.ring.nvars:
+            raise ValueError(f"k must be in 0..{self.ring.nvars}, got {k}")
+        return all(any(exps[:k]) for exps in self.terms)
+
     def coefficients_in(self, j: int) -> dict[int, "Polynomial"]:
         """Coefficients of the powers of variable j (1-based).
 
@@ -400,6 +410,22 @@ class Polynomial:
             stripped = exps[:i] + (0,) + exps[i + 1 :]
             buckets.setdefault(e, {})[stripped] = c
         return {e: Polynomial._make(self.ring, terms) for e, terms in buckets.items()}
+
+    @classmethod
+    def from_coefficients_in(cls, ring: RingSpec, j: int, slices: Mapping) -> "Polynomial":
+        """The inverse of :meth:`coefficients_in`: the sum of slices[e] * t_j^e.
+
+        Unchecked: every slice lies in ``ring`` and is free of variable j.
+        """
+        if not 1 <= j <= ring.nvars:
+            raise ValueError(f"variable index must be in 1..{ring.nvars}, got {j}")
+        i = j - 1
+        terms = {
+            exps[:i] + (e,) + exps[i + 1 :]: c
+            for e, s in slices.items()
+            for exps, c in s.terms.items()
+        }
+        return cls._make(ring, terms)
 
     def __iter__(self) -> Iterator[tuple[tuple[int, ...], FieldElement]]:
         return iter(self.sorted_terms())

@@ -297,6 +297,24 @@ class TestErrorsAndExitCodes:
         _, _, err = run(capsys, "eval", "--vars", "1", "--at", "1/0", "t1")
         assert err == "error: InvalidArgument: bad scalar literal '1/0'\n"
 
+    def test_scalar_with_no_value_in_the_field(self, capsys):
+        # Exit 2, as the same literal inside a polynomial is a ParseError.
+        assert run(capsys, "eval", "--field", "F5", "--at", "1/5", "t1") == (
+            2, "", "error: InvalidArgument: bad scalar literal '1/5'\n"
+        )
+
+    def test_non_ascii_digits(self, capsys):
+        # '²' is a digit to str.isdigit() but not a number to int().
+        assert run(capsys, "eval", "--vars", "²", "--at", "1", "t1") == (
+            2, "", "error: InvalidArgument: invalid variable name '²'\n"
+        )
+        assert run(capsys, "degree", "--vars", "2", "--in", "²", "t1") == (
+            2, "", "error: InvalidArgument: unknown variable '²' in Q[t1,t2]\n"
+        )
+        assert run(capsys, "degree", "--vars", "2", "--in", "3", "t1") == (
+            2, "", "error: InvalidArgument: variable index must be in 1..2, got 3\n"
+        )
+
     def test_short_trailing_and_unknown_tokens_unchanged(self, capsys):
         # Tokens of up to 10 characters are still echoed whole.
         _, _, err = run(capsys, "degree", "t1 abcdefghij")
@@ -744,6 +762,15 @@ class TestEntryPoints:
                     continue
                 for name in names:
                     assert name.split(".")[0] in sys.stdlib_module_names, (path, name)
+
+    def test_only_poly_reads_the_term_format(self):
+        # The term dict is poly.py's private format; other modules use its API.
+        for path in sorted(Path(self.SRC, "krullkit").glob("*.py")):
+            if path.name == "poly.py":
+                continue
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if isinstance(node, ast.Attribute):
+                    assert node.attr not in ("terms", "_make"), (path.name, node.lineno)
 
     def test_undecodable_argv_bytes(self):
         # argv bytes that are not UTF-8 arrive as surrogate escapes.

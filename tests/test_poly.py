@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import oracles
 from krullkit.errors import RingMismatchError, ZeroPolynomialError
-from krullkit.field import FieldSpec
+from krullkit.field import FieldElement, FieldSpec
 from krullkit.parse import parse_polynomial
 from krullkit.poly import Polynomial, RingSpec, embed, random_polynomial, random_scalar
 
@@ -314,6 +314,14 @@ class TestCoefficientsIn:
             total = total + part * t**e
         assert total == f
 
+    def test_join_and_ideal_bounds(self):
+        for j in (0, 4):
+            with pytest.raises(ValueError):
+                Polynomial.from_coefficients_in(QR3, j, {})
+        for k in (-1, 4):
+            with pytest.raises(ValueError):
+                QR3.one().in_variable_ideal(k)
+
 
 class TestCanonicalText:
     def test_graded_lex_descending(self):
@@ -421,6 +429,8 @@ class TestRawRepresentation:
     @settings(max_examples=150)
     def test_results_hold_canonical_scalars(self, case, e, j, k, d, scalar):
         ring, f, g, *images = case
+        joined = Polynomial.from_coefficients_in(ring, j, f.coefficients_in(j))
+        term = ring.monomial((e, d, j), ring.field.scalar(scalar))
         results = [
             f + g, f - g, f - f, f * g, -f, f**e,
             f + scalar, scalar - f, f * scalar,
@@ -429,15 +439,44 @@ class TestRawRepresentation:
             embed(f, RingSpec.default(ring.field, 4)),
             *f.split_by_support(k),
             *f.coefficients_in(j).values(),
+            joined,
+            term,
         ]
         for result in results:
             assert_canonical(result)
+        assert joined == f
+        assert term == Polynomial(ring, {(e, d, j): scalar})
+        assert f.in_variable_ideal(k) == f.split_by_support(k)[1].is_zero
 
     def test_scalar_forms(self):
         assert QR2.gen(1).terms == {(1, 0): Fraction(1)}
         assert type(QR2.constant(3).terms[(0, 0)]) is Fraction
         assert parse_polynomial("-t1 + 9", FR2).terms == {(1, 0): 4, (0, 0): 4}
         assert QR2.constant(0).is_zero and FR2.constant(5).is_zero
+
+
+class TestTermViews:
+    """coefficient, sorted_terms and iteration agree with the term dict."""
+
+    @pytest.mark.parametrize("ring", [QR3, F7R3])
+    def test_views_match_terms(self, ring):
+        f = parse_polynomial("t1*t2*t3 - 2/3*t3 + 3*t1^2*t2 + 5", ring)
+        spec = ring.field
+        ordered = f.sorted_terms()
+        assert [e for e, _ in ordered] == [(2, 1, 0), (1, 1, 1), (0, 0, 1), (0, 0, 0)]
+        assert all(type(c) is FieldElement and c.spec == spec for _, c in ordered)
+        assert {e: c.value for e, c in ordered} == f.terms
+        assert list(f) == ordered
+        for exps, c in f.terms.items():
+            assert f.coefficient(list(exps)) == spec.element(c)
+        assert f.coefficient((0, 1, 0)) == spec.zero()
+
+    @pytest.mark.parametrize("ring", [QR3, F7R3])
+    def test_views_of_zero(self, ring):
+        zero = ring.zero()
+        assert zero.terms == {}
+        assert zero.sorted_terms() == [] and list(zero) == []
+        assert zero.coefficient((0, 0, 0)) == ring.field.zero()
 
 
 def q_polys(max_terms=6):
