@@ -207,6 +207,66 @@ class TestChainVerify:
         assert json.loads(out)["ring"] == "F5[t1,t2]"
 
 
+def _levels(n, checks):
+    return [
+        {"level": j, "witness": f"t{j}", "in_upper": True, "in_lower": False,
+         "product_checks_passed": checks}
+        for j in range(1, n + 1)
+    ]
+
+
+# (argv, document): every subcommand and mode under --json.
+JSON_DOCUMENTS = [
+    (("eval", "--vars", "2", "--at", "2,2", EXAMPLE), {"value": "56"}),
+    (("degree", "--vars", "2", EXAMPLE), {"degree": 3}),
+    (("degree", "--vars", "2", "--in", "2", "t1^3 + t2"), {"degree": 1}),
+    (("degree", "--vars", "2", "0"), {"degree": None}),
+    (("homog", "--vars", "2", "--leading", "t1^2 + t2"), {"leading_form": "t1^2"}),
+    (("homog", "--vars", "2", "-d", "1", "t1^2 + t2 + 1"), {"component": "t2", "degree": 1}),
+    (("homog", "--vars", "2", EXAMPLE), {"homogeneous": True}),
+    (("homog", "--vars", "2", "t1 + 1"), {"homogeneous": False}),
+    (("split", "--vars", "2", "-k", "1", EXAMPLE),
+     {"dependent": "t1^3 + 2*t1^2*t2", "free": "4*t2^3"}),
+    (("member", "--vars", "2", "-k", "1", EXAMPLE), {"member": False}),
+    (("minpow", "--vars", "3", "-k", "2", "t1*t3 + t2^2*t3 + t2^3"),
+     {"power": 2, "lower": "t1*t3", "cofactor": "t2 + t3"}),
+    (("chain-verify", "--vars", "2", "--checks", "5"),
+     {"ring": "Q[t1,t2]", "accepted": True, "proper": True, "zero_ideal_checks_passed": 5,
+      "levels": _levels(2, 5), "failures": []}),
+    (("chain-verify", "--vars", "2", "--field", "F5", "--checks", "3", "--seed", "7"),
+     {"ring": "F5[t1,t2]", "accepted": True, "proper": True, "zero_ideal_checks_passed": 3,
+      "levels": _levels(2, 3), "failures": []}),
+    (("nonvanish", "--vars", "2", "t1^2 - t2^2"), {"point": ["1", "2"]}),
+    (("nonvanish", "--vars", "2", "--homogeneous", "t1^2 - t2^2"), {"point": ["1/2", "1"]}),
+    (("monicize", "--vars", "2", EXAMPLE),
+     {"a": ["1"], "lambda": "7", "g": "1/7*t1^3 + 5/7*t1^2*t2 + t1*t2^2 + t2^3", "degree": 3}),
+    (("monicize", "--vars", "3", "t1*t3 + t2*t3"),
+     {"a": ["1", "1"], "lambda": "2", "g": "1/2*t1*t3 + 1/2*t2*t3 + t3^2", "degree": 2}),
+    (("divide", "--vars", "2", "t2^5 + t1*t2", "t2^2 - t1"),
+     {"quotient": "t2^3 + t1*t2", "remainder": "t1^2*t2 + t1*t2"}),
+    (("pmember", "--vars", "2", "t2^4 - 2*t1*t2^2 + t1^2", "t2^2 - t1"), {"member": True}),
+    (("witness", "--vars", "2", "t1 + t2", "t2^2 - t1"),
+     {"char_poly": ["t1^2 - t1", "-2*t1", "1"], "element": "t1 + t2", "check": "zero"}),
+    (("power-reduce", "--relation=-1,0", "-i", "3"), {"coordinates": ["0", "-1"]}),
+    (("contract-witness", "--vars", "2", "t2", "t2^2 - t1"),
+     {"constant": "-t1", "cofactor": "-t2"}),
+]
+
+
+class TestJsonDocuments:
+    @pytest.mark.parametrize(
+        "argv, doc", JSON_DOCUMENTS, ids=[" ".join(argv[:4]) for argv, _ in JSON_DOCUMENTS]
+    )
+    def test_document(self, capsys, argv, doc):
+        # The whole printed document, so a changed key order or an extra key fails.
+        assert run(capsys, *argv, "--json") == (0, json.dumps(doc, indent=2) + "\n", "")
+
+    def test_every_subcommand_is_pinned(self):
+        pinned = {argv[0] for argv, _ in JSON_DOCUMENTS}
+        helped = {argv[0] for argv, *_ in ARGPARSE_TRANSCRIPTS if argv[1:] == ("--help",)}
+        assert pinned == helped and len(pinned) == 14
+
+
 class TestErrorsAndExitCodes:
     def test_domain_error_exits_one(self, capsys):
         code, out, err = run(
