@@ -14,6 +14,7 @@ import argparse
 import functools
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 
@@ -30,46 +31,51 @@ from .integral import (
 )
 from .normalize import monicize, nonvanishing_point, nonvanishing_point_homogeneous
 from .parse import ParseError, parse_polynomial
-from .poly import Polynomial, RingSpec
+from .poly import RingSpec
 
 
-def _bool_text(value: bool) -> str:
-    return "true" if value else "false"
+def _value_text(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, list):
+        return ",".join(value)
+    return "undefined" if value is None else str(value)
 
 
-def _fields(**doc) -> tuple[str, dict]:
-    # The doc as "key: value" lines in its key order; a list joins with ",".
-    text = "\n".join(f"{k}: {','.join(v) if isinstance(v, list) else v}" for k, v in doc.items())
-    return text, doc
+def _text(doc: dict) -> str:
+    """A one-key doc prints its value; a longer one, "key: value" lines in key order."""
+    if len(doc) == 1:
+        return _value_text(*doc.values())
+    return "\n".join(f"{k}: {_value_text(v)}" for k, v in doc.items())
 
 
 def _make_ring(args: argparse.Namespace) -> RingSpec:
     field = FieldSpec.from_text(args.field)
     spec = args.vars.strip()
     if spec.isdecimal():
+        if len(spec) > 10:
+            raise ValueError(f"variable count of {len(spec)} digits is too large")
         return RingSpec.default(field, int(spec))
     names = tuple(name.strip() for name in spec.split(","))
     return RingSpec(field, names)
 
 
 def _parse_scalar(text: str, field: FieldSpec) -> FieldElement:
+    # Only the grammar's rational literal: Fraction() also takes forms such
+    # as "1e100000000", which take unbounded time to expand.
     try:
-        return field.element(Fraction(text.strip()))
+        if not re.fullmatch(r"\s*-?[0-9]+(/[0-9]+)?\s*", text):
+            raise ValueError
+        return field.element(Fraction(text))
     except (ValueError, ZeroDivisionError):
         # A long literal is described by its length, not echoed.
         shown = repr(text) if len(text) <= 10 else f"of {len(text)} characters"
         raise ValueError(f"bad scalar literal {shown}") from None
 
 
-def _poly_arg(args: argparse.Namespace, ring: RingSpec, name: str = "poly") -> Polynomial:
-    return parse_polynomial(getattr(args, name), ring)
-
-
-def _cmd_eval(args, ring):
-    f = _poly_arg(args, ring)
+def _cmd_eval(args, ring, f):
     point = [_parse_scalar(part, ring.field) for part in args.at.split(",")]
-    value = f.evaluate(point)
-    return str(value), {"value": str(value)}
+    return {"value": str(f.evaluate(point))}
 
 
 def _resolve_variable(ring: RingSpec, spec: str) -> int:
@@ -82,108 +88,83 @@ def _resolve_variable(ring: RingSpec, spec: str) -> int:
         raise ValueError(f"unknown variable {spec!r} in {ring}") from None
 
 
-def _cmd_degree(args, ring):
-    f = _poly_arg(args, ring)
+def _cmd_degree(args, ring, f):
     if args.var is not None:
-        d = f.degree_in(_resolve_variable(ring, args.var))
-    else:
-        d = f.total_degree()
-    text = "undefined" if d is None else str(d)
-    return text, {"degree": d}
+        return {"degree": f.degree_in(_resolve_variable(ring, args.var))}
+    return {"degree": f.total_degree()}
 
 
-def _cmd_homog(args, ring):
-    f = _poly_arg(args, ring)
+def _cmd_homog(args, ring, f):
     if args.leading:
-        form = f.leading_form()
-        return str(form), {"leading_form": str(form)}
+        return {"leading_form": str(f.leading_form())}
     if args.degree is not None:
-        part = f.homogeneous_component(args.degree)
-        return str(part), {"component": str(part), "degree": args.degree}
-    answer = f.is_homogeneous()
-    return _bool_text(answer), {"homogeneous": answer}
+        part = str(f.homogeneous_component(args.degree))
+        return part, {"component": part, "degree": args.degree}
+    return {"homogeneous": f.is_homogeneous()}
 
 
-def _cmd_split(args, ring):
-    f = _poly_arg(args, ring)
+def _cmd_split(args, ring, f):
     dependent, free = f.split_by_support(args.level)
-    return _fields(dependent=str(dependent), free=str(free))
+    return {"dependent": str(dependent), "free": str(free)}
 
 
-def _cmd_member(args, ring):
-    f = _poly_arg(args, ring)
-    answer = MonomialPrimeIdeal(ring, args.level).contains(f)
-    return _bool_text(answer), {"member": answer}
+def _cmd_member(args, ring, f):
+    return {"member": MonomialPrimeIdeal(ring, args.level).contains(f)}
 
 
-def _cmd_minpow(args, ring):
-    f = _poly_arg(args, ring)
+def _cmd_minpow(args, ring, f):
     dec = extract_min_power(f, args.level)
-    return _fields(power=dec.power, lower=str(dec.lower_part), cofactor=str(dec.cofactor))
+    return {"power": dec.power, "lower": str(dec.lower_part), "cofactor": str(dec.cofactor)}
 
 
 def _cmd_chain_verify(args, ring):
     report = verify_chain(ring, checks_per_level=args.checks, seed=args.seed)
     lines = [
         f"ring: {report.ring}",
-        f"accepted: {_bool_text(report.accepted)}",
-        f"proper: {_bool_text(report.proper)}",
+        f"accepted: {_value_text(report.accepted)}",
+        f"proper: {_value_text(report.proper)}",
         f"zero ideal checks passed: {report.zero_ideal_checks_passed}",
     ]
     for level in report.levels:
         lines.append(
             f"level {level.level}: witness {level.witness} "
-            f"in_upper {_bool_text(level.in_upper)} "
-            f"in_lower {_bool_text(level.in_lower)} "
+            f"in_upper {_value_text(level.in_upper)} "
+            f"in_lower {_value_text(level.in_lower)} "
             f"checks {level.product_checks_passed}"
         )
     lines.extend(f"failure: {msg}" for msg in report.failures)
     return "\n".join(lines), report.to_json_dict()
 
 
-def _cmd_nonvanish(args, ring):
-    f = _poly_arg(args, ring)
+def _cmd_nonvanish(args, ring, f):
     point = (
         nonvanishing_point_homogeneous(f)
         if args.homogeneous
         else nonvanishing_point(f)
     )
-    return ",".join(str(c) for c in point), {"point": [str(c) for c in point]}
+    return {"point": [str(c) for c in point]}
 
 
-def _cmd_monicize(args, ring):
-    return _fields(**monicize(_poly_arg(args, ring)).to_json_dict())
+def _cmd_monicize(args, ring, f):
+    return monicize(f).to_json_dict()
 
 
-def _cmd_divide(args, ring):
-    f = _poly_arg(args, ring, "poly")
-    g = _poly_arg(args, ring, "generator")
+def _cmd_divide(args, ring, f, g):
     q, r = divide_monic(f, g)
-    return _fields(quotient=str(q), remainder=str(r))
+    return {"quotient": str(q), "remainder": str(r)}
 
 
-def _cmd_pmember(args, ring):
-    f = _poly_arg(args, ring, "poly")
-    g = _poly_arg(args, ring, "generator")
-    answer = principal_member(f, g)
-    return _bool_text(answer), {"member": answer}
+def _cmd_pmember(args, ring, f, g):
+    return {"member": principal_member(f, g)}
 
 
-def _cmd_witness(args, ring):
-    f = _poly_arg(args, ring, "poly")
-    g = _poly_arg(args, ring, "generator")
+def _cmd_witness(args, ring, f, g):
     witness = coset_integrality_witness(f, g)
     if not witness.annihilates_modulo(g):
         raise RuntimeError("integral dependence failed its annihilation check")
     doc = witness.to_json_dict()
-    text = "\n".join(
-        [
-            f"char_poly: {', '.join(doc['char_poly'])}",
-            f"element: {doc['element']}",
-            "check: zero",
-        ]
-    )
-    return text, doc
+    # The char poly's coefficients join with ", ", not ",".
+    return _text({**doc, "char_poly": ", ".join(doc["char_poly"])}), doc
 
 
 def _cmd_power_reduce(args, ring):
@@ -194,15 +175,12 @@ def _cmd_power_reduce(args, ring):
     reduced = power_reduce(
         relation, args.power, zero=ring.zero(), one=ring.one()
     )
-    coords = [str(c) for c in reduced.coefficients]
-    return ",".join(coords), {"coordinates": coords}
+    return {"coordinates": [str(c) for c in reduced.coefficients]}
 
 
-def _cmd_contract_witness(args, ring):
-    f = _poly_arg(args, ring, "poly")
-    g = _poly_arg(args, ring, "generator")
+def _cmd_contract_witness(args, ring, f, g):
     constant, cofactor = contraction_witness(f, g)
-    return _fields(constant=str(constant), cofactor=str(cofactor))
+    return {"constant": str(constant), "cofactor": str(cofactor)}
 
 
 @functools.cache
@@ -232,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def command(name, handler, help_text, *positionals):
         p = sub.add_parser(name, parents=[common], help=help_text)
-        p.set_defaults(func=handler)
+        p.set_defaults(func=handler, polys=positionals)
         for positional in positionals:
             p.add_argument(positional)
         return p
@@ -301,7 +279,10 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         ring = _make_ring(args)
-        text, doc = args.func(args, ring)
+        polys = [parse_polynomial(getattr(args, name), ring) for name in args.polys]
+        # A handler returns its doc, or (text, doc) when its text is not _text(doc).
+        doc = args.func(args, ring, *polys)
+        text, doc = doc if isinstance(doc, tuple) else (_text(doc), doc)
     except ParseError as exc:
         print(f"error: {exc.identifier}: {exc}", file=sys.stderr)
         return 2

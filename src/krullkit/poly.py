@@ -28,7 +28,7 @@ from operator import add
 from random import Random
 from typing import Iterator, Mapping, Sequence
 
-from .errors import NotHomogeneousError, RingMismatchError, ZeroPolynomialError
+from .errors import RingMismatchError, ZeroPolynomialError
 from .field import FieldElement, FieldKind, FieldSpec
 
 _VAR_NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9]*\Z")

@@ -375,6 +375,23 @@ class TestErrorsAndExitCodes:
             2, "", "error: InvalidArgument: variable index must be in 1..2, got 3\n"
         )
 
+    @pytest.mark.parametrize("scalar", ["1.5", "1e3", "1_000", "+3", "\u0663", "1/-2", "inf"])
+    def test_scalar_outside_the_rational_grammar(self, capsys, scalar):
+        # --at takes the grammar's rational := "-"? int ("/" posint)?, nothing else.
+        assert run(capsys, "eval", "--at", scalar, "t1") == (
+            2, "", f"error: InvalidArgument: bad scalar literal {scalar!r}\n"
+        )
+
+    def test_rational_scalars(self, capsys):
+        assert run(capsys, "eval", "--vars", "3", "--at", "-3/4, 007 ,2", "t1 + t2 + t3") == (
+            0, "33/4\n", ""
+        )
+
+    def test_huge_variable_count_is_described_by_its_length(self, capsys):
+        assert run(capsys, "degree", "--vars", "9" * 5000, "t1") == (
+            2, "", "error: InvalidArgument: variable count of 5000 digits is too large\n"
+        )
+
     def test_short_trailing_and_unknown_tokens_unchanged(self, capsys):
         # Tokens of up to 10 characters are still echoed whole.
         _, _, err = run(capsys, "degree", "t1 abcdefghij")
@@ -823,6 +840,26 @@ class TestEntryPoints:
                 for name in names:
                     assert name.split(".")[0] in sys.stdlib_module_names, (path, name)
 
+    def test_every_import_is_used(self):
+        # Exempt: from __future__, and the names __init__ re-exports in __all__.
+        for path in sorted(Path(self.SRC, "krullkit").glob("*.py")):
+            tree = ast.parse(path.read_text(), str(path))
+            imported, used = set(), set()
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Import):
+                    imported.update(a.asname or a.name.split(".")[0] for a in node.names)
+                elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                    imported.update(a.asname or a.name for a in node.names)
+                elif isinstance(node, ast.Name):
+                    used.add(node.id)
+                elif (
+                    isinstance(node, ast.Assign)
+                    and path.name == "__init__.py"
+                    and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["__all__"]
+                ):
+                    used.update(ast.literal_eval(node.value))
+            assert imported <= used, (path.name, sorted(imported - used))
+
     def test_only_poly_reads_the_term_format(self):
         # The term dict is poly.py's private format; other modules use its API.
         for path in sorted(Path(self.SRC, "krullkit").glob("*.py")):
@@ -831,6 +868,13 @@ class TestEntryPoints:
             for node in ast.walk(ast.parse(path.read_text(), str(path))):
                 if isinstance(node, ast.Attribute):
                     assert node.attr not in ("terms", "_make"), (path.name, node.lineno)
+
+    def test_scalar_with_a_huge_exponent_is_refused(self):
+        # Fraction() would expand 1e100000000; the timeout only guards against a hang.
+        proc = self.python("-m", "krullkit", "eval", "--at", "1e100000000", "t1")
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            2, "", "error: InvalidArgument: bad scalar literal of 11 characters\n"
+        )
 
     def test_undecodable_argv_bytes(self):
         # argv bytes that are not UTF-8 arrive as surrogate escapes.
