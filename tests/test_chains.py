@@ -16,7 +16,7 @@ from krullkit.chains import (
 from krullkit.errors import PreconditionViolatedError, RingMismatchError
 from krullkit.field import FieldSpec
 from krullkit.parse import parse_polynomial
-from krullkit.poly import RingSpec, embed, random_polynomial
+from krullkit.poly import Polynomial, RingSpec, embed, random_polynomial
 
 from test_poly import polys
 
@@ -160,6 +160,35 @@ def _random_strict_member(rng, ring, k):
         lower_ideal = MonomialPrimeIdeal(ring, k - 1)
         if upper_ideal.contains(f) and not lower_ideal.contains(f):
             return f
+
+
+F3 = P("t1 + t2*t3", QR3)
+
+
+class TestRangeChecks:
+    """Every index and level check names its range in one message format."""
+
+    @pytest.mark.parametrize(
+        "call,message",
+        [
+            (lambda: QR3.subring(4), "subring size must be in 1..3, got 4"),
+            (lambda: QR3.gen(0), "variable index must be in 1..3, got 0"),
+            (lambda: F3.degree_in(4), "variable index must be in 1..3, got 4"),
+            (lambda: F3.coefficients_in(0), "variable index must be in 1..3, got 0"),
+            (
+                lambda: Polynomial.from_coefficients_in(QR3, 4, {}),
+                "variable index must be in 1..3, got 4",
+            ),
+            (lambda: F3.split_by_support(4), "k must be in 0..3, got 4"),
+            (lambda: F3.in_variable_ideal(-1), "k must be in 0..3, got -1"),
+            (lambda: MonomialPrimeIdeal(QR3, 4), "level must be in 0..3, got 4"),
+            (lambda: extract_min_power(F3, 0), "k must be in 1..3, got 0"),
+        ],
+    )
+    def test_out_of_range_message(self, call, message):
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == message
 
 
 class TestVerifyChain:

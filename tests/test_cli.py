@@ -375,6 +375,20 @@ class TestErrorsAndExitCodes:
             2, "", "error: InvalidArgument: variable index must be in 1..2, got 3\n"
         )
 
+    @pytest.mark.parametrize(
+        "command,message",
+        [
+            ("split", "k must be in 0..3, got 9"),
+            ("member", "level must be in 0..3, got 9"),
+            ("minpow", "k must be in 1..3, got 9"),
+        ],
+    )
+    def test_level_out_of_range(self, capsys, command, message):
+        for extra in ([], ["--json"]):
+            assert run(capsys, command, "--vars", "3", "-k", "9", *extra, "t1 + t2") == (
+                2, "", f"error: InvalidArgument: {message}\n"
+            )
+
     @pytest.mark.parametrize("scalar", ["1.5", "1e3", "1_000", "+3", "\u0663", "1/-2", "inf"])
     def test_scalar_outside_the_rational_grammar(self, capsys, scalar):
         # --at takes the grammar's rational := "-"? int ("/" posint)?, nothing else.

@@ -1,5 +1,6 @@
 """Field scalars: canonical forms, arithmetic, enumeration, axioms."""
 
+import operator
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from krullkit.field import MAX_MODULUS, FieldKind, FieldSpec, enumerate_nonzero
 Q = FieldSpec.rationals()
 F2 = FieldSpec.prime(2)
 F5 = FieldSpec.prime(5)
+F7 = FieldSpec.prime(7)
 
 
 class TestFieldSpec:
@@ -137,6 +139,75 @@ class TestElementProtocol:
     def test_bool(self):
         assert not Q.zero()
         assert Q.one()
+
+
+class TestScalarRules:
+    """What counts as a scalar, and which field it lives in."""
+
+    @pytest.mark.parametrize(
+        "op", [operator.add, operator.sub, operator.mul, operator.truediv]
+    )
+    def test_elements_of_two_fields_do_not_combine(self, op):
+        with pytest.raises(FieldMismatchError) as info:
+            op(F5.element(2), F7.element(3))
+        assert str(info.value) == "cannot combine elements of F5 and F7"
+
+    def test_element_of_another_field_does_not_coerce(self):
+        with pytest.raises(FieldMismatchError) as info:
+            F5.element(F7.element(1))
+        assert str(info.value) == "cannot coerce element of F7 into F5"
+
+    @pytest.mark.parametrize("other", [True, "x", F7.element(1)])
+    def test_unequal_to_a_bool_a_string_or_another_field(self, other):
+        assert (F5.element(1) == other) is False
+        assert (F5.element(1) != other) is True
+
+    @pytest.mark.parametrize("other", [True, "x", 0.5])
+    def test_non_scalar_operands_are_refused(self, other):
+        with pytest.raises(TypeError):
+            F5.element(1) + other
+        with pytest.raises(TypeError):
+            other * Q.element(1)
+
+    @pytest.mark.parametrize("spec", [Q, F5])
+    def test_division_by_zero_names_the_field(self, spec):
+        for zero in (0, spec.zero()):
+            with pytest.raises(ZeroDivisionError) as info:
+                spec.element(3) / zero
+            assert str(info.value) == f"inverse of zero in {spec}"
+        with pytest.raises(ZeroDivisionError) as info:
+            1 / spec.zero()
+        assert str(info.value) == f"inverse of zero in {spec}"
+
+    @pytest.mark.parametrize("spec", [Q, F5])
+    def test_negative_power_rejected(self, spec):
+        with pytest.raises(ValueError) as info:
+            spec.element(2) ** -1
+        assert str(info.value) == "exponent must be a nonnegative int, got -1"
+
+    @pytest.mark.parametrize(
+        "a,b",
+        [
+            (F5.element(7), F5.element(2)),
+            (F5.element(Fraction(1, 2)), F5.element(3)),
+            (Q.element(Fraction(6, 3)), Q.element(2)),
+            (Q.element(3) / 6, Q.element(Fraction(1, 2))),
+        ],
+    )
+    def test_equal_elements_hash_equal(self, a, b):
+        assert a == b
+        assert hash(a) == hash(b)
+
+    def test_mixed_operands_and_results(self):
+        a = F7.element(3)
+        assert (a / 2, 2 / a, a - 5, 5 - a) == (5, 3, 5, 2)
+        assert (a**0, a**3, a.inv()) == (1, 6, 5)
+        q = Q.element(Fraction(-2, 3))
+        assert (q / 2, 2 / q, q**3, q.inv()) == (
+            Fraction(-1, 3), -3, Fraction(-8, 27), Fraction(-3, 2)
+        )
+        assert repr(q**2) == "FieldElement(Q, 4/9)"
+        assert repr(a.inv()) == "FieldElement(F7, 5)"
 
 
 class TestEnumeration:

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from krullkit.errors import RingMismatchError, ZeroPolynomialError
+from krullkit.errors import FieldMismatchError, RingMismatchError, ZeroPolynomialError
 from krullkit.field import FieldElement, FieldSpec
 from krullkit.parse import parse_polynomial
 from krullkit.poly import Polynomial, RingSpec, embed, random_polynomial, random_scalar
@@ -340,6 +340,49 @@ class TestCanonicalText:
         f = parse_polynomial("4*t1 + 3", FR2)
         assert str(f) == "4*t1 + 3"
         assert str(parse_polynomial("0 - t1", FR2)) == "4*t1"
+
+    def test_negative_rational_terms(self):
+        f = P("-t1^2 - 3/2*t1*t2 - t2 - 1")
+        assert str(f) == "-t1^2 - 3/2*t1*t2 - t2 - 1"
+        assert str(-f) == "t1^2 + 3/2*t1*t2 + t2 + 1"
+        assert str(QR2.constant(-1)) == "-1"
+
+    def test_prime_field_terms_are_never_negative(self):
+        f = parse_polynomial("-t1^2 - 2*t1*t2 - t2 - 1", FR2)
+        assert str(f) == "4*t1^2 + 3*t1*t2 + 4*t2 + 4"
+        assert str(-f) == "t1^2 + 2*t1*t2 + t2 + 1"
+        assert str(FR2.constant(-1)) == "4"
+
+
+class TestScalarOperands:
+    """Which operands a polynomial takes as scalars."""
+
+    @pytest.mark.parametrize("other", [True, "x", 0.5])
+    def test_non_scalars_are_refused(self, other):
+        f = P("t1 + 1")
+        assert (f == other) is False
+        with pytest.raises(TypeError):
+            f + other
+        with pytest.raises(TypeError):
+            other * f
+
+    def test_one_is_not_true(self):
+        assert (QR2.one() == True) is False  # noqa: E712
+        assert QR2.one() == 1
+        assert QR2.one() == Q.one()
+
+    def test_scalars_of_the_field(self):
+        f = P("t1 + 1")
+        assert str(f + Fraction(1, 2)) == "t1 + 3/2"
+        assert str(2 * f) == "2*t1 + 2"
+        assert str(Q.element(3) - f) == "-t1 + 2"
+        assert parse_polynomial("t1", FR2) + F5.element(4) == parse_polynomial("t1 - 1", FR2)
+
+    def test_element_of_another_field(self):
+        f = parse_polynomial("t1", FR2)
+        with pytest.raises(FieldMismatchError) as info:
+            f + FieldSpec.prime(7).element(1)
+        assert str(info.value) == "cannot coerce element of F7 into F5"
 
 
 class TestEmbed:
