@@ -1,4 +1,4 @@
-"""Layer cases for the polynomial kernel, timed in one process.
+"""Layer cases for the scalar and polynomial kernel, timed in one process.
 
 Each case runs a fixed input; its time is the minimum per call over
 ``timeit.repeat``.  The script prints one JSON object with the Python
@@ -34,6 +34,8 @@ CUBIC = "t3^3 + t1*t3 - t2"
 # and 1,820 at e=12.
 LINEAR4 = "(t1-2/3*t2+5/7*t3-3*t4+1/2)^{e}"
 MONICIZE = "t1 + t2^{e}"
+# Scalar operands: a Q pair with small coprime parts, and residues mod 32003.
+SCALARS = {"Q": (Fraction(-7, 3), Fraction(5, 12)), "F32003": (12345, 6789)}
 EVAL_ARGV = ["eval", "--vars", "2", "--at", "2,2", "t1^3 + 2*t1^2*t2 + 4*t2^3"]
 
 
@@ -54,7 +56,7 @@ def cases(smoke: bool) -> dict:
     from krullkit.chains import verify_chain
     from krullkit.cli import main
     from krullkit.integral import divide_monic
-    from krullkit.normalize import monicize
+    from krullkit.normalize import monicize, nonvanishing_point
     from krullkit.poly import Polynomial
 
     e = 2 if smoke else 8
@@ -67,6 +69,12 @@ def cases(smoke: bool) -> dict:
             return parse_polynomial(text, ring)
 
         name = str(field)
+        a, b = (field.element(v) for v in SCALARS[name])
+        out[f"{name} scalar {a} + {b}"] = ("field", lambda a=a, b=b: a + b)
+        out[f"{name} scalar {a} * {b}"] = ("field", lambda a=a, b=b: a * b)
+        out[f"{name} scalar {a} / {b}"] = ("field", lambda a=a, b=b: a / b)
+        out[f"{name} scalar ({a}) ** 8"] = ("field", lambda a=a: a**8)
+        out[f"{name} scalar ({a}).inv()"] = ("field", lambda a=a: a.inv())
         big, other = p(POWER.format(e=e)), p(OTHER.format(e=e))
         one, one2 = p("3/5*t1*t2"), p("-7/3*t2*t3")
         six, six2 = p(SIX[0]), p(SIX[1])
@@ -78,6 +86,10 @@ def cases(smoke: bool) -> dict:
         out[f"{name} mul 1x1"] = ("poly.mul", lambda a=one, b=one2: a * b)
         out[f"{name} monicize {size}-term {POWER.format(e=e)}"] = (
             "normalize.monicize", lambda a=big: monicize(a))
+        lead = big.leading_form()
+        out[f"{name} nonvanishing_point of the {len(lead.terms)}-term leading form of "
+            f"{POWER.format(e=e)}"] = ("normalize.nonvanishing_point",
+                                       lambda f=lead: nonvanishing_point(f))
         if field.modulus is None:
             out[f"Q divide_monic: {size}-term {POWER.format(e=e)} by {CUBIC}"] = (
                 "integral.divide_monic", lambda a=big, g=cubic: divide_monic(a, g))

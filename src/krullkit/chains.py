@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from random import Random
 
 from .errors import PreconditionViolatedError, RingMismatchError
-from .poly import Polynomial, RingSpec, random_polynomial
+from .poly import Polynomial, RingSpec, check_range, random_polynomial
 
 DEFAULT_SEED = 1729
 
@@ -27,10 +27,7 @@ class MonomialPrimeIdeal:
     level: int
 
     def __post_init__(self) -> None:
-        if not 0 <= self.level <= self.ring.nvars:
-            raise ValueError(
-                f"level must be in 0..{self.ring.nvars}, got {self.level}"
-            )
+        check_range("level", self.level, 0, self.ring.nvars)
 
     def generators(self) -> tuple[Polynomial, ...]:
         return tuple(self.ring.gen(j) for j in range(1, self.level + 1))
@@ -83,8 +80,7 @@ def extract_min_power(f: Polynomial, k: int) -> MinPowerDecomposition:
     ideal; raises :class:`PreconditionViolatedError` otherwise.
     """
     ring = f.ring
-    if not 1 <= k <= ring.nvars:
-        raise ValueError(f"k must be in 1..{ring.nvars}, got {k}")
+    check_range("k", k, 1, ring.nvars)
     if not f.in_variable_ideal(k) or f.in_variable_ideal(k - 1):
         raise PreconditionViolatedError(
             f"need membership at level {k} but not at level {k - 1}"
@@ -156,7 +152,7 @@ def verify_chain(
     ``failures`` with the offending witnesses, and ``accepted`` reflects the
     whole ladder.
     """
-    if not isinstance(checks_per_level, int) or checks_per_level < 1:
+    if type(checks_per_level) is not int or checks_per_level < 1:
         raise ValueError(f"checks per level must be at least 1, got {checks_per_level}")
     rng = Random(seed)
     n = ring.nvars

@@ -6,11 +6,16 @@ nonnegative residue modulo ``p`` over a prime field).  Polynomials store the
 plain canonical values that :meth:`FieldSpec.scalar` produces and wrap them
 in elements only at their API.  All arithmetic is exact; there is no
 floating point anywhere.
+
+This module owns the scalar rules.  :func:`is_scalar` is the one test of
+what counts as a scalar (an ``int`` that is not a ``bool``, a ``Fraction``,
+or a ``FieldElement``), and :meth:`FieldSpec.element` the one coercion.  The
+field branch is ``modulus``: ``None`` over the rationals, ``p`` over F_p, so
+``pow(value, e, modulus)`` is a power in either field.
 """
 
 from __future__ import annotations
 
-import operator
 import re
 from dataclasses import dataclass
 from enum import Enum
@@ -97,9 +102,7 @@ class FieldSpec:
         return cls.prime(int(digits))
 
     def __str__(self) -> str:
-        if self.kind is FieldKind.RATIONALS:
-            return "Q"
-        return f"F{self.modulus}"
+        return "Q" if self.modulus is None else f"F{self.modulus}"
 
     def scalar(self, value: "FieldElement | Fraction | int") -> "Fraction | int":
         """The canonical plain value of an int, Fraction, or element of this field.
@@ -113,7 +116,7 @@ class FieldSpec:
                     f"cannot coerce element of {value.spec} into {self}"
                 )
             return value.value
-        if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
+        if not is_scalar(value):
             raise TypeError(f"cannot make a field element from {value!r}")
         p = self.modulus
         if p is None:
@@ -139,13 +142,21 @@ class FieldSpec:
         return self.element(1)
 
 
+def is_scalar(value) -> bool:
+    """Whether value is a scalar: an int that is not a bool, a Fraction, or a FieldElement."""
+    return isinstance(value, (int, Fraction, FieldElement)) and not isinstance(value, bool)
+
+
 def _arith(op):
-    # A FieldElement operator that applies op to the two plain values.
+    # A FieldElement operator: op maps self and the coerced operand to a plain value.
     def method(self, other):
-        rhs = self._coerce(other)
-        if rhs is None:
+        if not is_scalar(other):
             return NotImplemented
-        return self.spec.element(op(self.value, rhs.value))
+        if isinstance(other, FieldElement) and other.spec != self.spec:
+            raise FieldMismatchError(
+                f"cannot combine elements of {self.spec} and {other.spec}"
+            )
+        return self.spec.element(op(self, self.spec.element(other)))
 
     return method
 
@@ -169,58 +180,33 @@ class FieldElement:
     def is_zero(self) -> bool:
         return self.value == 0
 
-    def _coerce(self, other) -> "FieldElement | None":
-        if isinstance(other, FieldElement):
-            if other.spec != self.spec:
-                raise FieldMismatchError(
-                    f"cannot combine elements of {self.spec} and {other.spec}"
-                )
-            return other
-        if isinstance(other, bool) or not isinstance(other, (int, Fraction)):
-            return None
-        return self.spec.element(other)
-
-    __add__ = __radd__ = _arith(operator.add)
-    __sub__ = _arith(operator.sub)
-    __rsub__ = _arith(lambda a, b: b - a)
-    __mul__ = __rmul__ = _arith(operator.mul)
-
-    def __truediv__(self, other):
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return self * rhs.inv()
-
-    def __rtruediv__(self, other):
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return rhs * self.inv()
+    __add__ = __radd__ = _arith(lambda a, b: a.value + b.value)
+    __sub__ = _arith(lambda a, b: a.value - b.value)
+    __rsub__ = _arith(lambda a, b: b.value - a.value)
+    __mul__ = __rmul__ = _arith(lambda a, b: a.value * b.value)
+    __truediv__ = _arith(lambda a, b: a.value * b.inv().value)
+    __rtruediv__ = _arith(lambda a, b: b.value * a.inv().value)
 
     def __neg__(self) -> "FieldElement":
         return self.spec.element(-self.value)
 
     def __pow__(self, exponent: int) -> "FieldElement":
-        if not isinstance(exponent, int) or exponent < 0:
+        if type(exponent) is not int or exponent < 0:
             raise ValueError(f"exponent must be a nonnegative int, got {exponent!r}")
-        if self.spec.kind is FieldKind.PRIME:
-            return FieldElement(self.spec, pow(self.value, exponent, self.spec.modulus))
-        return FieldElement(self.spec, self.value**exponent)
+        return FieldElement(self.spec, pow(self.value, exponent, self.spec.modulus))
 
     def inv(self) -> "FieldElement":
         """Multiplicative inverse; raises ZeroDivisionError on zero."""
         if self.is_zero:
             raise ZeroDivisionError(f"inverse of zero in {self.spec}")
-        if self.spec.kind is FieldKind.PRIME:
-            return FieldElement(self.spec, pow(self.value, -1, self.spec.modulus))
-        return FieldElement(self.spec, 1 / self.value)
+        return FieldElement(self.spec, pow(self.value, -1, self.spec.modulus))
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
-            other = self.spec.element(other)
-        if not isinstance(other, FieldElement):
+        if not is_scalar(other):
             return NotImplemented
-        return self.spec == other.spec and self.value == other.value
+        if isinstance(other, FieldElement) and other.spec != self.spec:
+            return False
+        return self.value == self.spec.scalar(other)
 
     def __hash__(self) -> int:
         return hash((self.spec, self.value))
@@ -241,9 +227,9 @@ def enumerate_nonzero(spec: FieldSpec, index: int) -> FieldElement:
     Over the rationals the stream is 1, 2, 3, ...; over F_p it is 1, ..., p-1
     and asking for index >= p-1 raises :class:`ExhaustedFieldError`.
     """
-    if not isinstance(index, int) or index < 0:
+    if type(index) is not int or index < 0:
         raise ValueError(f"index must be a nonnegative int, got {index!r}")
-    if spec.kind is FieldKind.PRIME and index >= spec.modulus - 1:
+    if spec.modulus is not None and index >= spec.modulus - 1:
         raise ExhaustedFieldError(
             f"{spec} has only {spec.modulus - 1} nonzero elements, index {index} is out of range"
         )

@@ -291,7 +291,7 @@ def power_reduce(
     O(d^2 log i) ring operations: multiplying by a is the shift step
     ``_times_root``, and squaring sums r_j a^j r by Horner's rule in it.
     """
-    if not isinstance(i, int) or i < 0:
+    if type(i) is not int or i < 0:
         raise ValueError(f"power must be a nonnegative int, got {i!r}")
     c = relation.coefficients
     d = len(c)

@@ -29,9 +29,15 @@ from random import Random
 from typing import Iterator, Mapping, Sequence
 
 from .errors import RingMismatchError, ZeroPolynomialError
-from .field import FieldElement, FieldKind, FieldSpec
+from .field import FieldElement, FieldSpec, is_scalar
 
 _VAR_NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9]*\Z")
+
+
+def check_range(name: str, value: int, lo: int, hi: int) -> None:
+    """Raise ValueError unless lo <= value <= hi, naming the argument and its range."""
+    if not lo <= value <= hi:
+        raise ValueError(f"{name} must be in {lo}..{hi}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -74,8 +80,7 @@ class RingSpec:
 
     def subring(self, m: int) -> "RingSpec":
         """The ring on the first m variables."""
-        if not 1 <= m <= self.nvars:
-            raise ValueError(f"subring size must be in 1..{self.nvars}, got {m}")
+        check_range("subring size", m, 1, self.nvars)
         return RingSpec(self.field, self.variables[:m])
 
     def zero(self) -> "Polynomial":
@@ -89,8 +94,7 @@ class RingSpec:
 
     def gen(self, j: int) -> "Polynomial":
         """The variable t_j as a polynomial (j is 1-based)."""
-        if not 1 <= j <= self.nvars:
-            raise ValueError(f"variable index must be in 1..{self.nvars}, got {j}")
+        check_range("variable index", j, 1, self.nvars)
         exps = (0,) * (j - 1) + (1,) + (0,) * (self.nvars - j)
         return self.monomial(exps, self.field.scalar(1))
 
@@ -166,21 +170,14 @@ class Polynomial:
         spec = self.ring.field
         return [(e, FieldElement(spec, c)) for e, c in self._sorted_raw()]
 
-    def _require_same_ring(self, other: "Polynomial") -> None:
-        if other.ring is not self.ring and other.ring != self.ring:
-            raise RingMismatchError(
-                f"cannot combine polynomials over {self.ring} and {other.ring}"
-            )
-
     def _coerce(self, other) -> "Polynomial | None":
         if isinstance(other, Polynomial):
-            self._require_same_ring(other)
+            if other.ring is not self.ring and other.ring != self.ring:
+                raise RingMismatchError(
+                    f"cannot combine polynomials over {self.ring} and {other.ring}"
+                )
             return other
-        if isinstance(other, FieldElement) or (
-            isinstance(other, (int, Fraction)) and not isinstance(other, bool)
-        ):
-            return self.ring.constant(other)
-        return None
+        return self.ring.constant(other) if is_scalar(other) else None
 
     def _plus(self, *others: "Polynomial") -> "Polynomial":
         # Add polynomials of the same ring, in one pass.
@@ -253,7 +250,7 @@ class Polynomial:
         )
 
     def __pow__(self, exponent: int) -> "Polynomial":
-        if not isinstance(exponent, int) or exponent < 0:
+        if type(exponent) is not int or exponent < 0:
             raise ValueError(f"exponent must be a nonnegative int, got {exponent!r}")
         result = self.ring.one()
         base = self
@@ -266,7 +263,7 @@ class Polynomial:
         return result
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (FieldElement, int, Fraction)) and not isinstance(other, bool):
+        if is_scalar(other):
             other = self.ring.constant(other)
         if not isinstance(other, Polynomial):
             return NotImplemented
@@ -285,8 +282,7 @@ class Polynomial:
 
     def degree_in(self, j: int) -> int | None:
         """Degree in variable j (1-based), or None for the zero polynomial."""
-        if not 1 <= j <= self.ring.nvars:
-            raise ValueError(f"variable index must be in 1..{self.ring.nvars}, got {j}")
+        check_range("variable index", j, 1, self.ring.nvars)
         if self.is_zero:
             return None
         return max(e[j - 1] for e in self.terms)
@@ -378,8 +374,7 @@ class Polynomial:
         polynomial and the split is support-disjoint.  k = 0 makes
         everything free.
         """
-        if not 0 <= k <= self.ring.nvars:
-            raise ValueError(f"k must be in 0..{self.ring.nvars}, got {k}")
+        check_range("k", k, 0, self.ring.nvars)
         dependent = {}
         free = {}
         for exps, c in self.terms.items():
@@ -391,8 +386,7 @@ class Polynomial:
 
     def in_variable_ideal(self, k: int) -> bool:
         """Whether every term touches one of variables 1..k (the split's free part is 0)."""
-        if not 0 <= k <= self.ring.nvars:
-            raise ValueError(f"k must be in 0..{self.ring.nvars}, got {k}")
+        check_range("k", k, 0, self.ring.nvars)
         return all(any(exps[:k]) for exps in self.terms)
 
     def coefficients_in(self, j: int) -> dict[int, "Polynomial"]:
@@ -401,8 +395,7 @@ class Polynomial:
         Maps each exponent e that occurs to the coefficient polynomial of
         t_j^e, which lives in the same ring but is free of variable j.
         """
-        if not 1 <= j <= self.ring.nvars:
-            raise ValueError(f"variable index must be in 1..{self.ring.nvars}, got {j}")
+        check_range("variable index", j, 1, self.ring.nvars)
         buckets: dict[int, dict[tuple[int, ...], Fraction | int]] = {}
         i = j - 1
         for exps, c in self.terms.items():
@@ -417,8 +410,7 @@ class Polynomial:
 
         Unchecked: every slice lies in ``ring`` and is free of variable j.
         """
-        if not 1 <= j <= ring.nvars:
-            raise ValueError(f"variable index must be in 1..{ring.nvars}, got {j}")
+        check_range("variable index", j, 1, ring.nvars)
         i = j - 1
         terms = {
             exps[:i] + (e,) + exps[i + 1 :]: c
@@ -433,11 +425,10 @@ class Polynomial:
     def __str__(self) -> str:
         if self.is_zero:
             return "0"
-        rational = self.ring.field.kind is FieldKind.RATIONALS
         names = self.ring.variables
         pieces: list[str] = []
         for idx, (exps, value) in enumerate(self._sorted_raw()):
-            negative = rational and value < 0
+            negative = value < 0
             magnitude = -value if negative else value
             factors = [
                 name if e == 1 else f"{name}^{e}"

@@ -223,9 +223,10 @@ class TestVerifyChain:
         b = verify_chain(QR2, checks_per_level=10, seed=DEFAULT_SEED)
         assert a == b
 
-    @pytest.mark.parametrize("checks", [0, -5])
+    @pytest.mark.parametrize("checks", [0, -5, True])
     def test_rejects_fewer_than_one_check(self, checks):
-        # Zero checks would accept the chain without any evidence.
+        # Zero checks would accept the chain without any evidence; True is
+        # not the count 1.
         with pytest.raises(ValueError):
             verify_chain(QR2, checks_per_level=checks)
 

@@ -883,6 +883,16 @@ class TestEntryPoints:
                 if isinstance(node, ast.Attribute):
                     assert node.attr not in ("terms", "_make"), (path.name, node.lineno)
 
+    def test_only_field_knows_the_field_kind(self):
+        # Which field a scalar lives in is field.py's decision; other modules
+        # ask FieldSpec.modulus.  __init__.py only re-exports the name.
+        for path in sorted(Path(self.SRC, "krullkit").glob("*.py")):
+            if path.name in ("field.py", "__init__.py"):
+                continue
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                names = (getattr(node, key, None) for key in ("id", "attr", "name"))
+                assert "FieldKind" not in names, (path.name, getattr(node, "lineno", None))
+
     def test_scalar_with_a_huge_exponent_is_refused(self):
         # Fraction() would expand 1e100000000; the timeout only guards against a hang.
         proc = self.python("-m", "krullkit", "eval", "--at", "1e100000000", "t1")

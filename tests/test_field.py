@@ -180,10 +180,12 @@ class TestScalarRules:
         assert str(info.value) == f"inverse of zero in {spec}"
 
     @pytest.mark.parametrize("spec", [Q, F5])
-    def test_negative_power_rejected(self, spec):
+    @pytest.mark.parametrize("exponent", [-1, True])
+    def test_power_needs_a_nonnegative_int(self, spec, exponent):
+        # A bool is not an int here: Q.element(3) ** True once returned 3.
         with pytest.raises(ValueError) as info:
-            spec.element(2) ** -1
-        assert str(info.value) == "exponent must be a nonnegative int, got -1"
+            spec.element(3) ** exponent
+        assert str(info.value) == f"exponent must be a nonnegative int, got {exponent!r}"
 
     @pytest.mark.parametrize(
         "a,b",
@@ -231,6 +233,9 @@ class TestEnumeration:
     def test_bad_index(self):
         with pytest.raises(ValueError):
             enumerate_nonzero(Q, -1)
+        # A bool is not an int here: enumerate_nonzero(Q, True) once returned 2.
+        with pytest.raises(ValueError):
+            enumerate_nonzero(Q, True)
 
 
 _rationals = st.fractions(min_value=-50, max_value=50, max_denominator=20).map(Q.element)

@@ -419,6 +419,8 @@ class TestPowerReduce:
             ReductionCoefficients(())
         with pytest.raises(ValueError):
             power_reduce(self.REL_I, -1)
+        with pytest.raises(ValueError):
+            power_reduce(self.REL_I, True)
 
     def test_against_division_oracle(self):
         rng = random.Random(44)

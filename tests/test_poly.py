@@ -217,6 +217,13 @@ class TestArithmeticAgainstOracle:
         assert f**1 == f
         assert f**3 == f * f * f
 
+    @pytest.mark.parametrize("exponent", [-1, True, 2.0])
+    def test_power_needs_a_nonnegative_int(self, exponent):
+        # A bool is not an int here: f ** True once returned f.
+        with pytest.raises(ValueError) as info:
+            P("t1 + 1") ** exponent
+        assert str(info.value) == f"exponent must be a nonnegative int, got {exponent!r}"
+
     @given(f=polys(QR2), g=polys(QR2))
     @settings(max_examples=60)
     def test_evaluation_is_a_homomorphism(self, f, g):
