@@ -143,7 +143,7 @@ class FieldSpec:
 
 
 def is_scalar(value) -> bool:
-    """Whether value is a scalar: an int that is not a bool, a Fraction, or a FieldElement."""
+    """Whether value is an int that is not a bool, a Fraction, or a FieldElement."""
     return isinstance(value, (int, Fraction, FieldElement)) and not isinstance(value, bool)
 
 
@@ -204,8 +204,8 @@ class FieldElement:
     def __eq__(self, other) -> bool:
         if not is_scalar(other):
             return NotImplemented
-        if isinstance(other, FieldElement) and other.spec != self.spec:
-            return False
+        if isinstance(other, FieldElement):
+            return self.spec == other.spec and self.value == other.value
         return self.value == self.spec.scalar(other)
 
     def __hash__(self) -> int:
