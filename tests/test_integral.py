@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from krullkit.errors import (
@@ -43,6 +45,7 @@ F7R2 = RingSpec.default(FieldSpec.prime(7), 2)
 # Division and the coset action run on t_n-slices; at n = 1 those are
 # constants, so these rings also cover the rebuild of one-slot keys.
 SLICE_RINGS = (QR2, QR1, QR3, F7R2)
+DENSE_RINGS = [QR2, QR3] + [RingSpec.default(FieldSpec.prime(p), 2) for p in (2, 3, 32003)]
 
 
 def P(text, ring=QR2):
@@ -66,6 +69,49 @@ def random_monic(rng, ring, max_degree=4, coeff_degree=2, degree=None):
             c = ring.constant(random_scalar(rng, ring.field))
         g = g + c * ring.gen(n) ** e
     return g
+
+
+def dense_monic(rng, ring, d):
+    """t_n^d plus a tail whose every coefficient is dense in t1..t(n-1) up to degree 2."""
+    n = ring.nvars
+    g = ring.gen(n) ** d
+    for j in range(d):
+        for exps in _exponents(n - 1, 2):
+            c = random_scalar(rng, ring.field) or ring.field.one()
+            g = g + ring.monomial((*exps, j), ring.field.scalar(c))
+    return g
+
+
+def _exponents(m, top):
+    # Every exponent vector of m entries with total degree at most top.
+    if m == 0:
+        return [()]
+    return [(k, *rest) for k in range(top + 1) for rest in _exponents(m - 1, top - k)]
+
+
+def dense_in_tn(rng, ring, top):
+    """A random polynomial with a random slice at every t_n-degree up to top."""
+    n = ring.nvars
+    f = ring.zero()
+    for e in range(top + 1):
+        c = random_polynomial(rng, ring.subring(n - 1), max_degree=2, max_terms=3)
+        f = f + embed(c, ring) * ring.gen(n) ** e
+    return f
+
+
+def dense_at(f, point, length):
+    """The t_n-coefficients of f with t1..t(n-1) fixed at point, lowest first."""
+    slices = f.coefficients_in(f.ring.nvars)
+    zero = f.ring.zero()
+    return [Fraction(slices.get(e, zero).evaluate(point).value) for e in range(length)]
+
+
+@st.composite
+def seeded_cases(draw, max_degree):
+    """A ring, a degree, and a Random for the entries and the evaluation point."""
+    ring = draw(st.sampled_from(DENSE_RINGS))
+    d = draw(st.integers(min_value=1, max_value=max_degree))
+    return ring, d, random.Random(draw(st.integers(min_value=0, max_value=2**32 - 1)))
 
 
 class TestMonicGenerator:
@@ -139,6 +185,25 @@ class TestDivideMonic:
                 q, r = divide_monic(f, g)
                 assert q == q_expected
                 assert r == r_expected
+
+    @given(case=seeded_cases(max_degree=8))
+    @settings(max_examples=60, deadline=None)
+    def test_dense_generators_against_univariate_remainder(self, case):
+        ring, d, rng = case
+        n, p = ring.nvars, ring.field.modulus
+        g = dense_monic(rng, ring, d)
+        f = dense_in_tn(rng, ring, rng.randint(0, 2 * d + 2))
+        q, r = divide_monic(f, g)
+        assert q * g + r == f
+        assert r.is_zero or r.degree_in(n) < d
+        point = [rng.randint(-5, 5) for _ in range(n - 1)] + [0]
+        top = f.degree_in(n) or 0
+        expected = oracles.univariate_remainder(
+            dense_at(f, point, top + 1), dense_at(g, point, d + 1)
+        )
+        if p:
+            expected = [int(c) % p for c in expected]
+        assert dense_at(r, point, d) == expected
 
     def test_prime_field(self):
         rng = random.Random(33)
@@ -357,6 +422,23 @@ class TestCharacteristicPolynomial:
                     matrix, f, zero=ring.zero(), one=ring.one()
                 )
                 assert witness.annihilates_modulo(g)
+
+
+    @given(case=seeded_cases(max_degree=5))
+    @settings(max_examples=40, deadline=None)
+    def test_dense_coset_matrices_against_evaluated_permutation_sum(self, case):
+        ring, d, rng = case
+        n, p = ring.nvars, ring.field.modulus
+        g = dense_monic(rng, ring, d)
+        f = dense_in_tn(rng, ring, d + 1)
+        matrix = coset_action_matrix(f, g)
+        coeffs = characteristic_polynomial(matrix, zero=ring.zero(), one=ring.one())
+        point = [rng.randint(-5, 5) for _ in range(n)]
+        evaluated = [[Fraction(e.evaluate(point).value) for e in row] for row in matrix]
+        expected = oracles.leibniz_charpoly(evaluated)
+        if p:
+            expected = [int(c) % p for c in expected]
+        assert [c.evaluate(point).value for c in coeffs] == expected
 
 
 class TestIntegralityWitness:
