@@ -167,7 +167,10 @@ class FieldElement:
     Supports ``+ - * /``, unary minus, ``**`` with nonnegative integer
     exponents, and mixes with plain ``int``/``Fraction`` operands (which are
     coerced).  Mixing scalars from different fields raises
-    :class:`FieldMismatchError`.
+    :class:`FieldMismatchError`.  An element hashes as its canonical value,
+    so it agrees with an equal ``int`` or ``Fraction`` over Q and with its
+    least nonnegative residue over F_p (an int equal to it mod p may hash
+    differently).
     """
 
     __slots__ = ("spec", "value")
@@ -206,10 +209,13 @@ class FieldElement:
             return NotImplemented
         if isinstance(other, FieldElement):
             return self.spec == other.spec and self.value == other.value
-        return self.value == self.spec.scalar(other)
+        try:
+            return self.value == self.spec.scalar(other)
+        except ZeroDivisionError:  # a Fraction with no value in F_p
+            return False
 
     def __hash__(self) -> int:
-        return hash((self.spec, self.value))
+        return hash(self.value)
 
     def __bool__(self) -> bool:
         return not self.is_zero

@@ -35,8 +35,8 @@ _VAR_NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9]*\Z")
 
 
 def check_range(name: str, value: int, lo: int, hi: int) -> None:
-    """Raise ValueError unless lo <= value <= hi, naming the argument and its range."""
-    if not lo <= value <= hi:
+    """Raise ValueError unless value is an int (not a bool) with lo <= value <= hi."""
+    if type(value) is not int or not lo <= value <= hi:
         raise ValueError(f"{name} must be in {lo}..{hi}, got {value}")
 
 

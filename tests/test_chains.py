@@ -173,6 +173,10 @@ class TestRangeChecks:
         [
             (lambda: QR3.subring(4), "subring size must be in 1..3, got 4"),
             (lambda: QR3.gen(0), "variable index must be in 1..3, got 0"),
+            # A bool is not an index: gen(True) once returned t1.
+            (lambda: QR3.gen(True), "variable index must be in 1..3, got True"),
+            (lambda: F3.degree_in(True), "variable index must be in 1..3, got True"),
+            (lambda: QR3.subring(True), "subring size must be in 1..3, got True"),
             (lambda: F3.degree_in(4), "variable index must be in 1..3, got 4"),
             (lambda: F3.coefficients_in(0), "variable index must be in 1..3, got 0"),
             (

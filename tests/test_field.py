@@ -157,7 +157,8 @@ class TestScalarRules:
             F5.element(F7.element(1))
         assert str(info.value) == "cannot coerce element of F7 into F5"
 
-    @pytest.mark.parametrize("other", [True, "x", F7.element(1)])
+    # Fraction(1, 5) has no value in F5; comparing with it once raised.
+    @pytest.mark.parametrize("other", [True, "x", F7.element(1), Fraction(1, 5)])
     def test_unequal_to_a_bool_a_string_or_another_field(self, other):
         assert (F5.element(1) == other) is False
         assert (F5.element(1) != other) is True
@@ -194,6 +195,11 @@ class TestScalarRules:
             (F5.element(Fraction(1, 2)), F5.element(3)),
             (Q.element(Fraction(6, 3)), Q.element(2)),
             (Q.element(3) / 6, Q.element(Fraction(1, 2))),
+            # The hash is hash(value): it agrees with int and Fraction over
+            # Q, and with the canonical residue over F_p.
+            (Q.element(2), 2),
+            (Q.element(Fraction(-3, 4)), Fraction(-3, 4)),
+            (F5.element(8), 3),
         ],
     )
     def test_equal_elements_hash_equal(self, a, b):
