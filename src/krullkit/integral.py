@@ -86,20 +86,28 @@ def divide_monic(
     """
     gen = _generator(g, f.ring)
     d = gen.degree
-    zero = f.ring.zero()
-    n = f.ring.nvars
+    ring = f.ring
+    zero = ring.zero()
+    n = ring.nvars
     slices = f.coefficients_in(n)
+    tail = [(j, -b) for j, b in enumerate(gen.coefficients) if b]
+    # pending[e] holds the products still owed to slice e; they are summed
+    # in one pass when the walk reaches e, or at the end for e < d.
+    pending: dict[int, list] = {}
     quotient = {}
     for e in range(max(slices, default=0), d - 1, -1):
-        c = slices.pop(e, None)
+        c = slices.pop(e, zero)
+        if e in pending:
+            c = c + ring.dot(pending.pop(e))
         if not c:
             continue
         quotient[e - d] = c
-        for j, b in enumerate(gen.coefficients):
-            if b:
-                slices[e - d + j] = slices.get(e - d + j, zero) - c * b
+        for j, b in tail:
+            pending.setdefault(e - d + j, []).append((c, b))
+    for e, pairs in pending.items():
+        slices[e] = slices.get(e, zero) + ring.dot(pairs)
     join = Polynomial.from_coefficients_in
-    return join(f.ring, n, quotient), join(f.ring, n, slices)
+    return join(ring, n, quotient), join(ring, n, slices)
 
 
 def reduce_mod(f: Polynomial, g: "Polynomial | MonicGenerator") -> Polynomial:
@@ -179,7 +187,11 @@ def _times_root(r, relation):
 
 def _dot(xs, ys, zero):
     # Sum of products, skipping zero factors; the action matrices are sparse.
-    return sum((x * y for x, y in zip(xs, ys) if x and y), zero)
+    # Polynomial entries go through their ring's one-pass product loop.
+    pairs = [(x, y) for x, y in zip(xs, ys) if x and y]
+    if isinstance(zero, Polynomial):
+        return zero.ring.dot(pairs)
+    return sum((x * y for x, y in pairs), zero)
 
 
 def characteristic_polynomial(matrix, *, zero=0, one=1) -> list:

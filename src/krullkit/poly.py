@@ -26,7 +26,7 @@ from fractions import Fraction
 from math import lcm
 from operator import add
 from random import Random
-from typing import Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import RingMismatchError, ZeroPolynomialError
 from .field import FieldElement, FieldSpec, is_scalar
@@ -104,6 +104,42 @@ class RingSpec:
 
     def gens(self) -> tuple["Polynomial", ...]:
         return tuple(self.gen(j) for j in range(1, self.nvars + 1))
+
+    def dot(self, pairs: Iterable[tuple["Polynomial", "Polynomial"]]) -> "Polynomial":
+        """The sum of x * y over pairs of polynomials of this ring; unchecked.
+
+        This is the one product loop.  It adds every product unreduced into
+        one accumulator and reduces each output term once: over F_p by one
+        ``% p``, over Q by one ``Fraction`` over the common denominator d,
+        the lcm of the pairs' d1 * d2, with each pair's integer numerators
+        scaled up to d.  The pairs are read once, in order, so they may come
+        from a generator.
+        """
+        p = self.field.modulus
+        acc: dict[tuple[int, ...], int] = {}
+        get = acc.get
+        d = 1
+        for x, y in pairs:
+            if p:
+                left, right = x.terms.items(), list(y.terms.items())
+            else:
+                d1, left = _numerators(x.terms)
+                d2, right = _numerators(y.terms)
+                pair_d = d1 * d2
+                if d % pair_d:
+                    scale = lcm(d, pair_d) // d
+                    for key in acc:
+                        acc[key] *= scale
+                    d *= scale
+                if pair_d != d:
+                    left = [(e, c * (d // pair_d)) for e, c in left]
+            for e1, c1 in left:
+                for e2, c2 in right:
+                    key = tuple(map(add, e1, e2))
+                    acc[key] = get(key, 0) + c1 * c2
+        if p:
+            return Polynomial._make(self, {e: r for e, c in acc.items() if (r := c % p)})
+        return Polynomial._make(self, {e: Fraction(c, d) for e, c in acc.items() if c})
 
     def __str__(self) -> str:
         return f"{self.field}[{','.join(self.variables)}]"
@@ -218,28 +254,7 @@ class Polynomial:
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        # Sum the products unreduced; reduce once per output term at the end.
-        # Over Q each factor is first scaled to integer numerators over one
-        # common denominator, so the loop adds and multiplies plain ints.
-        p = self.ring.field.modulus
-        if p:
-            left = self.terms.items()
-            right = list(rhs.terms.items())
-        else:
-            d1, left = _numerators(self.terms)
-            d2, right = _numerators(rhs.terms)
-        acc: dict[tuple[int, ...], int] = {}
-        get = acc.get
-        for e1, c1 in left:
-            for e2, c2 in right:
-                key = tuple(map(add, e1, e2))
-                acc[key] = get(key, 0) + c1 * c2
-        if p:
-            return Polynomial._make(
-                self.ring, {e: r for e, c in acc.items() if (r := c % p)}
-            )
-        d = d1 * d2
-        return Polynomial._make(self.ring, {e: Fraction(c, d) for e, c in acc.items() if c})
+        return self.ring.dot(((self, rhs),))
 
     __rmul__ = __mul__
 
@@ -329,22 +344,27 @@ class Polynomial:
         # even e, so the cost is logarithmic in the exponent value.
         powers: list[dict[int, Polynomial]] = [{1: img} for img in images]
         one = (0,) * target.nvars
-        result = target.zero()
-        for exps, c in self.terms.items():
-            term = target.monomial(one, c)
-            for j, e in enumerate(exps):
-                if not e:
-                    continue
-                cache, k, missing = powers[j], e, []
-                while k not in cache:
-                    missing.append(k)
-                    k = k - 1 if k & 1 else k >> 1
-                for k in reversed(missing):
-                    h = cache[k - 1] if k & 1 else cache[k >> 1]
-                    cache[k] = h * cache[1] if k & 1 else h * h
-                term = term * cache[e]
-            result = result + term
-        return result
+        # Term c * t^exps maps to the product of c, all its powers but the
+        # last, and the last power; dot sums those pairs as they come.
+        def pairs():
+            for exps, c in self.terms.items():
+                term, last = target.monomial(one, c), None
+                for j, e in enumerate(exps):
+                    if not e:
+                        continue
+                    cache, k, missing = powers[j], e, []
+                    while k not in cache:
+                        missing.append(k)
+                        k = k - 1 if k & 1 else k >> 1
+                    for k in reversed(missing):
+                        h = cache[k - 1] if k & 1 else cache[k >> 1]
+                        cache[k] = h * cache[1] if k & 1 else h * h
+                    if last is not None:
+                        term = term * last
+                    last = cache[e]
+                yield term, target.one() if last is None else last
+
+        return target.dot(pairs())
 
     def homogeneous_component(self, degree: int) -> "Polynomial":
         """The sum of the terms of exactly the given total degree."""

@@ -585,3 +585,79 @@ class TestRationalProduct:
         assert self.check(f, QR2.constant(Fraction(-8, 3))) == P("-2*t1 + 4/3")
         assert f * Fraction(4, 3) == Fraction(4, 3) * f == P("t1 - 2/3")
         assert f * 4 == P("3*t1 - 2")
+
+
+DOT_RINGS = [QR3] + [RingSpec.default(FieldSpec.prime(p), 3) for p in (2, 3, 32003)]
+
+
+def dot_polys(ring, max_terms=4):
+    # Over Q, denominators up to 10**6, so the pairs rarely share one.
+    if ring.field.modulus:
+        coeffs = st.integers(min_value=0, max_value=ring.field.modulus - 1)
+    else:
+        coeffs = st.fractions(max_denominator=10**6)
+    pairs = st.tuples(exponents(ring.nvars, max_each=3), coeffs)
+    return st.lists(pairs, max_size=max_terms).map(lambda ts: Polynomial(ring, ts))
+
+
+def naive_dot(pairs, modulus):
+    total = {}
+    for x, y in pairs:
+        product = oracles.naive_mul(oracles.raw(x), oracles.raw(y), modulus)
+        total = oracles.naive_add(total, product, modulus)
+    return total
+
+
+class TestDot:
+    """RingSpec.dot sums many products in one accumulator, reduced once per term."""
+
+    def check(self, ring, pairs):
+        h = ring.dot(iter(pairs))
+        assert oracles.raw(h) == naive_dot(pairs, ring.field.modulus)
+        assert_canonical(h)
+        return h
+
+    @given(
+        case=st.sampled_from(DOT_RINGS).flatmap(
+            lambda ring: st.tuples(
+                st.just(ring), st.lists(st.tuples(dot_polys(ring), dot_polys(ring)), max_size=6)
+            )
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_against_naive_sum_of_products(self, case):
+        self.check(*case)
+
+    @pytest.mark.parametrize("ring", DOT_RINGS, ids=str)
+    def test_empty_zero_factors_and_one_pair(self, ring):
+        f = parse_polynomial("t1*t2 - 2*t3 + 5", ring)
+        g = parse_polynomial("3*t1^2 + t3 - 1", ring)
+        zero = ring.zero()
+        assert self.check(ring, []) == zero
+        assert self.check(ring, [(zero, f), (g, zero), (zero, zero)]) == zero
+        assert self.check(ring, [(f, g)]) == f * g
+        assert self.check(ring, [(zero, f), (f, g), (g, zero)]) == f * g
+
+    @pytest.mark.parametrize("ring", DOT_RINGS, ids=str)
+    def test_products_that_cancel(self, ring):
+        f = parse_polynomial("t1*t2 - 2*t3 + 5", ring)
+        g = parse_polynomial("3*t1^2 + t3 - 1", ring)
+        assert self.check(ring, [(f, g), (-f, g)]).is_zero
+        assert self.check(ring, [(f, g), (g, -f), (f, f)]) == f * f
+        p = ring.field.modulus
+        if p:
+            # p copies of one product sum to zero in F_p.
+            assert self.check(ring, [(f, g)] * p).is_zero
+
+    def test_pairwise_coprime_denominators(self):
+        # Each pair brings new primes, so the common denominator grows at
+        # every pair and the sum so far is scaled up to it.
+        x, y = parse_polynomial("1/3*t1 + 1/5*t2", QR3), parse_polynomial("1/7*t1 - 1/11", QR3)
+        u, v = parse_polynomial("1/13*t1*t2 + 1/17", QR3), parse_polynomial("1/19*t2", QR3)
+        h = self.check(QR3, [(x, y), (u, v), (x, v)])
+        assert h.coefficient((1, 1, 0)) == Fraction(1, 35) + Fraction(1, 57)
+        big = [2**61 - 1, 2**89 - 1, 2**107 - 1, 2**127 - 1]
+        f = Polynomial(QR3, {(1, 0, 0): Fraction(1, big[0]), (0, 1, 0): Fraction(3, big[1])})
+        g = Polynomial(QR3, {(1, 0, 0): Fraction(5, big[2]), (0, 0, 0): Fraction(-7, 2)})
+        k = Polynomial(QR3, {(0, 0, 1): Fraction(2, big[3])})
+        self.check(QR3, [(f, g), (k, f), (g, k), (f, -g)])
