@@ -34,6 +34,27 @@ CUBIC = "t3^3 + t1*t3 - t2"
 # and 1,820 at e=12.
 LINEAR4 = "(t1-2/3*t2+5/7*t3-3*t4+1/2)^{e}"
 MONICIZE = "t1 + t2^{e}"
+# Dense cosets in two variables, shaped like the integral deck's witness jobs
+# (monic_generator with d lower terms of degree up to d, dense_coset_element):
+# field -> d -> (generator, element).  The element uses every basis coset.
+DENSE = {
+    "Q": {
+        6: ("2*t1^2*t2^4 + t2^6 + 5*t1^2*t2^3 - 3/5*t1*t2^4 + 4*t1^3*t2 + 3*t2 - 4",
+            "-4/5*t2^5 + 1/2*t1*t2^3 + t2^4 + 4*t2^2 + 3/5*t2 + 5/2"),
+        8: ("-2*t1^5*t2^3 + 5/3*t1^3*t2^5 + t1^2*t2^6 + t2^8 + 2*t1^4*t2^2 + 4*t1^3*t2"
+            " + 5*t2^3 - 1/5*t2 + 5/3",
+            "-3*t1*t2^6 + 2/5*t2^7 + 1/5*t1*t2^4 + 5/3*t2^5 - 1/5*t1*t2^3 + t1*t2^2 + t2 + 1"),
+    },
+    "F32003": {
+        6: ("9761*t1^3*t2^3 + t2^6 + 10020*t1^3*t2^2 + 12608*t1^2*t2^3 + 14169*t2^2"
+            " + 14874*t2 + 30165",
+            "17474*t1*t2^5 + 31092*t1*t2^4 + 13435*t1*t2^3 + 10253*t1*t2^2 + 20388*t2 + 9187"),
+        8: ("t2^8 + 10020*t1^3*t2^4 + 14169*t1*t2^3 + 14874*t1^2*t2 + 9187*t1*t2^2"
+            " + 12608*t1*t2 + 20388*t2^2 + 9761*t1 + 30165*t2",
+            "15631*t1*t2^7 + 10538*t1*t2^6 + 22387*t1*t2^5 + 5331*t1*t2^4 + 17474*t2^3"
+            " + 31092*t2^2 + 10253*t1 + 13435*t2"),
+    },
+}
 # Scalar operands: a Q pair with small coprime parts, and residues mod 32003.
 SCALARS = {"Q": (Fraction(-7, 3), Fraction(5, 12)), "F32003": (12345, 6789)}
 EVAL_ARGV = ["eval", "--vars", "2", "--at", "2,2", "t1^3 + 2*t1^2*t2 + 4*t2^3"]
@@ -55,7 +76,7 @@ def cases(smoke: bool) -> dict:
     from krullkit import FieldSpec, RingSpec, parse_polynomial
     from krullkit.chains import verify_chain
     from krullkit.cli import main
-    from krullkit.integral import divide_monic
+    from krullkit.integral import characteristic_polynomial, coset_action_matrix, divide_monic
     from krullkit.normalize import monicize, nonvanishing_point
     from krullkit.poly import Polynomial
 
@@ -102,12 +123,31 @@ def cases(smoke: bool) -> dict:
                                       enumerate(zip(other.terms, primes[size:]))})
             out[f"Q mul {size}x{size}, pairwise-coprime 20-bit denominators"] = (
                 "poly.mul", lambda a=left, b=right: a * b)
+        ring2 = RingSpec.default(field, 2)
+        for d, (gen_text, element_text) in DENSE[name].items():
+            matrix = coset_action_matrix(parse_polynomial(element_text, ring2),
+                                         parse_polynomial(gen_text, ring2))
+            out[f"{name} characteristic_polynomial of the dense coset action, d={d}"] = (
+                "integral.characteristic_polynomial",
+                lambda m=matrix, z=ring2.zero(), o=ring2.one():
+                    characteristic_polynomial(m, zero=z, one=o))
+        gen_text, element_text = DENSE[name][6]
+        dividend = parse_polynomial(element_text, ring2) ** 3
+        out[f"{name} divide_monic: the {len(dividend.terms)}-term cube of the d=6 dense "
+            "element by its generator"] = (
+            "integral.divide_monic",
+            lambda f=dividend, g=parse_polynomial(gen_text, ring2): divide_monic(f, g))
         ring4 = RingSpec.default(field, 4)
         for power in (2, 3) if smoke else (6, 12):
             f = parse_polynomial(LINEAR4.format(e=power), ring4)
             text = str(f)
             out[f"{name} parse {len(f.terms)} terms: canonical {LINEAR4.format(e=power)}"] = (
                 "parse.parse_polynomial", lambda t=text, r=ring4: parse_polynomial(t, r))
+        if field.modulus is None:
+            shear = [t + ring4.gen(4) for t in ring4.gens()[:3]] + [ring4.gen(4)]
+            out[f"Q substitute t_j -> t_j + t4 into the {len(f.terms)}-term "
+                f"{LINEAR4.format(e=power)}"] = (
+                "poly.substitute", lambda f=f, images=shear: f.substitute(images))
         # The form the benchmark decks send: "(c)*t1^2*t2 + ...".
         grouped = " + ".join(
             "*".join([f"({c})"] + [f"t{j + 1}" if k == 1 else f"t{j + 1}^{k}"
