@@ -82,7 +82,8 @@ def divide_monic(
     Because the divisor is monic in t_n, the division needs no field
     inverses beyond the coefficients already present, and the (q, r) pair
     is unique.  Each step moves the top t_n-slice c of f into the quotient
-    and subtracts c times the generator's tail from the slices below.
+    and owes the slices below c times the generator's negated tail; a slice
+    is settled, its own terms plus one sum of what it is owed, once.
     """
     gen = _generator(g, f.ring)
     d = gen.degree
@@ -91,9 +92,7 @@ def divide_monic(
     n = ring.nvars
     slices = f.coefficients_in(n)
     tail = [(j, -b) for j, b in enumerate(gen.coefficients) if b]
-    # pending[e] holds the products still owed to slice e; they are summed
-    # in one pass when the walk reaches e, or at the end for e < d.
-    pending: dict[int, list] = {}
+    pending: dict[int, list] = {}  # slice -> the (c, -b) pairs it is owed
     quotient = {}
     for e in range(max(slices, default=0), d - 1, -1):
         c = slices.pop(e, zero)
