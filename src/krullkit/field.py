@@ -167,10 +167,9 @@ class FieldElement:
     Supports ``+ - * /``, unary minus, ``**`` with nonnegative integer
     exponents, and mixes with plain ``int``/``Fraction`` operands (which are
     coerced).  Mixing scalars from different fields raises
-    :class:`FieldMismatchError`.  An element hashes as its canonical value,
-    so it agrees with an equal ``int`` or ``Fraction`` over Q and with its
-    least nonnegative residue over F_p (an int equal to it mod p may hash
-    differently).
+    :class:`FieldMismatchError`.  An element hashes as its canonical value:
+    like an equal ``int`` or ``Fraction`` over Q, and like its least
+    nonnegative residue over F_p (not every int equal to it mod p).
     """
 
     __slots__ = ("spec", "value")

@@ -82,7 +82,7 @@ def divide_monic(
     Because the divisor is monic in t_n, the division needs no field
     inverses beyond the coefficients already present, and the (q, r) pair
     is unique.  Each step moves the top t_n-slice c of f into the quotient
-    and owes the slices below c times the generator's negated tail; a slice
+    and owes the slices below -c times the generator's tail; a slice
     is settled, its own terms plus one sum of what it is owed, once.
     """
     gen = _generator(g, f.ring)
@@ -91,8 +91,7 @@ def divide_monic(
     zero = ring.zero()
     n = ring.nvars
     slices = f.coefficients_in(n)
-    tail = [(j, -b) for j, b in enumerate(gen.coefficients) if b]
-    pending: dict[int, list] = {}  # slice -> the (c, -b) pairs it is owed
+    pending: dict[int, list] = {}  # slice -> the (-c, b) pairs it is owed
     quotient = {}
     for e in range(max(slices, default=0), d - 1, -1):
         c = slices.pop(e, zero)
@@ -101,8 +100,10 @@ def divide_monic(
         if not c:
             continue
         quotient[e - d] = c
-        for j, b in tail:
-            pending.setdefault(e - d + j, []).append((c, b))
+        owed = -c
+        for j, b in enumerate(gen.coefficients):
+            if b:
+                pending.setdefault(e - d + j, []).append((owed, b))
     for e, pairs in pending.items():
         slices[e] = slices.get(e, zero) + ring.dot(pairs)
     join = Polynomial.from_coefficients_in
@@ -188,7 +189,7 @@ def _dot(xs, ys, zero):
     # Sum of products, skipping zero factors; the action matrices are sparse.
     # Polynomial entries go through their ring's one-pass product loop.
     pairs = [(x, y) for x, y in zip(xs, ys) if x and y]
-    if isinstance(zero, Polynomial):
+    if pairs and isinstance(zero, Polynomial):
         return zero.ring.dot(pairs)
     return sum((x * y for x, y in pairs), zero)
 

@@ -32,6 +32,7 @@ from .errors import RingMismatchError, ZeroPolynomialError
 from .field import FieldElement, FieldSpec, is_scalar
 
 _VAR_NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9]*\Z")
+_new = object.__new__
 
 
 def check_range(name: str, value: int, lo: int, hi: int) -> None:
@@ -108,12 +109,10 @@ class RingSpec:
     def dot(self, pairs: Iterable[tuple["Polynomial", "Polynomial"]]) -> "Polynomial":
         """The sum of x * y over pairs of polynomials of this ring; unchecked.
 
-        This is the one product loop.  It adds every product unreduced into
-        one accumulator and reduces each output term once: over F_p by one
-        ``% p``, over Q by one ``Fraction`` over the common denominator d,
-        the lcm of the pairs' d1 * d2, with each pair's integer numerators
-        scaled up to d.  The pairs are read once, in order, so they may come
-        from a generator.
+        The one product loop: every product goes unreduced into one
+        accumulator, and each output term is reduced once, by ``% p`` or by
+        one ``Fraction`` over d, the lcm of the pairs' denominators d1 * d2.
+        The pairs are read once, in order, so they may come from a generator.
         """
         p = self.field.modulus
         acc: dict[tuple[int, ...], int] = {}
@@ -126,7 +125,9 @@ class RingSpec:
                 d1, left = _numerators(x.terms)
                 d2, right = _numerators(y.terms)
                 pair_d = d1 * d2
-                if d % pair_d:
+                if not acc:  # acc holds numerators over d; it is empty, so d is free
+                    d = pair_d
+                elif d % pair_d:
                     scale = lcm(d, pair_d) // d
                     for key in acc:
                         acc[key] *= scale
@@ -183,10 +184,10 @@ class Polynomial:
             acc[exps] = scalar(acc.get(exps, 0) + scalar(coeff))
         self.terms = {e: c for e, c in acc.items() if c}
 
-    @classmethod
-    def _make(cls, ring: RingSpec, terms: dict) -> "Polynomial":
+    @staticmethod
+    def _make(ring: RingSpec, terms: dict) -> "Polynomial":
         """Wrap a term dict that is already canonical, without checking it."""
-        f = object.__new__(cls)
+        f = _new(Polynomial)
         f.ring = ring
         f.terms = terms
         return f
