@@ -423,7 +423,6 @@ class TestCharacteristicPolynomial:
                 )
                 assert witness.annihilates_modulo(g)
 
-
     @given(case=seeded_cases(max_degree=5))
     @settings(max_examples=40, deadline=None)
     def test_dense_coset_matrices_against_evaluated_permutation_sum(self, case):
