@@ -34,6 +34,9 @@ CUBIC = "t3^3 + t1*t3 - t2"
 # and 1,820 at e=12.
 LINEAR4 = "(t1-2/3*t2+5/7*t3-3*t4+1/2)^{e}"
 MONICIZE = "t1 + t2^{e}"
+# A sparse coset like the integral deck's contract jobs: t1 + c*t2 modulo
+# t2^d - c'*t1, here at its largest d = 7.
+SPARSE = ("t1 + 3/2*t2", "t2^7 - 5/3*t1")
 # Dense cosets in two variables, shaped like the integral deck's witness jobs
 # (monic_generator with d lower terms of degree up to d, dense_coset_element):
 # field -> d -> (generator, element).  The element uses every basis coset.
@@ -76,7 +79,12 @@ def cases(smoke: bool) -> dict:
     from krullkit import FieldSpec, RingSpec, parse_polynomial
     from krullkit.chains import verify_chain
     from krullkit.cli import main
-    from krullkit.integral import characteristic_polynomial, coset_action_matrix, divide_monic
+    from krullkit.integral import (
+        characteristic_polynomial,
+        contraction_witness,
+        coset_action_matrix,
+        divide_monic,
+    )
     from krullkit.normalize import monicize, nonvanishing_point
     from krullkit.poly import Polynomial
 
@@ -138,6 +146,11 @@ def cases(smoke: bool) -> dict:
             "integral.divide_monic",
             lambda f=dividend, g=parse_polynomial(gen_text, ring2): divide_monic(f, g))
         ring4 = RingSpec.default(field, 4)
+        # The expand deck's power jobs raise a 4-variable linear form to the 4th and 5th.
+        base = parse_polynomial(LINEAR4.format(e=1), ring4)
+        e_pow = 2 if smoke else 5
+        out[f"{name} pow {len((base**e_pow).terms)} terms: {LINEAR4.format(e=e_pow)}"] = (
+            "poly.pow", lambda f=base, e=e_pow: f**e)
         for power in (2, 3) if smoke else (6, 12):
             f = parse_polynomial(LINEAR4.format(e=power), ring4)
             text = str(f)
@@ -160,6 +173,9 @@ def cases(smoke: bool) -> dict:
     g = parse_polynomial(MONICIZE.format(e=e_mon), ring2)
     out[f"Q monicize {MONICIZE.format(e=e_mon)}"] = (
         "normalize.monicize", lambda f=g: monicize(f))
+    f, g = (parse_polynomial(text, ring2) for text in SPARSE)
+    out[f"Q contraction_witness of the sparse coset {SPARSE[0]} modulo {SPARSE[1]}"] = (
+        "integral.contraction_witness", lambda f=f, g=g: contraction_witness(f, g))
     ring = RingSpec.default(FieldSpec.rationals(), n_wide)
     out[f"Q verify_chain n={n_wide}, checks_per_level=2"] = (
         "chains.verify_chain", lambda: verify_chain(ring, checks_per_level=2))

@@ -29,7 +29,7 @@ def exponents(nvars, max_each=4):
 
 
 def polys(ring, max_terms=5):
-    if ring.field.kind.value == "prime":
+    if ring.field.modulus:
         coeffs = st.integers(min_value=0, max_value=ring.field.modulus - 1)
     else:
         coeffs = st.fractions(min_value=-9, max_value=9, max_denominator=6)
@@ -216,6 +216,21 @@ class TestArithmeticAgainstOracle:
         assert f**0 == QR2.one()
         assert f**1 == f
         assert f**3 == f * f * f
+
+    @given(data=st.data(), e=st.integers(min_value=0, max_value=12))
+    @settings(max_examples=120)
+    def test_powers_against_repeated_products(self, data, e):
+        field = data.draw(st.sampled_from([Q, FieldSpec.prime(2), FieldSpec.prime(3),
+                                           FieldSpec.prime(32003)]))
+        ring = RingSpec.default(field, 2)
+        f = data.draw(st.one_of(
+            polys(ring, max_terms=3),
+            st.just(ring.zero()),
+            st.integers(min_value=-5, max_value=5).map(ring.constant),
+        ))
+        assert oracles.raw(f**e) == oracles.naive_pow(
+            oracles.raw(f), e, ring.nvars, field.modulus
+        )
 
     @pytest.mark.parametrize("exponent", [-1, True, 2.0])
     def test_power_needs_a_nonnegative_int(self, exponent):
