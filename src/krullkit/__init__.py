@@ -26,10 +26,11 @@ from .errors import (
     NotMonicError,
     PreconditionViolatedError,
     RingMismatchError,
+    SelfCheckError,
     ZeroCosetError,
     ZeroPolynomialError,
 )
-from .field import FieldElement, FieldKind, FieldSpec, enumerate_nonzero
+from .field import FieldElement, FieldSpec, enumerate_nonzero
 from .integral import (
     IntegralityWitness,
     MonicGenerator,
@@ -81,7 +82,6 @@ __all__ = [
     "DegenerateCharPolyError",
     "ExhaustedFieldError",
     "FieldElement",
-    "FieldKind",
     "FieldLiteralError",
     "FieldMismatchError",
     "FieldSpec",
@@ -102,6 +102,7 @@ __all__ = [
     "ReductionCoefficients",
     "RingMismatchError",
     "RingSpec",
+    "SelfCheckError",
     "UnknownVariableError",
     "ZeroCosetError",
     "ZeroPolynomialError",

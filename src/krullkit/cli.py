@@ -19,7 +19,7 @@ import sys
 from fractions import Fraction
 
 from .chains import DEFAULT_SEED, MonomialPrimeIdeal, extract_min_power, verify_chain
-from .errors import KrullkitError
+from .errors import KrullkitError, SelfCheckError
 from .field import FieldElement, FieldSpec
 from .integral import (
     ReductionCoefficients,
@@ -161,7 +161,7 @@ def _cmd_pmember(args, ring, f, g):
 def _cmd_witness(args, ring, f, g):
     witness = coset_integrality_witness(f, g)
     if not witness.annihilates_modulo(g):
-        raise RuntimeError("integral dependence failed its annihilation check")
+        raise SelfCheckError("integral dependence failed its annihilation check")
     doc = witness.to_json_dict()
     # The char poly's coefficients join with ", ", not ",".
     return _text({**doc, "char_poly": ", ".join(doc["char_poly"])}), doc

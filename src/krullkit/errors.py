@@ -72,3 +72,9 @@ class DegenerateCharPolyError(KrullkitError):
     """The characteristic polynomial yields no usable constant witness."""
 
     identifier = "DegenerateCharPoly"
+
+
+class SelfCheckError(KrullkitError, RuntimeError):
+    """A computed result failed the check that certifies it."""
+
+    identifier = "SelfCheckFailed"

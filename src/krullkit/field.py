@@ -18,17 +18,11 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 
 from .errors import ExhaustedFieldError, FieldMismatchError
 
 _FIELD_TEXT_RE = re.compile(r"(Q|F([1-9][0-9]*))\Z")
-
-
-class FieldKind(Enum):
-    RATIONALS = "rationals"
-    PRIME = "prime"
 
 
 # Miller-Rabin with the 13 prime bases 2..41 is exact below this bound
@@ -62,31 +56,30 @@ def _is_prime(n: int) -> bool:
 
 @dataclass(frozen=True)
 class FieldSpec:
-    """Identifies a coefficient field: the rationals, or integers mod a prime.
+    """Identifies a coefficient field by its modulus: ``None`` for Q, p for F_p.
 
     The textual form is ``Q`` for the rationals and ``F<p>`` (e.g. ``F5``) for
     a prime field; :meth:`from_text` parses it and ``str()`` produces it.
     """
 
-    kind: FieldKind
     modulus: int | None = None
 
     def __post_init__(self) -> None:
-        if self.kind is FieldKind.PRIME:
-            if self.modulus is not None and self.modulus >= MAX_MODULUS:
-                raise ValueError(f"modulus must be below {MAX_MODULUS}")
-            if self.modulus is None or not _is_prime(self.modulus):
-                raise ValueError(f"modulus must be a prime, got {self.modulus!r}")
-        elif self.modulus is not None:
-            raise ValueError("the rational field takes no modulus")
+        p = self.modulus
+        if type(p) is int and p >= MAX_MODULUS:
+            raise ValueError(f"modulus must be below {MAX_MODULUS}")
+        if p is not None and (type(p) is not int or not _is_prime(p)):
+            raise ValueError(f"modulus must be a prime, got {p!r}")
 
     @classmethod
     def rationals(cls) -> "FieldSpec":
-        return cls(FieldKind.RATIONALS)
+        return cls()
 
     @classmethod
     def prime(cls, p: int) -> "FieldSpec":
-        return cls(FieldKind.PRIME, p)
+        if p is None:
+            raise ValueError("modulus must be a prime, got None")
+        return cls(p)
 
     @classmethod
     def from_text(cls, text: str) -> "FieldSpec":

@@ -246,14 +246,17 @@ class IntegralityWitness:
 
     def annihilates_modulo(self, g: "Polynomial | MonicGenerator") -> bool:
         """Evaluate the dependence at the element, modulo g; True means zero."""
-        gen = _generator(g)
-        element = self.element
-        if not isinstance(element, Polynomial):
+        if not isinstance(self.element, Polynomial):
             raise TypeError("annihilation check needs a polynomial element")
-        acc = element.ring.zero()
-        for c in reversed(self.coefficients):
-            acc = reduce_mod(acc * element + c, gen)
-        return acc.is_zero
+        return _horner(self.coefficients, self.element, _generator(g)).is_zero
+
+
+def _horner(coefficients, x: Polynomial, gen: MonicGenerator) -> Polynomial:
+    # sum(coefficients[i] * x^i) modulo g by Horner's rule, reduced at every step.
+    acc = x.ring.zero()
+    for c in reversed(coefficients):
+        acc = reduce_mod(acc * x + c, gen)
+    return acc
 
 
 def integrality_witness_from_action(
@@ -336,10 +339,7 @@ def contraction_witness(
     residue = reduce_mod(f, gen)
     if residue.is_zero:
         raise ZeroCosetError("the element is a multiple of the generator")
-    ring = gen.ring
-    coeffs = characteristic_polynomial(
-        coset_action_matrix(residue, gen), zero=ring.zero(), one=ring.one()
-    )
+    coeffs = coset_integrality_witness(residue, gen).coefficients
     e = next(i for i, c in enumerate(coeffs) if not c.is_zero)
     if e == len(coeffs) - 1:
         raise DegenerateCharPolyError(
@@ -347,10 +347,8 @@ def contraction_witness(
         )
     stripped = coeffs[e:]
     constant = stripped[0]
-    # Horner's rule for w = -(b_1 + b_2 f + ... + b_m f^(m-1)) modulo g.
-    w = ring.zero()
-    for b in reversed(stripped[1:]):
-        w = reduce_mod(w * residue - b, gen)
+    # w = -(b_1 + b_2 f + ... + b_m f^(m-1)) modulo g.
+    w = -_horner(stripped[1:], residue, gen)
     if not reduce_mod(f * w - constant, gen).is_zero:
         raise DegenerateCharPolyError(
             "stripped relation does not hold, the coset is a zero divisor"

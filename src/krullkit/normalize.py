@@ -19,6 +19,7 @@ from .errors import (
     ExhaustedFieldError,
     FieldTooSmallError,
     NotHomogeneousError,
+    SelfCheckError,
     ZeroPolynomialError,
 )
 from .field import FieldElement, enumerate_nonzero
@@ -57,7 +58,7 @@ def nonvanishing_point(f: Polynomial) -> tuple[FieldElement, ...]:
                 ) from exc
             if not g.evaluate(prefix + (candidate,) + pad).is_zero:
                 return prefix + (candidate,)
-        raise RuntimeError("unreachable: d + 1 distinct candidates, at most d roots")
+        raise SelfCheckError("unreachable: d + 1 distinct candidates, at most d roots")
 
     return search(f, ring.nvars)
 
@@ -67,19 +68,15 @@ def nonvanishing_point_homogeneous(f: Polynomial) -> tuple[FieldElement, ...]:
 
     Homogeneity lets any non-vanishing point be rescaled by the inverse of
     its last coordinate without reaching zero, so the last coordinate can
-    always be normalized to 1.  For a single variable the point (1,) works
-    outright.
+    always be normalized to 1.
     """
     if f.is_zero:
         raise ZeroPolynomialError("the zero polynomial vanishes everywhere")
     if not f.is_homogeneous():
         raise NotHomogeneousError(f"{f} is not homogeneous")
-    spec = f.ring.field
-    if f.ring.nvars == 1:
-        return (spec.one(),)
     point = nonvanishing_point(f)
     factor = point[-1].inv()
-    return tuple(b * factor for b in point[:-1]) + (spec.one(),)
+    return tuple(b * factor for b in point[:-1]) + (f.ring.field.one(),)
 
 
 @dataclass(frozen=True)
@@ -160,5 +157,5 @@ def monicize(f: Polynomial) -> MonicizationResult:
     monic = scale.inv() * substitution.apply(f)
     top = monic.coefficients_in(n).get(degree)
     if monic.degree_in(n) != degree or top != ring.one():
-        raise RuntimeError("substitution failed to make the polynomial monic")
+        raise SelfCheckError("substitution failed to make the polynomial monic")
     return MonicizationResult(substitution, monic, degree)

@@ -152,6 +152,20 @@ def _numerators(terms: dict) -> tuple[int, list[tuple[tuple[int, ...], int]]]:
     return d, [(e, c.numerator * (d // c.denominator)) for e, c in terms.items()]
 
 
+def _power(cache: dict[int, "Polynomial"], e: int) -> "Polynomial":
+    # cache[e] for a cache of powers of cache[1], filled in on the way: a
+    # missing power is e-1 times the base for odd e and the square of e//2 for
+    # even e, so it takes O(log e) products and odd steps use the small base.
+    k, missing = e, []
+    while k not in cache:
+        missing.append(k)
+        k = k - 1 if k & 1 else k >> 1
+    for k in reversed(missing):
+        h = cache[k - 1] if k & 1 else cache[k >> 1]
+        cache[k] = h * cache[1] if k & 1 else h * h
+    return cache[e]
+
+
 def _graded(item: tuple[tuple[int, ...], object]) -> tuple:
     # Graded lex sort key of a term; sort with reverse=True for highest first.
     return (sum(item[0]), item[0])
@@ -268,19 +282,14 @@ class Polynomial:
     def __pow__(self, exponent: int) -> "Polynomial":
         if type(exponent) is not int or exponent < 0:
             raise ValueError(f"exponent must be a nonnegative int, got {exponent!r}")
-        result = self.ring.one()
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base if e > 1 else base
-            e >>= 1
-        return result
+        return _power({0: self.ring.one(), 1: self}, exponent)
 
     def __eq__(self, other) -> bool:
         if is_scalar(other):
-            other = self.ring.constant(other)
+            try:
+                other = self.ring.constant(other)
+            except ZeroDivisionError:  # a Fraction with no value in F_p
+                return False
         if not isinstance(other, Polynomial):
             return NotImplemented
         return self.ring == other.ring and self.terms == other.terms
@@ -340,9 +349,7 @@ class Polynomial:
             raise RingMismatchError(
                 f"cannot move coefficients from {self.ring.field} to {target.field}"
             )
-        # powers[j] caches images[j]^e by e.  A missing power comes from a
-        # cached one: e-1 times the image for odd e, the square of e//2 for
-        # even e, so the cost is logarithmic in the exponent value.
+        # powers[j] caches images[j]^e by e, shared by all terms.
         powers: list[dict[int, Polynomial]] = [{1: img} for img in images]
         one = (0,) * target.nvars
         # Term c * t^exps maps to the product of c, all its powers but the
@@ -353,16 +360,9 @@ class Polynomial:
                 for j, e in enumerate(exps):
                     if not e:
                         continue
-                    cache, k, missing = powers[j], e, []
-                    while k not in cache:
-                        missing.append(k)
-                        k = k - 1 if k & 1 else k >> 1
-                    for k in reversed(missing):
-                        h = cache[k - 1] if k & 1 else cache[k >> 1]
-                        cache[k] = h * cache[1] if k & 1 else h * h
                     if last is not None:
                         term = term * last
-                    last = cache[e]
+                    last = _power(powers[j], e)
                 yield term, target.one() if last is None else last
 
         return target.dot(pairs())

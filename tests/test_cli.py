@@ -11,6 +11,7 @@ import pytest
 
 from krullkit.cli import build_parser, main
 from krullkit.field import MAX_MODULUS
+from krullkit.integral import IntegralityWitness
 
 EXAMPLE = "t1^3 + 2*t1^2*t2 + 4*t2^3"
 
@@ -302,6 +303,13 @@ class TestErrorsAndExitCodes:
         code, _, err = run(capsys, "contract-witness", "--vars", "2", "t2", "t2^2")
         assert code == 1
         assert err.startswith("error: DegenerateCharPoly:")
+
+    def test_failed_self_check_exits_one(self, capsys, monkeypatch):
+        # A witness that fails its own check is a domain error, not a traceback.
+        monkeypatch.setattr(IntegralityWitness, "annihilates_modulo", lambda self, g: False)
+        assert run(capsys, "witness", "--vars", "2", "t1 + t2", "t2^2 - t1") == (
+            1, "", "error: SelfCheckFailed: integral dependence failed its annihilation check\n"
+        )
 
     def test_parse_error_exits_two(self, capsys):
         code, out, err = run(capsys, "member", "--vars", "2", "-k", "1", "t1 +")

@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from krullkit.errors import ExhaustedFieldError, FieldMismatchError
-from krullkit.field import MAX_MODULUS, FieldKind, FieldSpec, enumerate_nonzero
+from krullkit.field import MAX_MODULUS, FieldSpec, enumerate_nonzero
 
 Q = FieldSpec.rationals()
 F2 = FieldSpec.prime(2)
@@ -46,9 +46,25 @@ class TestFieldSpec:
         with pytest.raises(ValueError, match="must be below"):
             FieldSpec.prime(p)
 
-    def test_rationals_take_no_modulus(self):
+    def test_a_field_is_its_modulus(self):
+        assert FieldSpec() == Q
+        assert hash(FieldSpec()) == hash(Q) and str(FieldSpec()) == "Q"
+        assert FieldSpec(5) == F5
+        assert hash(FieldSpec(5)) == hash(F5) and str(FieldSpec(5)) == "F5"
+        assert FieldSpec(5) != Q and FieldSpec(5) != F7
+
+    # "Q" once built a field that printed Q but was unequal to the rationals.
+    @pytest.mark.parametrize("modulus", ["Q", True, 4, 0, 5.0])
+    def test_a_modulus_that_is_no_prime_int_is_refused(self, modulus):
+        with pytest.raises(ValueError) as info:
+            FieldSpec(modulus)
+        assert str(info.value) == f"modulus must be a prime, got {modulus!r}"
         with pytest.raises(ValueError):
-            FieldSpec(FieldKind.RATIONALS, 5)
+            FieldSpec.prime(modulus)
+
+    def test_prime_needs_a_modulus(self):
+        with pytest.raises(ValueError, match="got None"):
+            FieldSpec.prime(None)
 
 
 class TestRationalArithmetic:

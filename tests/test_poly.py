@@ -388,6 +388,15 @@ class TestScalarOperands:
         with pytest.raises(TypeError):
             other * f
 
+    def test_a_fraction_with_no_value_in_the_field_is_unequal(self):
+        # As FieldElement.__eq__ answers; + and * still raise.
+        assert (FR2.one() == Fraction(1, 5)) is False
+        assert FR2.one() == Fraction(6)
+        with pytest.raises(ZeroDivisionError):
+            FR2.one() + Fraction(1, 5)
+        with pytest.raises(ZeroDivisionError):
+            FR2.one() * Fraction(1, 5)
+
     def test_one_is_not_true(self):
         assert (QR2.one() == True) is False  # noqa: E712
         assert QR2.one() == 1
