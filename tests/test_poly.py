@@ -685,3 +685,68 @@ class TestDot:
         g = Polynomial(QR3, {(1, 0, 0): Fraction(5, big[2]), (0, 0, 0): Fraction(-7, 2)})
         k = Polynomial(QR3, {(0, 0, 1): Fraction(2, big[3])})
         self.check(QR3, [(f, g), (k, f), (g, k), (f, -g)])
+
+
+WIDE_NS = (1, 2, 3, 20, 200)
+
+
+@st.composite
+def wide_case(draw):
+    """A ring of 1 to 200 variables and two sparse polynomials in it."""
+    n = draw(st.sampled_from(WIDE_NS))
+    field = draw(st.sampled_from([Q, FieldSpec.prime(7), FieldSpec.prime(32003)]))
+    ring = RingSpec.default(field, n)
+    if field.modulus:
+        coeffs = st.integers(min_value=0, max_value=field.modulus - 1)
+    else:
+        coeffs = st.fractions(min_value=-9, max_value=9, max_denominator=6)
+    # At most three variables per term, each to at most the 4th power.
+    support = st.dictionaries(st.integers(0, n - 1), st.integers(1, 4), max_size=3)
+    exps = support.map(lambda d: tuple(d.get(i, 0) for i in range(n)))
+    poly = st.lists(st.tuples(exps, coeffs), max_size=4).map(lambda ts: Polynomial(ring, ts))
+    return ring, draw(poly), draw(poly)
+
+
+class TestWideRings:
+    """Every operation that reads exponent vectors, in rings of 1 to 200 variables."""
+
+    @given(case=wide_case(), data=st.data())
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_against_oracles_and_the_term_view(self, case, data):
+        ring, f, g = case
+        n, p = ring.nvars, ring.field.modulus
+        a, b = oracles.raw(f), oracles.raw(g)
+        assert oracles.raw(f * g) == oracles.naive_mul(a, b, p)
+        assert oracles.raw(f + g) == oracles.naive_add(a, b, p)
+        assert oracles.raw(f - g) == oracles.naive_add(a, oracles.naive_neg(b, p), p)
+        assert parse_polynomial(str(f), ring) == f
+        assert f.total_degree() == oracles.total_deg(a)
+        assert f.is_homogeneous() == oracles.is_homog(a)
+        assert [e for e, _ in f.sorted_terms()] == sorted(a, key=lambda e: (sum(e), e), reverse=True)
+        assert {e: c.value for e, c in f} == a
+        for e, c in a.items():
+            assert f.coefficient(e) == ring.field.element(c)
+
+        j = data.draw(st.integers(1, n), label="j")
+        assert f.degree_in(j) == max((e[j - 1] for e in a), default=None)
+        slices = f.coefficients_in(j)
+        expected = {}
+        for e, c in a.items():
+            expected.setdefault(e[j - 1], {})[e[: j - 1] + (0,) + e[j:]] = c
+        assert {k: oracles.raw(s) for k, s in slices.items()} == expected
+        assert Polynomial.from_coefficients_in(ring, j, slices) == f
+
+        k = data.draw(st.integers(0, n), label="k")
+        dependent, free = f.split_by_support(k)
+        assert oracles.raw(dependent) == {e: c for e, c in a.items() if any(e[:k])}
+        assert oracles.raw(free) == {e: c for e, c in a.items() if not any(e[:k])}
+        assert f.in_variable_ideal(k) == oracles.member_scan(a, k)
+
+        d = data.draw(st.integers(0, 12), label="d")
+        assert oracles.raw(f.homogeneous_component(d)) == {
+            e: c for e, c in a.items() if sum(e) == d
+        }
+        point = [(i % 5) - 2 if p else Fraction(i % 7 - 3, i % 3 + 1) for i in range(n)]
+        assert f.evaluate(point).value == oracles.naive_eval(a, point, p)
+        wider = RingSpec.default(ring.field, n + 2)
+        assert oracles.raw(embed(f, wider)) == {e + (0, 0): c for e, c in a.items()}
