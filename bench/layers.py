@@ -60,6 +60,9 @@ DENSE = {
 }
 # Scalar operands: a Q pair with small coprime parts, and residues mod 32003.
 SCALARS = {"Q": (Fraction(-7, 3), Fraction(5, 12)), "F32003": (12345, 6789)}
+# Tiny polynomials in a wide ring of n variables, like the wide deck's jobs.
+WIDE_1X1 = ("3/5*t1*t{n}", "-7/3*t2*t{n}")
+WIDE = "3*t{m}*t{n} + 2/3*t1^2*t{m} - t{n}^3*t2 + 5*t{n}"
 EVAL_ARGV = ["eval", "--vars", "2", "--at", "2,2", "t1^3 + 2*t1^2*t2 + 4*t2^3"]
 
 
@@ -113,6 +116,13 @@ def cases(smoke: bool) -> dict:
             "poly.mul", lambda a=big, b=other: a * b)
         out[f"{name} mul 6x6"] = ("poly.mul", lambda a=six, b=six2: a * b)
         out[f"{name} mul 1x1"] = ("poly.mul", lambda a=one, b=one2: a * b)
+        product = big * other
+        out[f"{name} str of the {len(product.terms)}-term product "
+            f"{POWER.format(e=e)} * {OTHER.format(e=e)}"] = ("poly.str", lambda f=product: str(f))
+        wide = RingSpec.default(field, n_wide)
+        one, one2 = (parse_polynomial(text.format(n=n_wide), wide) for text in WIDE_1X1)
+        out[f"{name} mul 1x1 in {n_wide} variables: {WIDE_1X1[0]} * {WIDE_1X1[1]}".format(
+            n=n_wide)] = ("poly.mul", lambda a=one, b=one2: a * b)
         out[f"{name} monicize {size}-term {POWER.format(e=e)}"] = (
             "normalize.monicize", lambda a=big: monicize(a))
         lead = big.leading_form()
@@ -179,6 +189,11 @@ def cases(smoke: bool) -> dict:
     ring = RingSpec.default(FieldSpec.rationals(), n_wide)
     out[f"Q verify_chain n={n_wide}, checks_per_level=2"] = (
         "chains.verify_chain", lambda: verify_chain(ring, checks_per_level=2))
+    f, k = parse_polynomial(WIDE.format(n=n_wide, m=n_wide // 2 + 1), ring), n_wide // 2
+    out[f"Q split_by_support k={k} of {WIDE}".format(n=n_wide, m=n_wide // 2 + 1)] = (
+        "poly.split_by_support", lambda f=f, k=k: f.split_by_support(k))
+    out[f"Q in_variable_ideal k={k} of {WIDE}".format(n=n_wide, m=n_wide // 2 + 1)] = (
+        "poly.in_variable_ideal", lambda f=f, k=k: f.in_variable_ideal(k))
 
     def cli_eval():
         with contextlib.redirect_stdout(io.StringIO()):

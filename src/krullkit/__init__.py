@@ -27,6 +27,7 @@ from .errors import (
     PreconditionViolatedError,
     RingMismatchError,
     SelfCheckError,
+    SizeLimitError,
     ZeroCosetError,
     ZeroPolynomialError,
 )
@@ -103,6 +104,7 @@ __all__ = [
     "RingMismatchError",
     "RingSpec",
     "SelfCheckError",
+    "SizeLimitError",
     "UnknownVariableError",
     "ZeroCosetError",
     "ZeroPolynomialError",

@@ -78,3 +78,10 @@ class SelfCheckError(KrullkitError, RuntimeError):
     """A computed result failed the check that certifies it."""
 
     identifier = "SelfCheckFailed"
+
+
+class SizeLimitError(KrullkitError):
+    """A result is over a size limit: a monomial's total degree over 2^63 - 1,
+    or a coefficient longer than Python prints (``sys.get_int_max_str_digits``)."""
+
+    identifier = "SizeLimit"

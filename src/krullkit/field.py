@@ -17,10 +17,11 @@ field branch is ``modulus``: ``None`` over the rationals, ``p`` over F_p, so
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ExhaustedFieldError, FieldMismatchError
+from .errors import ExhaustedFieldError, FieldMismatchError, SizeLimitError
 
 _FIELD_TEXT_RE = re.compile(r"(Q|F([1-9][0-9]*))\Z")
 
@@ -213,10 +214,20 @@ class FieldElement:
         return not self.is_zero
 
     def __str__(self) -> str:
-        return str(self.value)
+        return scalar_text(self.value)
 
     def __repr__(self) -> str:
         return f"FieldElement({self.spec}, {self.value})"
+
+
+def scalar_text(value: Fraction | int) -> str:
+    """``str(value)``, or SizeLimitError when a part has more digits than Python prints."""
+    try:
+        return str(value)
+    except ValueError:  # CPython's int-to-str digit limit
+        raise SizeLimitError(
+            f"a coefficient of more than {sys.get_int_max_str_digits()} digits cannot be printed"
+        ) from None
 
 
 def enumerate_nonzero(spec: FieldSpec, index: int) -> FieldElement:

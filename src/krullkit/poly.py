@@ -1,12 +1,18 @@
 """Sparse multivariate polynomials over an exact coefficient field.
 
-A :class:`Polynomial` is a dict from exponent vectors to nonzero raw
+A :class:`Polynomial` is a dict from packed monomial keys to nonzero raw
 scalars (a ``Fraction`` over Q, an ``int`` in 1..p-1 over F_p), tagged with
-its :class:`RingSpec`.  Arithmetic works on the raw scalars and builds its
-results with the unchecked :meth:`Polynomial._make`; scalars cross the API
-as :class:`FieldElement` values.  Every operation returns a new polynomial
-with zero coefficients dropped, so equal polynomials have equal term dicts.
-No other module reads or builds a term dict; ``terms`` is a view for tests.
+its :class:`RingSpec`.  A key is one int, ``[total degree | e1 | ... | en]``
+in 64-bit slots (see :class:`_Codec`), so a monomial product is one int add
+and graded lex order is int order.  Arithmetic works on the raw scalars and
+builds its results with the unchecked :meth:`Polynomial._make`; scalars
+cross the API as :class:`FieldElement` values.  Every operation returns a
+new polynomial with zero coefficients dropped, so equal polynomials have
+equal term dicts.  No other module reads or builds a term dict; ``terms``
+is a decoded view for tests.
+
+A monomial's total degree is at most :data:`MAX_DEGREE`, 2^63 - 1; a
+monomial over it raises :class:`SizeLimitError`.
 
 Degrees follow the convention that the zero polynomial has no degree:
 ``total_degree`` and ``degree_in`` return ``None`` for it and an ``int``
@@ -23,22 +29,84 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache, cached_property
 from math import lcm
-from operator import add
 from random import Random
+from struct import Struct
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .errors import RingMismatchError, ZeroPolynomialError
-from .field import FieldElement, FieldSpec, is_scalar
+from .errors import RingMismatchError, SizeLimitError, ZeroPolynomialError
+from .field import FieldElement, FieldSpec, is_scalar, scalar_text
 
 _VAR_NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9]*\Z")
 _new = object.__new__
+MAX_DEGREE = 2**63 - 1
+_SLOT = 2**64 - 1
 
 
 def check_range(name: str, value: int, lo: int, hi: int) -> None:
     """Raise ValueError unless value is an int (not a bool) with lo <= value <= hi."""
     if type(value) is not int or not lo <= value <= hi:
         raise ValueError(f"{name} must be in {lo}..{hi}, got {value}")
+
+
+def _check_degree(degree: int) -> None:
+    if degree > MAX_DEGREE:
+        raise SizeLimitError(f"a monomial's total degree is over {MAX_DEGREE}")
+
+
+class _Codec:
+    """Packed monomial keys in n variables: [total degree | e1 | ... | en].
+
+    Each part fills one 64-bit slot, with the degree on top and e1 the most
+    significant below it.  While total degrees stay at most MAX_DEGREE no
+    slot carries into the next, so the key of a product is the sum of the
+    keys, ``key >> top`` is the exact total degree (of a sum too, which is
+    how a product over the limit is caught), and graded lex order, highest
+    first, is ``sorted(keys, reverse=True)``.  The key of 1 is 0.
+    """
+
+    __slots__ = ("top", "shifts", "_struct")
+
+    def __init__(self, n: int) -> None:
+        self.top = 64 * n
+        # shifts[j - 1] is the offset of e_j's slot.
+        self.shifts = tuple(range(self.top - 64, -1, -64))
+        self._struct = Struct(f">{n + 1}Q")
+
+    def encode(self, exps: Sequence[int]) -> int:
+        """The key of n nonnegative ints (unchecked, but for the degree limit)."""
+        degree = sum(exps)
+        if not degree:
+            return 0
+        _check_degree(degree)
+        return int.from_bytes(self._struct.pack(degree, *exps), "big")
+
+    def checked(self, exps: tuple) -> int | None:
+        """The key of exps, or None unless it is n plain nonnegative ints (not bools)."""
+        if len(exps) != len(self.shifts) or any(type(e) is not int or e < 0 for e in exps):
+            return None
+        return self.encode(exps)
+
+    def decode(self, key: int) -> tuple[int, ...]:
+        return self._struct.unpack(key.to_bytes(self._struct.size, "big"))[1:]
+
+    def unit(self, j: int) -> int:
+        """The key of t_j."""
+        return 1 << self.top | 1 << self.shifts[j - 1]
+
+    def mask(self, k: int) -> int:
+        """The slots of e_1..e_k: ``key & mask(k)`` is nonzero iff one of t_1..t_k occurs."""
+        return (1 << 64 * k) - 1 << self.top - 64 * k
+
+    def __reduce__(self):
+        # A ring pickles with its cached codec, which a Struct cannot.
+        return _codec_for, (len(self.shifts),)
+
+
+@cache
+def _codec_for(n: int) -> _Codec:
+    return _Codec(n)
 
 
 @dataclass(frozen=True)
@@ -72,6 +140,11 @@ class RingSpec:
     def nvars(self) -> int:
         return len(self.variables)
 
+    @cached_property
+    def _codec(self) -> _Codec:
+        # Not a field: equality and hash see only the field and the names.
+        return _codec_for(len(self.variables))
+
     def index_of(self, name: str) -> int:
         """1-based index of a variable name; raises KeyError if unknown."""
         try:
@@ -91,17 +164,20 @@ class RingSpec:
         return self.constant(1)
 
     def constant(self, value) -> "Polynomial":
-        return self.monomial((0,) * self.nvars, self.field.scalar(value))
+        c = self.field.scalar(value)
+        return Polynomial._make(self, {0: c} if c else {})
 
     def gen(self, j: int) -> "Polynomial":
         """The variable t_j as a polynomial (j is 1-based)."""
         check_range("variable index", j, 1, self.nvars)
-        exps = (0,) * (j - 1) + (1,) + (0,) * (self.nvars - j)
-        return self.monomial(exps, self.field.scalar(1))
+        return Polynomial._make(self, {self._codec.unit(j): self.field.scalar(1)})
 
     def monomial(self, exps: tuple[int, ...], c: Fraction | int) -> "Polynomial":
-        """The term c * t^exps for a raw scalar c (as FieldSpec.scalar gives); unchecked."""
-        return Polynomial._make(self, {exps: c} if c else {})
+        """The term c * t^exps for a raw scalar c (as FieldSpec.scalar gives).
+
+        Unchecked, but for the degree limit: SizeLimitError over MAX_DEGREE.
+        """
+        return Polynomial._make(self, {self._codec.encode(exps): c} if c else {})
 
     def gens(self) -> tuple["Polynomial", ...]:
         return tuple(self.gen(j) for j in range(1, self.nvars + 1))
@@ -115,15 +191,15 @@ class RingSpec:
         The pairs are read once, in order, so they may come from a generator.
         """
         p = self.field.modulus
-        acc: dict[tuple[int, ...], int] = {}
+        acc: dict[int, int] = {}
         get = acc.get
         d = 1
         for x, y in pairs:
             if p:
-                left, right = x.terms.items(), list(y.terms.items())
+                left, right = x._keys.items(), list(y._keys.items())
             else:
-                d1, left = _numerators(x.terms)
-                d2, right = _numerators(y.terms)
+                d1, left = _numerators(x._keys)
+                d2, right = _numerators(y._keys)
                 pair_d = d1 * d2
                 if not acc:  # acc holds numerators over d; it is empty, so d is free
                     d = pair_d
@@ -134,10 +210,12 @@ class RingSpec:
                     d *= scale
                 if pair_d != d:
                     left = [(e, c * (d // pair_d)) for e, c in left]
-            for e1, c1 in left:
-                for e2, c2 in right:
-                    key = tuple(map(add, e1, e2))
+            for k1, c1 in left:
+                for k2, c2 in right:
+                    key = k1 + k2
                     acc[key] = get(key, 0) + c1 * c2
+        if acc:  # the top slot holds the exact degree of the largest product
+            _check_degree(max(acc) >> self._codec.top)
         if p:
             return Polynomial._make(self, {e: r for e, c in acc.items() if (r := c % p)})
         return Polynomial._make(self, {e: Fraction(c, d) for e, c in acc.items() if c})
@@ -146,10 +224,10 @@ class RingSpec:
         return f"{self.field}[{','.join(self.variables)}]"
 
 
-def _numerators(terms: dict) -> tuple[int, list[tuple[tuple[int, ...], int]]]:
-    # (D, [(exps, c * D)]) for Fraction terms, D the lcm of their denominators.
+def _numerators(terms: dict) -> tuple[int, list[tuple[int, int]]]:
+    # (D, [(key, c * D)]) for Fraction terms, D the lcm of their denominators.
     d = lcm(*[c.denominator for c in terms.values()])
-    return d, [(e, c.numerator * (d // c.denominator)) for e, c in terms.items()]
+    return d, [(k, c.numerator * (d // c.denominator)) for k, c in terms.items()]
 
 
 def _power(cache: dict[int, "Polynomial"], e: int) -> "Polynomial":
@@ -166,20 +244,15 @@ def _power(cache: dict[int, "Polynomial"], e: int) -> "Polynomial":
     return cache[e]
 
 
-def _graded(item: tuple[tuple[int, ...], object]) -> tuple:
-    # Graded lex sort key of a term; sort with reverse=True for highest first.
-    return (sum(item[0]), item[0])
-
-
 class Polynomial:
     """A sparse polynomial; ``terms`` maps exponent tuples to raw scalars.
 
     The constructor validates exponents (plain nonnegative ints, so not
-    bools), coerces ints, Fractions and FieldElements to raw scalars, and
-    merges duplicate keys.
+    bools, of total degree at most MAX_DEGREE), coerces ints, Fractions and
+    FieldElements to raw scalars, and merges duplicate keys.
     """
 
-    __slots__ = ("ring", "terms")
+    __slots__ = ("ring", "_keys")
 
     def __init__(
         self,
@@ -187,34 +260,44 @@ class Polynomial:
         terms: Mapping[tuple[int, ...], object] | Sequence[tuple[tuple[int, ...], object]] = (),
     ) -> None:
         self.ring = ring
-        n = ring.nvars
+        checked = ring._codec.checked
         scalar = ring.field.scalar
-        acc: dict[tuple[int, ...], Fraction | int] = {}
+        acc: dict[int, Fraction | int] = {}
         items = terms.items() if isinstance(terms, Mapping) else terms
         for exps, coeff in items:
             exps = tuple(exps)
-            if len(exps) != n or any(type(e) is not int or e < 0 for e in exps):
+            key = checked(exps)
+            if key is None:
                 raise ValueError(f"bad exponent vector {exps!r} for {ring}")
-            acc[exps] = scalar(acc.get(exps, 0) + scalar(coeff))
-        self.terms = {e: c for e, c in acc.items() if c}
+            acc[key] = scalar(acc.get(key, 0) + scalar(coeff))
+        self._keys = {k: c for k, c in acc.items() if c}
 
     @staticmethod
-    def _make(ring: RingSpec, terms: dict) -> "Polynomial":
-        """Wrap a term dict that is already canonical, without checking it."""
+    def _make(ring: RingSpec, keys: dict) -> "Polynomial":
+        """Wrap a dict of packed keys that is already canonical, without checking it."""
         f = _new(Polynomial)
         f.ring = ring
-        f.terms = terms
+        f._keys = keys
         return f
 
     @property
+    def terms(self) -> dict[tuple[int, ...], Fraction | int]:
+        """A new dict from exponent tuples to raw scalars, decoded on each read."""
+        decode = self.ring._codec.decode
+        return {decode(k): c for k, c in self._keys.items()}
+
+    @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._keys
 
     def coefficient(self, exps: Sequence[int]) -> FieldElement:
-        return self.ring.field.element(self.terms.get(tuple(exps), 0))
+        key = self.ring._codec.checked(tuple(exps))
+        return self.ring.field.element(self._keys.get(key, 0))
 
     def _sorted_raw(self) -> list[tuple[tuple[int, ...], Fraction | int]]:
-        return sorted(self.terms.items(), key=_graded, reverse=True)
+        # (exps, raw scalar) in graded lex order, highest first.
+        decode, keys = self.ring._codec.decode, self._keys
+        return [(decode(k), keys[k]) for k in sorted(keys, reverse=True)]
 
     def sorted_terms(self) -> list[tuple[tuple[int, ...], FieldElement]]:
         """Terms in canonical order (graded lex, highest first)."""
@@ -233,16 +316,16 @@ class Polynomial:
     def _plus(self, *others: "Polynomial") -> "Polynomial":
         # Add polynomials of the same ring, in one pass.
         p = self.ring.field.modulus
-        acc = dict(self.terms)
+        acc = dict(self._keys)
         for other in others:
-            for exps, c in other.terms.items():
-                prev = acc.get(exps)
+            for key, c in other._keys.items():
+                prev = acc.get(key)
                 if prev is not None:
                     c = (prev + c) % p if p else prev + c
                     if not c:
-                        del acc[exps]
+                        del acc[key]
                         continue
-                acc[exps] = c
+                acc[key] = c
         return Polynomial._make(self.ring, acc)
 
     def __add__(self, other):
@@ -276,7 +359,7 @@ class Polynomial:
     def __neg__(self) -> "Polynomial":
         p = self.ring.field.modulus
         return Polynomial._make(
-            self.ring, {e: p - c if p else -c for e, c in self.terms.items()}
+            self.ring, {k: p - c if p else -c for k, c in self._keys.items()}
         )
 
     def __pow__(self, exponent: int) -> "Polynomial":
@@ -292,7 +375,7 @@ class Polynomial:
                 return False
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self.ring == other.ring and self.terms == other.terms
+        return self.ring == other.ring and self._keys == other._keys
 
     __hash__ = None
 
@@ -303,14 +386,15 @@ class Polynomial:
         """Total degree, or None for the zero polynomial (degree undefined)."""
         if self.is_zero:
             return None
-        return max(sum(e) for e in self.terms)
+        return max(self._keys) >> self.ring._codec.top
 
     def degree_in(self, j: int) -> int | None:
         """Degree in variable j (1-based), or None for the zero polynomial."""
         check_range("variable index", j, 1, self.ring.nvars)
         if self.is_zero:
             return None
-        return max(e[j - 1] for e in self.terms)
+        shift = self.ring._codec.shifts[j - 1]
+        return max(k >> shift & _SLOT for k in self._keys)
 
     def evaluate(self, point: Sequence) -> FieldElement:
         """Evaluate at a point, one scalar per variable."""
@@ -321,9 +405,10 @@ class Polynomial:
         spec = self.ring.field
         p = spec.modulus
         values = [spec.scalar(v) for v in point]
+        decode = self.ring._codec.decode
         total = 0
-        for exps, c in self.terms.items():
-            for v, e in zip(values, exps):
+        for key, c in self._keys.items():
+            for v, e in zip(values, decode(key)):
                 if e:
                     c = c * pow(v, e, p) % p if p else c * v**e
             total += c
@@ -351,13 +436,13 @@ class Polynomial:
             )
         # powers[j] caches images[j]^e by e, shared by all terms.
         powers: list[dict[int, Polynomial]] = [{1: img} for img in images]
-        one = (0,) * target.nvars
+        decode = self.ring._codec.decode
         # Term c * t^exps maps to the product of c, all its powers but the
         # last, and the last power; dot sums those pairs as they come.
         def pairs():
-            for exps, c in self.terms.items():
-                term, last = target.monomial(one, c), None
-                for j, e in enumerate(exps):
+            for key, c in self._keys.items():
+                term, last = target.constant(c), None
+                for j, e in enumerate(decode(key)):
                     if not e:
                         continue
                     if last is not None:
@@ -371,8 +456,9 @@ class Polynomial:
         """The sum of the terms of exactly the given total degree."""
         if degree < 0:
             raise ValueError(f"degree must be nonnegative, got {degree}")
+        top = self.ring._codec.top
         return Polynomial._make(
-            self.ring, {e: c for e, c in self.terms.items() if sum(e) == degree}
+            self.ring, {k: c for k, c in self._keys.items() if k >> top == degree}
         )
 
     def leading_form(self) -> "Polynomial":
@@ -384,8 +470,8 @@ class Polynomial:
 
     def is_homogeneous(self) -> bool:
         """True when all terms share one total degree; the zero polynomial counts."""
-        degrees = {sum(e) for e in self.terms}
-        return len(degrees) <= 1
+        top = self.ring._codec.top
+        return len({k >> top for k in self._keys}) <= 1
 
     def split_by_support(self, k: int) -> tuple["Polynomial", "Polynomial"]:
         """Split into (dependent, free) parts relative to the first k variables.
@@ -396,19 +482,21 @@ class Polynomial:
         everything free.
         """
         check_range("k", k, 0, self.ring.nvars)
+        mask = self.ring._codec.mask(k)
         dependent = {}
         free = {}
-        for exps, c in self.terms.items():
-            if any(exps[:k]):
-                dependent[exps] = c
+        for key, c in self._keys.items():
+            if key & mask:
+                dependent[key] = c
             else:
-                free[exps] = c
+                free[key] = c
         return Polynomial._make(self.ring, dependent), Polynomial._make(self.ring, free)
 
     def in_variable_ideal(self, k: int) -> bool:
         """Whether every term touches one of variables 1..k (the split's free part is 0)."""
         check_range("k", k, 0, self.ring.nvars)
-        return all(any(exps[:k]) for exps in self.terms)
+        mask = self.ring._codec.mask(k)
+        return all(key & mask for key in self._keys)
 
     def coefficients_in(self, j: int) -> dict[int, "Polynomial"]:
         """Coefficients of the powers of variable j (1-based).
@@ -417,12 +505,12 @@ class Polynomial:
         t_j^e, which lives in the same ring but is free of variable j.
         """
         check_range("variable index", j, 1, self.ring.nvars)
-        buckets: dict[int, dict[tuple[int, ...], Fraction | int]] = {}
-        i = j - 1
-        for exps, c in self.terms.items():
-            e = exps[i]
-            stripped = exps[:i] + (0,) + exps[i + 1 :]
-            buckets.setdefault(e, {})[stripped] = c
+        codec = self.ring._codec
+        shift, unit = codec.shifts[j - 1], codec.unit(j)
+        buckets: dict[int, dict[int, Fraction | int]] = {}
+        for key, c in self._keys.items():
+            e = key >> shift & _SLOT
+            buckets.setdefault(e, {})[key - e * unit] = c
         return {e: Polynomial._make(self.ring, terms) for e, terms in buckets.items()}
 
     @classmethod
@@ -432,13 +520,9 @@ class Polynomial:
         Unchecked: every slice lies in ``ring`` and is free of variable j.
         """
         check_range("variable index", j, 1, ring.nvars)
-        i = j - 1
-        terms = {
-            exps[:i] + (e,) + exps[i + 1 :]: c
-            for e, s in slices.items()
-            for exps, c in s.terms.items()
-        }
-        return cls._make(ring, terms)
+        unit = ring._codec.unit(j)
+        keys = {key + e * unit: c for e, s in slices.items() for key, c in s._keys.items()}
+        return cls._make(ring, keys)
 
     def __iter__(self) -> Iterator[tuple[tuple[int, ...], FieldElement]]:
         return iter(self.sorted_terms())
@@ -457,11 +541,11 @@ class Polynomial:
                 if e
             ]
             if not factors:
-                body = str(magnitude)
+                body = scalar_text(magnitude)
             elif magnitude == 1:
                 body = "*".join(factors)
             else:
-                body = "*".join([str(magnitude), *factors])
+                body = "*".join([scalar_text(magnitude), *factors])
             if idx == 0:
                 pieces.append(f"-{body}" if negative else body)
             else:
@@ -481,8 +565,9 @@ def embed(f: Polynomial, target: RingSpec) -> Polynomial:
         or target.variables[:n] != f.ring.variables
     ):
         raise RingMismatchError(f"{target} does not extend {f.ring}")
-    pad = (0,) * (target.nvars - n)
-    return Polynomial._make(target, {exps + pad: c for exps, c in f.terms.items()})
+    # The appended variables take the low slots; every part moves up by them.
+    shift = target._codec.top - f.ring._codec.top
+    return Polynomial._make(target, {k << shift: c for k, c in f._keys.items()})
 
 
 def _random_raw(rng: Random, field: FieldSpec) -> Fraction | int:
@@ -507,18 +592,21 @@ def random_polynomial(
 ) -> Polynomial:
     """A random sparse polynomial with small coefficients, for test sampling."""
     n = ring.nvars
+    top, shifts = ring._codec.top, ring._codec.shifts
     field = ring.field
     p = field.modulus
     while True:
         # Duplicate exponent vectors merge as in Polynomial.__init__.
-        acc: dict[tuple[int, ...], Fraction | int] = {}
+        acc: dict[int, Fraction | int] = {}
         for _ in range(rng.randint(0, max_terms)):
-            exps = [0] * n
-            for _ in range(rng.randint(0, max_degree)):
-                exps[rng.randrange(n)] += 1
-            key = tuple(exps)
-            c = acc.get(key, 0) + _random_raw(rng, field)
-            acc[key] = c % p if p else c
-        f = Polynomial._make(ring, {e: c for e, c in acc.items() if c})
+            degree = rng.randint(0, max_degree)
+            key = degree << top
+            for _ in range(degree):  # one unit in the slot of a random variable
+                key += 1 << shifts[rng.randrange(n)]
+            c = _random_raw(rng, field)
+            if key in acc:
+                c = (acc[key] + c) % p if p else acc[key] + c
+            acc[key] = c
+        f = Polynomial._make(ring, {k: c for k, c in acc.items() if c})
         if not (nonzero and f.is_zero):
             return f

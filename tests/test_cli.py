@@ -311,6 +311,20 @@ class TestErrorsAndExitCodes:
             1, "", "error: SelfCheckFailed: integral dependence failed its annihilation check\n"
         )
 
+    @pytest.mark.parametrize("argv, message", [
+        (["eval", "--vars", "1", "--at", "2", "t1^20000"],
+         "a coefficient of more than 4300 digits cannot be printed"),
+        (["power-reduce", "--relation=2", "-i", "20000"],
+         "a coefficient of more than 4300 digits cannot be printed"),
+        (["degree", "--vars", "1", "((t1^2147483647)^2147483647)^2147483647"],
+         "a monomial's total degree is over 9223372036854775807"),
+    ], ids=["eval", "power-reduce", "degree"])
+    def test_size_limit_exits_one(self, capsys, argv, message):
+        # A valid input whose answer is too large: the result is computed,
+        # then refused with one typed line, not CPython's text as bad input.
+        assert run(capsys, *argv) == (1, "", f"error: SizeLimit: {message}\n")
+        assert run(capsys, *argv, "--json") == (1, "", f"error: SizeLimit: {message}\n")
+
     def test_parse_error_exits_two(self, capsys):
         code, out, err = run(capsys, "member", "--vars", "2", "-k", "1", "t1 +")
         assert code == 2
@@ -889,7 +903,7 @@ class TestEntryPoints:
                 continue
             for node in ast.walk(ast.parse(path.read_text(), str(path))):
                 if isinstance(node, ast.Attribute):
-                    assert node.attr not in ("terms", "_make"), (path.name, node.lineno)
+                    assert node.attr not in ("terms", "_keys", "_make"), (path.name, node.lineno)
 
     def test_only_field_knows_the_field_kind(self):
         # Which field a scalar lives in is field.py's decision; other modules

@@ -1,5 +1,7 @@
 """Polynomial arithmetic, degrees, splitting, substitution, canonical text."""
 
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -8,7 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from krullkit.errors import FieldMismatchError, RingMismatchError, ZeroPolynomialError
+from krullkit.errors import (
+    FieldMismatchError,
+    KrullkitError,
+    RingMismatchError,
+    SizeLimitError,
+    ZeroPolynomialError,
+)
 from krullkit.field import FieldElement, FieldSpec
 from krullkit.parse import parse_polynomial
 from krullkit.poly import Polynomial, RingSpec, embed, random_polynomial, random_scalar
@@ -65,6 +73,13 @@ class TestConstruction:
             RingSpec(Q, ("1t",))
         with pytest.raises(ValueError):
             RingSpec(Q, ("t 1",))
+
+    def test_pickle_round_trip(self):
+        # A ring caches its monomial codec; both still pickle and copy.
+        f = P("3*t1^2*t2 - 1/2", QR2)
+        assert str(pickle.loads(pickle.dumps(f))) == str(f)
+        assert pickle.loads(pickle.dumps(f)) == f == copy.deepcopy(f)
+        assert pickle.loads(pickle.dumps(QR2)) == QR2
 
     def test_default_names(self):
         assert RingSpec.default(Q, 3).variables == ("t1", "t2", "t3")
@@ -750,3 +765,77 @@ class TestWideRings:
         assert f.evaluate(point).value == oracles.naive_eval(a, point, p)
         wider = RingSpec.default(ring.field, n + 2)
         assert oracles.raw(embed(f, wider)) == {e + (0, 0): c for e, c in a.items()}
+
+
+LIMIT = 2**63 - 1
+
+
+class TestDegreeLimit:
+    """A monomial's total degree is at most 2^63 - 1; over it is a SizeLimitError."""
+
+    @pytest.mark.parametrize("n", [1, 2, 200])
+    def test_construction_at_the_boundary(self, n):
+        ring = RingSpec.default(Q, n)
+        top = (0,) * (n - 1) + (LIMIT,)
+        f = Polynomial(ring, {top: 3})
+        assert f.total_degree() == LIMIT and f.degree_in(n) == LIMIT
+        assert f.terms == {top: 3}
+        assert ring.monomial(top, Fraction(3)) == f
+        assert str(f) == f"3*t{n}^{LIMIT}"
+        over = (0,) * (n - 1) + (LIMIT + 1,)
+        with pytest.raises(SizeLimitError):
+            Polynomial(ring, {over: 1})
+        with pytest.raises(SizeLimitError):
+            ring.monomial(over, Fraction(1))
+
+    def test_the_limit_is_on_the_total_degree(self):
+        halves = (2**62, 2**62)
+        assert Polynomial(QR2, {(2**62, 2**62 - 1): 1}).total_degree() == LIMIT
+        with pytest.raises(SizeLimitError):
+            Polynomial(QR2, {halves: 1})
+        with pytest.raises(SizeLimitError):
+            QR2.monomial(halves, Fraction(1))
+        with pytest.raises(SizeLimitError):
+            Polynomial(QR2, {(10**5000, 0): 1})
+
+    @pytest.mark.parametrize("ring", [QR2, RingSpec.default(F5, 200)], ids=str)
+    def test_products_at_the_boundary(self, ring):
+        t1, t2 = ring.gen(1), ring.gen(2)
+        big = ring.monomial((2**62,) + (0,) * (ring.nvars - 1), ring.field.scalar(2))
+        low = ring.monomial((2**62 - 1,) + (0,) * (ring.nvars - 1), ring.field.scalar(3))
+        product = big * low
+        assert product.total_degree() == LIMIT
+        assert product.terms == {(LIMIT,) + (0,) * (ring.nvars - 1): ring.field.scalar(6)}
+        assert (product * 1).total_degree() == LIMIT
+        with pytest.raises(SizeLimitError):
+            big * big
+        with pytest.raises(SizeLimitError):
+            product * t2
+        with pytest.raises(SizeLimitError):
+            (product + t1) * (t2 + 1)
+        with pytest.raises(SizeLimitError):
+            ring.dot([(t1, t2), (product, t1)])
+
+    def test_powers_at_the_boundary(self):
+        t1, t2 = QR2.gens()
+        assert (t1**7) ** (LIMIT // 7) == QR2.monomial((LIMIT, 0), Fraction(1))
+        assert (t1**2147483647) ** 2147483647 == QR2.monomial((2147483647**2, 0), Fraction(1))
+        with pytest.raises(SizeLimitError):
+            (t1**7) ** (LIMIT // 7 + 1)
+        with pytest.raises(SizeLimitError):
+            (t1 * t2) ** 2**62
+        with pytest.raises(SizeLimitError):
+            ((t1**2147483647) ** 2147483647) ** 2147483647
+
+    def test_size_limit_is_a_domain_error_not_a_value_error(self):
+        assert issubclass(SizeLimitError, KrullkitError)
+        assert not issubclass(SizeLimitError, ValueError)
+        assert SizeLimitError.identifier == "SizeLimit"
+
+    def test_a_coefficient_too_long_to_print(self):
+        f = QR2.constant(10**5000) * QR2.gen(1)
+        with pytest.raises(SizeLimitError):
+            str(f)
+        with pytest.raises(SizeLimitError):
+            str(f.evaluate([1, 1]))
+        assert f.total_degree() == 1
