@@ -50,9 +50,8 @@ def check_range(name: str, value: int, lo: int, hi: int) -> None:
         raise ValueError(f"{name} must be in {lo}..{hi}, got {value}")
 
 
-def _check_degree(degree: int) -> None:
-    if degree > MAX_DEGREE:
-        raise SizeLimitError(f"a monomial's total degree is over {MAX_DEGREE}")
+def _over_the_degree_limit() -> SizeLimitError:
+    return SizeLimitError(f"a monomial's total degree is over {MAX_DEGREE}")
 
 
 class _Codec:
@@ -66,21 +65,24 @@ class _Codec:
     first, is ``sorted(keys, reverse=True)``.  The key of 1 is 0.
     """
 
-    __slots__ = ("top", "shifts", "_struct")
+    __slots__ = ("top", "over", "shifts", "_pack", "_unpack", "_size")
 
     def __init__(self, n: int) -> None:
         self.top = 64 * n
+        self.over = MAX_DEGREE + 1 << self.top  # the least key over the limit
         # shifts[j - 1] is the offset of e_j's slot.
         self.shifts = tuple(range(self.top - 64, -1, -64))
-        self._struct = Struct(f">{n + 1}Q")
+        layout = Struct(f">{n + 1}Q")
+        self._pack, self._unpack, self._size = layout.pack, layout.unpack, layout.size
 
     def encode(self, exps: Sequence[int]) -> int:
         """The key of n nonnegative ints (unchecked, but for the degree limit)."""
         degree = sum(exps)
         if not degree:
             return 0
-        _check_degree(degree)
-        return int.from_bytes(self._struct.pack(degree, *exps), "big")
+        if degree > MAX_DEGREE:
+            raise _over_the_degree_limit()
+        return int.from_bytes(self._pack(degree, *exps), "big")
 
     def checked(self, exps: tuple) -> int | None:
         """The key of exps, or None unless it is n plain nonnegative ints (not bools)."""
@@ -89,7 +91,7 @@ class _Codec:
         return self.encode(exps)
 
     def decode(self, key: int) -> tuple[int, ...]:
-        return self._struct.unpack(key.to_bytes(self._struct.size, "big"))[1:]
+        return self._unpack(key.to_bytes(self._size, "big"))[1:]
 
     def unit(self, j: int) -> int:
         """The key of t_j."""
@@ -214,8 +216,8 @@ class RingSpec:
                 for k2, c2 in right:
                     key = k1 + k2
                     acc[key] = get(key, 0) + c1 * c2
-        if acc:  # the top slot holds the exact degree of the largest product
-            _check_degree(max(acc) >> self._codec.top)
+        if acc and max(acc) >= self._codec.over:  # the top slot is the exact degree
+            raise _over_the_degree_limit()
         if p:
             return Polynomial._make(self, {e: r for e, c in acc.items() if (r := c % p)})
         return Polynomial._make(self, {e: Fraction(c, d) for e, c in acc.items() if c})
