@@ -102,7 +102,7 @@ class _Codec:
         return (1 << 64 * k) - 1 << self.top - 64 * k
 
     def __reduce__(self):
-        # A ring pickles with its cached codec, which a Struct cannot.
+        # A ring pickles with its cached codec, whose Struct methods do not.
         return _codec_for, (len(self.shifts),)
 
 
