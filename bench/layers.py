@@ -186,6 +186,8 @@ def cases(smoke: bool) -> dict:
     f, g = (parse_polynomial(text, ring2) for text in SPARSE)
     out[f"Q contraction_witness of the sparse coset {SPARSE[0]} modulo {SPARSE[1]}"] = (
         "integral.contraction_witness", lambda f=f, g=g: contraction_witness(f, g))
+    out[f"Q RingSpec.default(Q, {n_wide})"] = (
+        "poly.ring", lambda: RingSpec.default(FieldSpec.rationals(), n_wide))
     ring = RingSpec.default(FieldSpec.rationals(), n_wide)
     out[f"Q verify_chain n={n_wide}, checks_per_level=2"] = (
         "chains.verify_chain", lambda: verify_chain(ring, checks_per_level=2))

@@ -30,7 +30,7 @@ from .integral import (
     principal_member,
 )
 from .normalize import monicize, nonvanishing_point, nonvanishing_point_homogeneous
-from .parse import ParseError, parse_polynomial
+from .parse import parse_polynomial
 from .poly import RingSpec
 
 
@@ -119,12 +119,12 @@ def _cmd_minpow(args, ring, f):
 
 def _cmd_chain_verify(args, ring):
     report = verify_chain(ring, checks_per_level=args.checks, seed=args.seed)
-    lines = [
-        f"ring: {report.ring}",
-        f"accepted: {_value_text(report.accepted)}",
-        f"proper: {_value_text(report.proper)}",
-        f"zero ideal checks passed: {report.zero_ideal_checks_passed}",
-    ]
+    lines = [_text({
+        "ring": report.ring,
+        "accepted": report.accepted,
+        "proper": report.proper,
+        "zero ideal checks passed": report.zero_ideal_checks_passed,
+    })]
     for level in report.levels:
         lines.append(
             f"level {level.level}: witness {level.witness} "
@@ -283,17 +283,14 @@ def main(argv=None) -> int:
         # A handler returns its doc, or (text, doc) when its text is not _text(doc).
         doc = args.func(args, ring, *polys)
         text, doc = doc if isinstance(doc, tuple) else (_text(doc), doc)
-    except ParseError as exc:
+    except KrullkitError as exc:
         print(f"error: {exc.identifier}: {exc}", file=sys.stderr)
-        return 2
+        return exc.exit_code
     except ValueError as exc:
         print(f"error: InvalidArgument: {exc}", file=sys.stderr)
         return 2
     except ZeroDivisionError as exc:
         print(f"error: DivisionByZero: {exc}", file=sys.stderr)
-        return 1
-    except KrullkitError as exc:
-        print(f"error: {exc.identifier}: {exc}", file=sys.stderr)
         return 1
     try:
         print(json.dumps(doc, indent=2) if args.json else text)

@@ -2,7 +2,8 @@
 
 Every domain error carries a stable ``identifier`` string, which the command
 line interface uses when printing errors, so scripted callers can match on it
-without depending on Python class names.
+without depending on Python class names, and the ``exit_code`` the command
+line exits with: 1, or 2 for the parse errors.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ class KrullkitError(Exception):
     """Base class for all domain errors raised by this package."""
 
     identifier = "Error"
+    exit_code = 1
 
 
 class FieldMismatchError(KrullkitError):

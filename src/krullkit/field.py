@@ -9,7 +9,8 @@ floating point anywhere.
 
 This module owns the scalar rules.  :func:`is_scalar` is the one test of
 what counts as a scalar (an ``int`` that is not a ``bool``, a ``Fraction``,
-or a ``FieldElement``), and :meth:`FieldSpec.element` the one coercion.  The
+or a ``FieldElement``), :func:`check_count` the one test of a count or a
+power, and :meth:`FieldSpec.element` the one coercion.  The
 field branch is ``modulus``: ``None`` over the rationals, ``p`` over F_p, so
 ``pow(value, e, modulus)`` is a power in either field.
 """
@@ -136,6 +137,12 @@ class FieldSpec:
         return self.element(1)
 
 
+def check_count(name: str, value) -> None:
+    """Raise ValueError unless value is an int (not a bool) that is at least 0."""
+    if type(value) is not int or value < 0:
+        raise ValueError(f"{name} must be a nonnegative int, got {value!r}")
+
+
 def is_scalar(value) -> bool:
     """Whether value is an int that is not a bool, a Fraction, or a FieldElement."""
     return isinstance(value, (int, Fraction, FieldElement)) and not isinstance(value, bool)
@@ -187,8 +194,7 @@ class FieldElement:
         return self.spec.element(-self.value)
 
     def __pow__(self, exponent: int) -> "FieldElement":
-        if type(exponent) is not int or exponent < 0:
-            raise ValueError(f"exponent must be a nonnegative int, got {exponent!r}")
+        check_count("exponent", exponent)
         return FieldElement(self.spec, pow(self.value, exponent, self.spec.modulus))
 
     def inv(self) -> "FieldElement":
@@ -236,8 +242,7 @@ def enumerate_nonzero(spec: FieldSpec, index: int) -> FieldElement:
     Over the rationals the stream is 1, 2, 3, ...; over F_p it is 1, ..., p-1
     and asking for index >= p-1 raises :class:`ExhaustedFieldError`.
     """
-    if type(index) is not int or index < 0:
-        raise ValueError(f"index must be a nonnegative int, got {index!r}")
+    check_count("index", index)
     if spec.modulus is not None and index >= spec.modulus - 1:
         raise ExhaustedFieldError(
             f"{spec} has only {spec.modulus - 1} nonzero elements, index {index} is out of range"

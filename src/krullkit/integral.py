@@ -22,6 +22,7 @@ from .errors import (
     RingMismatchError,
     ZeroCosetError,
 )
+from .field import check_count
 from .poly import Polynomial, RingSpec
 
 
@@ -37,12 +38,12 @@ class MonicGenerator:
     def __init__(self, polynomial: Polynomial) -> None:
         ring = polynomial.ring
         n = ring.nvars
-        d = polynomial.degree_in(n)
-        if d is None or d < 1:
+        slices = polynomial.coefficients_in(n)
+        d = max(slices, default=0)
+        if d < 1:
             raise NotMonicError(
                 f"generator must have positive degree in {ring.variables[-1]}"
             )
-        slices = polynomial.coefficients_in(n)
         if slices[d] != ring.one():
             raise NotMonicError(
                 f"leading coefficient in {ring.variables[-1]} is "
@@ -306,8 +307,7 @@ def power_reduce(
     O(d^2 log i) ring operations: multiplying by a is the shift step
     ``_times_root``, and squaring sums r_j a^j r by Horner's rule in it.
     """
-    if type(i) is not int or i < 0:
-        raise ValueError(f"power must be a nonnegative int, got {i!r}")
+    check_count("power", i)
     c = relation.coefficients
     d = len(c)
     r = [one] + [zero] * (d - 1)

@@ -68,10 +68,9 @@ def nonvanishing_point_homogeneous(f: Polynomial) -> tuple[FieldElement, ...]:
 
     Homogeneity lets any non-vanishing point be rescaled by the inverse of
     its last coordinate without reaching zero, so the last coordinate can
-    always be normalized to 1.
+    always be normalized to 1.  The zero polynomial counts as a form, and
+    :func:`nonvanishing_point` refuses it.
     """
-    if f.is_zero:
-        raise ZeroPolynomialError("the zero polynomial vanishes everywhere")
     if not f.is_homogeneous():
         raise NotHomogeneousError(f"{f} is not homogeneous")
     point = nonvanishing_point(f)

@@ -58,6 +58,7 @@ class ParseError(KrullkitError):
     """A positioned syntax error; ``offset`` is a byte offset into the input."""
 
     identifier = "ParseError"
+    exit_code = 2
 
     def __init__(self, offset: int, message: str, expected: tuple[str, ...] = ()):
         super().__init__(message)

@@ -26,7 +26,6 @@ the form the companion parser reads back.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
@@ -36,9 +35,8 @@ from struct import Struct
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import RingMismatchError, SizeLimitError, ZeroPolynomialError
-from .field import FieldElement, FieldSpec, is_scalar, scalar_text
+from .field import FieldElement, FieldSpec, check_count, is_scalar, scalar_text
 
-_VAR_NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9]*\Z")
 _new = object.__new__
 MAX_DEGREE = 2**63 - 1
 _SLOT = 2**64 - 1
@@ -84,12 +82,6 @@ class _Codec:
             raise _over_the_degree_limit()
         return int.from_bytes(self._pack(degree, *exps), "big")
 
-    def checked(self, exps: tuple) -> int | None:
-        """The key of exps, or None unless it is n plain nonnegative ints (not bools)."""
-        if len(exps) != len(self.shifts) or any(type(e) is not int or e < 0 for e in exps):
-            return None
-        return self.encode(exps)
-
     def decode(self, key: int) -> tuple[int, ...]:
         return self._unpack(key.to_bytes(self._size, "big"))[1:]
 
@@ -115,7 +107,8 @@ def _codec_for(n: int) -> _Codec:
 class RingSpec:
     """A polynomial ring: a coefficient field plus ordered variable names.
 
-    Variable names match ``[A-Za-z][A-Za-z0-9]*`` and are distinct; the
+    Variable names are an ASCII letter and then ASCII letters and digits
+    (the parser's ``[A-Za-z][A-Za-z0-9]*``), and are distinct; the
     default names are t1..tn.  Variables are addressed 1-based throughout
     the public API (variable j is ``variables[j - 1]``).
     """
@@ -127,14 +120,14 @@ class RingSpec:
         if not self.variables:
             raise ValueError("a ring needs at least one variable")
         for name in self.variables:
-            if not _VAR_NAME_RE.match(name):
+            if not (name.isascii() and name.isalnum() and name[:1].isalpha()):
                 raise ValueError(f"invalid variable name {name!r}")
         if len(set(self.variables)) != len(self.variables):
             raise ValueError("variable names must be distinct")
 
     @classmethod
     def default(cls, field: FieldSpec, nvars: int) -> "RingSpec":
-        if nvars < 1:
+        if type(nvars) is not int or nvars < 1:
             raise ValueError("need at least one variable")
         return cls(field, tuple(f"t{j}" for j in range(1, nvars + 1)))
 
@@ -146,6 +139,12 @@ class RingSpec:
     def _codec(self) -> _Codec:
         # Not a field: equality and hash see only the field and the names.
         return _codec_for(len(self.variables))
+
+    def _key(self, exps: tuple) -> int:
+        """The key of exps; ValueError unless it is n plain nonnegative ints (not bools)."""
+        if len(exps) != len(self.variables) or any(type(e) is not int or e < 0 for e in exps):
+            raise ValueError(f"bad exponent vector {exps!r} for {self}")
+        return self._codec.encode(exps)
 
     def index_of(self, name: str) -> int:
         """1-based index of a variable name; raises KeyError if unknown."""
@@ -262,15 +261,12 @@ class Polynomial:
         terms: Mapping[tuple[int, ...], object] | Sequence[tuple[tuple[int, ...], object]] = (),
     ) -> None:
         self.ring = ring
-        checked = ring._codec.checked
+        key_of = ring._key
         scalar = ring.field.scalar
         acc: dict[int, Fraction | int] = {}
         items = terms.items() if isinstance(terms, Mapping) else terms
         for exps, coeff in items:
-            exps = tuple(exps)
-            key = checked(exps)
-            if key is None:
-                raise ValueError(f"bad exponent vector {exps!r} for {ring}")
+            key = key_of(tuple(exps))
             acc[key] = scalar(acc.get(key, 0) + scalar(coeff))
         self._keys = {k: c for k, c in acc.items() if c}
 
@@ -293,7 +289,7 @@ class Polynomial:
         return not self._keys
 
     def coefficient(self, exps: Sequence[int]) -> FieldElement:
-        key = self.ring._codec.checked(tuple(exps))
+        key = self.ring._key(tuple(exps))
         return self.ring.field.element(self._keys.get(key, 0))
 
     def _sorted_raw(self) -> list[tuple[tuple[int, ...], Fraction | int]]:
@@ -365,8 +361,7 @@ class Polynomial:
         )
 
     def __pow__(self, exponent: int) -> "Polynomial":
-        if type(exponent) is not int or exponent < 0:
-            raise ValueError(f"exponent must be a nonnegative int, got {exponent!r}")
+        check_count("exponent", exponent)
         return _power({0: self.ring.one(), 1: self}, exponent)
 
     def __eq__(self, other) -> bool:
@@ -456,7 +451,7 @@ class Polynomial:
 
     def homogeneous_component(self, degree: int) -> "Polynomial":
         """The sum of the terms of exactly the given total degree."""
-        if degree < 0:
+        if type(degree) is not int or degree < 0:
             raise ValueError(f"degree must be nonnegative, got {degree}")
         top = self.ring._codec.top
         return Polynomial._make(

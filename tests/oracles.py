@@ -10,8 +10,13 @@ package coupling allowed is reading ``Polynomial.terms`` when a test
 converts a value for comparison.
 """
 
+import re
 from fractions import Fraction
 from itertools import permutations
+
+# The variable-name rule as the grammar spells it: an ASCII letter, then
+# ASCII letters and digits, and nothing after them.
+VAR_NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9]*\Z")
 
 
 def raw(f) -> dict:

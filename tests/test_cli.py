@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from krullkit.cli import build_parser, main
+from krullkit.errors import KrullkitError
 from krullkit.field import MAX_MODULUS
 from krullkit.integral import IntegralityWitness
 
@@ -269,6 +270,21 @@ class TestJsonDocuments:
 
 
 class TestErrorsAndExitCodes:
+    def test_readme_error_table_is_the_classes_table(self):
+        # Every error class has a row in README's table, which says "exit 2"
+        # exactly when the class's exit_code is 2.
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("## Errors and exit codes", 1)[1].split("\n## ", 1)[0]
+        rows = [line.split("|") for line in section.splitlines() if line.startswith("| `")]
+        classes, todo = [], [KrullkitError]
+        while todo:
+            subclasses = todo.pop().__subclasses__()
+            classes += subclasses
+            todo += subclasses
+        for cls in classes:
+            [row] = [r for r in rows if f"`{cls.identifier}`" in r[1]]
+            assert ("exit 2" in row[2]) == (cls.exit_code == 2), cls.__name__
+
     def test_domain_error_exits_one(self, capsys):
         code, out, err = run(
             capsys, "nonvanish", "--vars", "2", "--field", "F2", "t1^2 + t1*t2"

@@ -276,6 +276,72 @@ class TestArithmeticAgainstOracle:
             P("t1") * parse_polynomial("t1", FR2)
 
 
+class TestRefusedInputs:
+    """Counts, degrees and exponent vectors follow the rules the constructors use."""
+
+    @pytest.mark.parametrize(
+        "call,message",
+        [
+            # A bool is not a count: default(Q, True) once built Q[t1].
+            (lambda: RingSpec.default(Q, True), "need at least one variable"),
+            # 2.5 once escaped as a TypeError from range().
+            (lambda: RingSpec.default(Q, 2.5), "need at least one variable"),
+            (lambda: QR2.gen(1).homogeneous_component(True), "degree must be nonnegative, got True"),
+            # homogeneous_component(1.5) once answered 0.
+            (
+                lambda: QR2.gen(1).homogeneous_component(1.5),
+                "degree must be nonnegative, got 1.5",
+            ),
+        ],
+        ids=["default-True", "default-2.5", "component-True", "component-1.5"],
+    )
+    def test_counts_and_degrees_are_ints(self, call, message):
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("exps", [(1,), (True, 0), (1, -1), [1, 0.0]])
+    def test_coefficient_of_a_bad_exponent_vector(self, exps):
+        # coefficient((True, 0)) of t1 + 1 once answered 0 where (1, 0) answers 1.
+        with pytest.raises(ValueError) as info:
+            P("t1 + 1").coefficient(exps)
+        assert str(info.value) == f"bad exponent vector {tuple(exps)!r} for Q[t1,t2]"
+
+    def test_coefficient_of_a_valid_exponent_vector(self):
+        f = P("t1 + 1")
+        assert f.coefficient((1, 0)) == Q.one() and type(f.coefficient((1, 0))) is FieldElement
+        assert f.coefficient([0, 1]) == Q.zero()
+        with pytest.raises(SizeLimitError):
+            f.coefficient((2**63, 0))
+
+
+class TestVariableNames:
+    """RingSpec accepts exactly the names the grammar's regex matches."""
+
+    @staticmethod
+    def accepted(name):
+        try:
+            RingSpec(Q, (name,))
+        except ValueError:
+            return False
+        return True
+
+    @pytest.mark.parametrize(
+        "name", ["", "t1\n", "_a", "1a", "²", "é", "ß", "٣", "ǅ", "ａ", "t1²", "x", "Ab9"]
+    )
+    def test_edge_cases(self, name):
+        assert self.accepted(name) == bool(oracles.VAR_NAME_RE.match(name))
+
+    @given(name=st.one_of(
+        st.text(),
+        st.text(alphabet="aZ09_ \n²é٣ǅａ"),
+        st.from_regex(oracles.VAR_NAME_RE),
+    ))
+    @settings(max_examples=300, derandomize=True)
+    def test_against_the_regex(self, name):
+        assert self.accepted(name) == bool(oracles.VAR_NAME_RE.match(name))
+
+
 class TestSubstitution:
     def test_identity(self):
         f = P("t1^3 + 2*t1^2*t2 + 4*t2^3")
