@@ -11,6 +11,18 @@ the checkout given with ``--src`` (to time another commit the same way).
     python3 bench/layers.py --src OTHER/src  # the package in another checkout
 
 There is no timing gate; the numbers are a record, not a test.
+
+The minimum of five repeats in one process, with no calibration, cannot
+resolve a change under about 25% on a shared 2-core machine: cases whose
+code did not change read x1.09 to x1.25 between two checkouts.  To compare
+two checkouts, alternate whole runs, one process each, between them::
+
+    python3 bench/layers.py --src PARENT/src > parent1.json
+    python3 bench/layers.py --src CHANGE/src > change1.json
+    python3 bench/layers.py --src CHANGE/src > change2.json
+    python3 bench/layers.py --src PARENT/src > parent2.json
+
+and compare the cases over several such rounds, not one run per side.
 """
 
 from __future__ import annotations

@@ -54,8 +54,6 @@ class MonomialPrimeIdeal:
     def contract(self) -> "MonomialPrimeIdeal":
         """The same ideal seen in the ring with the last variable dropped."""
         n = self.ring.nvars
-        if n < 2:
-            raise ValueError("cannot drop the only variable")
         return MonomialPrimeIdeal(self.ring.subring(n - 1), min(self.level, n - 1))
 
 

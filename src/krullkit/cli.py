@@ -49,15 +49,28 @@ def _text(doc: dict) -> str:
     return "\n".join(f"{k}: {_value_text(v)}" for k, v in doc.items())
 
 
+_INT = re.compile(r"\s*(-?([0-9]+))\s*")  # the grammar's integer literal, as in --at
+
+
+class _IntError(argparse.ArgumentTypeError, ValueError):
+    """A bad integer: argparse prints it as a usage error, main as InvalidArgument."""
+
+
+def _int(text: str) -> int:
+    """The one integer reader; a bad token is quoted only if its repr fits in 12 characters."""
+    if (match := _INT.fullmatch(text)) and len(match[2]) <= 4300:
+        return int(match[1])
+    shown = f": {text!r}" if len(repr(text)) <= 12 else f" of {len(text)} characters"
+    raise _IntError(f"invalid int value{shown}")
+
+
 def _make_ring(args: argparse.Namespace) -> RingSpec:
     field = FieldSpec.from_text(args.field)
-    spec = args.vars.strip()
-    if spec.isdecimal():
-        if len(spec) > 10:
-            raise ValueError(f"variable count of {len(spec)} digits is too large")
-        return RingSpec.default(field, int(spec))
-    names = tuple(name.strip() for name in spec.split(","))
-    return RingSpec(field, names)
+    if match := _INT.fullmatch(args.vars):
+        if len(match[2]) > 10:
+            raise ValueError(f"variable count of {len(match[2])} digits is too large")
+        return RingSpec.default(field, int(match[1]))
+    return RingSpec(field, tuple(name.strip() for name in args.vars.split(",")))
 
 
 def _parse_scalar(text: str, field: FieldSpec) -> FieldElement:
@@ -80,12 +93,11 @@ def _cmd_eval(args, ring, f):
 
 def _resolve_variable(ring: RingSpec, spec: str) -> int:
     # An index is range-checked by degree_in.
-    if spec.isdecimal():
-        return int(spec)
-    try:
+    if _INT.fullmatch(spec):
+        return _int(spec)
+    if spec in ring.variables:
         return ring.index_of(spec)
-    except KeyError:
-        raise ValueError(f"unknown variable {spec!r} in {ring}") from None
+    raise ValueError(f"unknown variable {spec!r} in {ring}")
 
 
 def _cmd_degree(args, ring, f):
@@ -198,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--json", action="store_true", help="print one JSON document instead of text"
     )
     common.add_argument(
-        "--seed", type=int, default=DEFAULT_SEED, help="seed for randomized checks"
+        "--seed", type=_int, default=DEFAULT_SEED, help="seed for randomized checks"
     )
 
     parser = argparse.ArgumentParser(
@@ -222,23 +234,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="var", metavar="VAR", help="variable name or 1-based index")
 
     p = command("homog", _cmd_homog, "homogeneity test, component, or leading form", "poly")
-    p.add_argument("-d", "--degree", type=int, help="extract this degree's component")
+    p.add_argument("-d", "--degree", type=_int, help="extract this degree's component")
     p.add_argument(
         "--leading", action="store_true", help="extract the leading form"
     )
 
     p = command("split", _cmd_split, "split into dependent and free parts", "poly")
-    p.add_argument("-k", "--level", type=int, required=True)
+    p.add_argument("-k", "--level", type=_int, required=True)
 
     p = command("member", _cmd_member, "membership in the level-k variable ideal", "poly")
-    p.add_argument("-k", "--level", type=int, required=True)
+    p.add_argument("-k", "--level", type=_int, required=True)
 
     p = command("minpow", _cmd_minpow, "extract the minimal power of t_k", "poly")
-    p.add_argument("-k", "--level", type=int, required=True)
+    p.add_argument("-k", "--level", type=_int, required=True)
 
     p = command("chain-verify", _cmd_chain_verify, "verify the full ideal chain")
     p.add_argument(
-        "--checks", type=int, default=100, help="product checks per level"
+        "--checks", type=_int, default=100, help="product checks per level"
     )
 
     p = command("nonvanish", _cmd_nonvanish, "find a non-vanishing point", "poly")
@@ -260,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         help="comma-separated coordinates of a^d in the basis 1..a^(d-1)",
     )
-    p.add_argument("-i", "--power", type=int, required=True)
+    p.add_argument("-i", "--power", type=_int, required=True)
 
     command(
         "contract-witness",

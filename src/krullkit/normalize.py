@@ -141,11 +141,9 @@ def monicize(f: Polynomial) -> MonicizationResult:
     nonzero scale; substituting t_j + a_j * t_n and dividing by it yields a
     polynomial monic in t_n whose t_n-degree is the total degree of f.  A
     nonzero constant comes back unchanged as the trivial case g = 1 of
-    degree 0.  Raises the point-search errors for zero input or a too-small
-    finite field.
+    degree 0.  Raises :meth:`Polynomial.leading_form`'s ZeroPolynomialError
+    for zero input and the point-search errors for a too-small finite field.
     """
-    if f.is_zero:
-        raise ZeroPolynomialError("cannot monicize the zero polynomial")
     ring = f.ring
     n = ring.nvars
     degree = f.total_degree()

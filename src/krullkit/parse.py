@@ -40,7 +40,6 @@ __all__ = [
     "ParseError",
     "UnknownVariableError",
     "FieldLiteralError",
-    "RingSpec",
     "parse_polynomial",
     "format_polynomial",
 ]

@@ -120,15 +120,15 @@ class RingSpec:
         if not self.variables:
             raise ValueError("a ring needs at least one variable")
         for name in self.variables:
-            if not (name.isascii() and name.isalnum() and name[:1].isalpha()):
+            if not (type(name) is str and name.isascii() and name.isalnum()
+                    and name[:1].isalpha()):
                 raise ValueError(f"invalid variable name {name!r}")
         if len(set(self.variables)) != len(self.variables):
             raise ValueError("variable names must be distinct")
 
     @classmethod
     def default(cls, field: FieldSpec, nvars: int) -> "RingSpec":
-        if type(nvars) is not int or nvars < 1:
-            raise ValueError("need at least one variable")
+        check_count("variable count", nvars)
         return cls(field, tuple(f"t{j}" for j in range(1, nvars + 1)))
 
     @property
@@ -246,7 +246,7 @@ def _power(cache: dict[int, "Polynomial"], e: int) -> "Polynomial":
 
 
 class Polynomial:
-    """A sparse polynomial; ``terms`` maps exponent tuples to raw scalars.
+    """A sparse polynomial; ``_keys`` maps packed keys to raw scalars, ``terms`` decodes them.
 
     The constructor validates exponents (plain nonnegative ints, so not
     bools, of total degree at most MAX_DEGREE), coerces ints, Fractions and
@@ -421,9 +421,7 @@ class Polynomial:
             raise ValueError(
                 f"got {len(images)} images for {self.ring.nvars} variables"
             )
-        if not images:
-            raise ValueError("no images")
-        target = images[0].ring
+        target = getattr(images[0], "ring", None)
         for img in images:
             if not isinstance(img, Polynomial) or img.ring != target:
                 raise RingMismatchError("all substitution images must share one ring")
@@ -451,8 +449,7 @@ class Polynomial:
 
     def homogeneous_component(self, degree: int) -> "Polynomial":
         """The sum of the terms of exactly the given total degree."""
-        if type(degree) is not int or degree < 0:
-            raise ValueError(f"degree must be nonnegative, got {degree}")
+        check_count("degree", degree)
         top = self.ring._codec.top
         return Polynomial._make(
             self.ring, {k: c for k, c in self._keys.items() if k >> top == degree}

@@ -1,13 +1,18 @@
 """Command line golden transcripts: byte-exact text, JSON shapes, exit codes."""
 
 import ast
+import contextlib
+import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from krullkit.cli import build_parser, main
 from krullkit.errors import KrullkitError
@@ -412,6 +417,13 @@ class TestErrorsAndExitCodes:
         assert run(capsys, "degree", "--vars", "2", "--in", "3", "t1") == (
             2, "", "error: InvalidArgument: variable index must be in 1..2, got 3\n"
         )
+        # str.isdecimal() once read "\u0663" as 3: --vars built Q[t1,t2,t3].
+        assert run(capsys, "eval", "--vars", "\u0663", "--at", "1", "t1") == (
+            2, "", "error: InvalidArgument: invalid variable name '\u0663'\n"
+        )
+        assert run(capsys, "degree", "--vars", "2", "--in", "\u0662", "t2") == (
+            2, "", "error: InvalidArgument: unknown variable '\u0662' in Q[t1,t2]\n"
+        )
 
     @pytest.mark.parametrize(
         "command,message",
@@ -485,6 +497,98 @@ class TestErrorsAndExitCodes:
             capsys, "degree", "--vars", "x,y", "--field", "F5", "x^2*y"
         )
         assert (code, out) == (0, "3\n")
+
+    @pytest.mark.parametrize("argv, code, line", [
+        (("degree", "--vars", "0", "t1"), 2,
+         "InvalidArgument: a ring needs at least one variable"),
+        (("homog", "-d", "-1", "t1"), 2,
+         "InvalidArgument: degree must be a nonnegative int, got -1"),
+        (("monicize", "--vars", "2", "0"), 1,
+         "ZeroPolynomial: the zero polynomial has no leading form"),
+    ], ids=["vars-0", "homog-d-negative", "monicize-zero"])
+    def test_each_argument_rule_has_one_message(self, capsys, argv, code, line):
+        assert run(capsys, *argv) == (code, "", f"error: {line}\n")
+
+
+# The grammar's integer literal, as the command line reads it: -?[0-9]+ with
+# surrounding whitespace, at most 4300 digits.  Kept apart from krullkit.cli.
+INT_LITERAL = re.compile(r"\s*(-?[0-9]{1,4300})\s*")
+
+
+def run_in_process(*argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestIntegerOptions:
+    """Every integer on the command line is read by one rule, the one --at uses."""
+
+    @given(token=st.one_of(
+        st.text(),
+        st.from_regex(r"\s*-?[0-9]{1,3}\s*", fullmatch=True),
+        st.sampled_from(["+1", "1_0", "\u0661", " 1", "-0", "9" * 5000]),
+    ))
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    def test_level_token(self, token):
+        # --level=TOKEN, the long form of -k TOKEN, so that argparse never
+        # takes a token that starts with "-" for an option.
+        forms = [[f"--level={token}"]] + ([] if token.startswith("-") else [["-k", token]])
+        for level in forms:
+            code, out, err = run_in_process("split", "--vars", "2", *level, "t1")
+            match = INT_LITERAL.fullmatch(token)
+            if match and 0 <= int(match[1]) <= 2:
+                assert (code, err) == (0, "")
+                continue
+            assert (code, out) == (2, "") and "Traceback" not in err
+            if not match:
+                [line] = [line for line in err.splitlines() if "error:" in line]
+                assert line.startswith("krullkit split: error: argument -k/--level: invalid int")
+                assert len(line) <= 120
+
+    @pytest.mark.parametrize("token", ["+1", "1_0", "\u0661"])
+    @pytest.mark.parametrize("argv, option", [
+        (("homog", "-d", "{}", "t1"), "-d/--degree"),
+        (("member", "-k", "{}", "t1"), "-k/--level"),
+        (("minpow", "-k", "{}", "t1"), "-k/--level"),
+        (("chain-verify", "--checks", "{}"), "--checks"),
+        (("power-reduce", "--relation=2", "-i", "{}"), "-i/--power"),
+        (("degree", "--seed", "{}", "t1"), "--seed"),
+    ])
+    def test_every_integer_option_refuses_what_is_not_an_int_literal(self, argv, option, token):
+        code, out, err = run_in_process(*[arg.format(token) for arg in argv])
+        assert (code, out) == (2, "")
+        assert err.endswith(f"error: argument {option}: invalid int value: {token!r}\n")
+
+    def test_long_token_is_named_by_its_length(self):
+        code, _, err = run_in_process("split", "--vars", "2", "-k", "1" * 10 + "x", "t1")
+        assert code == 2
+        assert err.endswith("error: argument -k/--level: invalid int value of 11 characters\n")
+        # A short token whose quoted form is long is named by its length too.
+        code, _, err = run_in_process("split", "--vars", "2", "-k", "\U000e0001" * 2, "t1")
+        assert err.endswith("error: argument -k/--level: invalid int value of 2 characters\n")
+
+    def test_variable_index_of_5000_digits(self, capsys):
+        # Once CPython's "Exceeds the limit (4300 digits) ... set_int_max_str_digits()".
+        assert run(capsys, "degree", "--vars", "2", "--in", "9" * 5000, "t1") == (
+            2, "", "error: InvalidArgument: invalid int value of 5000 characters\n"
+        )
+
+    def test_negative_seed_is_accepted_and_a_plus_sign_is_not(self, capsys):
+        code, out, _ = run(capsys, "chain-verify", "--vars", "2", "--checks", "3", "--seed", "-5")
+        assert code == 0 and out.startswith("ring: Q[t1,t2]\naccepted: true\n")
+        code, _, err = run(capsys, "chain-verify", "--vars", "2", "--seed", "+5")
+        assert code == 2 and err.endswith("error: argument --seed: invalid int value: '+5'\n")
+
+    def test_signs_and_whitespace(self, capsys):
+        assert run(capsys, "split", "--vars", "2", "-k", " 1 ", "t1") == (
+            0, "dependent: t1\nfree: 0\n", ""
+        )
+        assert run(capsys, "degree", "--vars", "2", "--in", " 2 ", "t2^3") == (0, "3\n", "")
+        assert run(capsys, "degree", "--vars", "-1", "t1") == (
+            2, "", "error: InvalidArgument: variable count must be a nonnegative int, got -1\n"
+        )
 
 
 # argparse's own text: ``--help`` pages, usage lines and exit-2 errors, as

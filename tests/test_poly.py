@@ -277,28 +277,53 @@ class TestArithmeticAgainstOracle:
 
 
 class TestRefusedInputs:
-    """Counts, degrees and exponent vectors follow the rules the constructors use."""
+    """Counts, degrees, names, exponent vectors and substitution images each have one rule."""
 
     @pytest.mark.parametrize(
         "call,message",
         [
             # A bool is not a count: default(Q, True) once built Q[t1].
-            (lambda: RingSpec.default(Q, True), "need at least one variable"),
+            (
+                lambda: RingSpec.default(Q, True),
+                "variable count must be a nonnegative int, got True",
+            ),
             # 2.5 once escaped as a TypeError from range().
-            (lambda: RingSpec.default(Q, 2.5), "need at least one variable"),
-            (lambda: QR2.gen(1).homogeneous_component(True), "degree must be nonnegative, got True"),
+            (
+                lambda: RingSpec.default(Q, 2.5),
+                "variable count must be a nonnegative int, got 2.5",
+            ),
+            (lambda: RingSpec.default(Q, -1), "variable count must be a nonnegative int, got -1"),
+            # The constructor is the one "at least one variable" check.
+            (lambda: RingSpec.default(Q, 0), "a ring needs at least one variable"),
+            (
+                lambda: QR2.gen(1).homogeneous_component(True),
+                "degree must be a nonnegative int, got True",
+            ),
             # homogeneous_component(1.5) once answered 0.
             (
                 lambda: QR2.gen(1).homogeneous_component(1.5),
-                "degree must be nonnegative, got 1.5",
+                "degree must be a nonnegative int, got 1.5",
             ),
+            # A name that is not a str once escaped as an AttributeError.
+            (lambda: RingSpec(Q, ("t1", 5)), "invalid variable name 5"),
+            # bytes have the str predicates, but are not names.
+            (lambda: RingSpec(Q, (b"t1",)), "invalid variable name b't1'"),
         ],
-        ids=["default-True", "default-2.5", "component-True", "component-1.5"],
+        ids=[
+            "default-True", "default-2.5", "default-negative", "default-0",
+            "component-True", "component-1.5", "name-int", "name-bytes",
+        ],
     )
     def test_counts_and_degrees_are_ints(self, call, message):
         with pytest.raises(ValueError) as info:
             call()
         assert str(info.value) == message
+
+    @pytest.mark.parametrize("images", [[1, 2], (None, None)])
+    def test_substitution_image_that_is_not_a_polynomial(self, images):
+        # substitute([1, 2]) once escaped as an AttributeError.
+        with pytest.raises(RingMismatchError, match="all substitution images must share one ring"):
+            P("t1*t2 + 1").substitute(images)
 
     @pytest.mark.parametrize("exps", [(1,), (True, 0), (1, -1), [1, 0.0]])
     def test_coefficient_of_a_bad_exponent_vector(self, exps):
