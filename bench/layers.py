@@ -75,6 +75,8 @@ SCALARS = {"Q": (Fraction(-7, 3), Fraction(5, 12)), "F32003": (12345, 6789)}
 # Tiny polynomials in a wide ring of n variables, like the wide deck's jobs.
 WIDE_1X1 = ("3/5*t1*t{n}", "-7/3*t2*t{n}")
 WIDE = "3*t{m}*t{n} + 2/3*t1^2*t{m} - t{n}^3*t2 + 5*t{n}"
+# A member/split input of the wide deck, parenthesized coefficients and all.
+WIDE_TEXT = "(3/2)*t2^2*t{m}^2 + (5)*t1^2*t{m}^2*t{n}^3 + (5)*t{n} + (-3/2)*t1^3*t2^3*t{m}^2"
 EVAL_ARGV = ["eval", "--vars", "2", "--at", "2,2", "t1^3 + 2*t1^2*t2 + 4*t2^3"]
 
 
@@ -201,6 +203,9 @@ def cases(smoke: bool) -> dict:
     out[f"Q RingSpec.default(Q, {n_wide})"] = (
         "poly.ring", lambda: RingSpec.default(FieldSpec.rationals(), n_wide))
     ring = RingSpec.default(FieldSpec.rationals(), n_wide)
+    text = WIDE_TEXT.format(n=n_wide, m=n_wide // 2 + 1)
+    out[f"Q parse in {n_wide} variables: {text}"] = (
+        "parse.parse_polynomial", lambda t=text, r=ring: parse_polynomial(t, r))
     out[f"Q verify_chain n={n_wide}, checks_per_level=2"] = (
         "chains.verify_chain", lambda: verify_chain(ring, checks_per_level=2))
     f, k = parse_polynomial(WIDE.format(n=n_wide, m=n_wide // 2 + 1), ring), n_wide // 2

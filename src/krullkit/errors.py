@@ -3,10 +3,16 @@
 Every domain error carries a stable ``identifier`` string, which the command
 line interface uses when printing errors, so scripted callers can match on it
 without depending on Python class names, and the ``exit_code`` the command
-line exits with: 1, or 2 for the parse errors.
+line exits with: 1, or 2 for the parse errors.  :func:`shown` names refused values.
 """
 
 from __future__ import annotations
+
+
+def shown(value, noun: str, quote=repr) -> str:
+    """``quote(value)``, or its length as "<noun> of N characters" past 10 characters."""
+    text = str(value)
+    return quote(value) if len(text) <= 10 else f"{noun} of {len(text)} characters"
 
 
 class KrullkitError(Exception):

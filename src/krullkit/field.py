@@ -22,7 +22,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ExhaustedFieldError, FieldMismatchError, SizeLimitError
+from .errors import ExhaustedFieldError, FieldMismatchError, SizeLimitError, shown
 
 _FIELD_TEXT_RE = re.compile(r"(Q|F([1-9][0-9]*))\Z")
 
@@ -140,7 +140,7 @@ class FieldSpec:
 def check_count(name: str, value) -> None:
     """Raise ValueError unless value is an int (not a bool) that is at least 0."""
     if type(value) is not int or value < 0:
-        raise ValueError(f"{name} must be a nonnegative int, got {value!r}")
+        raise ValueError(f"{name} must be a nonnegative int, got {shown(value, 'a value')}")
 
 
 def is_scalar(value) -> bool:

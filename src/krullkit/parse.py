@@ -10,8 +10,9 @@ The accepted grammar (whitespace between tokens is ignored)::
 
 Multiplication is always explicit (``2*t1``, never ``2t1``), ``^`` binds
 tighter than ``*`` binds tighter than ``+``/``-``, and rational literals
-are reduced at parse time (over a prime field, ``a/b`` means ``a * b^-1``
-and a denominator divisible by the characteristic is a parse error).
+are reduced at parse time (over a prime field, ``a/b`` means ``a * b^-1``,
+and it is a parse error if the denominator of the reduced fraction is
+divisible by the characteristic: over F2, ``4/2`` is 0 and ``2/4`` an error).
 Exponents are capped at 2^31 - 1, number literals at
 :data:`MAX_LITERAL_DIGITS` digits, and parentheses nest at most
 :data:`MAX_DEPTH` deep.
@@ -32,8 +33,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .errors import KrullkitError
-from .field import FieldSpec
+from .errors import KrullkitError, shown
 from .poly import Polynomial, RingSpec
 
 __all__ = [
@@ -47,9 +47,9 @@ __all__ = [
 MAX_EXPONENT = 2**31 - 1
 # CPython refuses to convert longer digit strings to int (sys.int_info).
 MAX_LITERAL_DIGITS = 4300
-# The parser recurses through parse_expr and parse_term, two frames per
-# parenthesis level, so 100 levels take 200 of the default recursion limit
-# of 1000 and leave the rest to the caller's stack and the arithmetic.
+# A parenthesis level takes at most four frames (parse_term, group, sum_terms
+# and summands), so 100 levels take 400 of the default recursion limit of
+# 1000 and leave the rest to the caller's stack and the arithmetic.
 MAX_DEPTH = 100
 
 
@@ -78,7 +78,7 @@ class UnknownVariableError(ParseError):
     identifier = "UnknownVariable"
 
     def __init__(self, offset: int, name: str):
-        super().__init__(offset, f"unknown variable {_shown(name, 'name')}")
+        super().__init__(offset, f"unknown variable {shown(name, 'name')}")
         self.name = name
 
 
@@ -92,11 +92,6 @@ class FieldLiteralError(ParseError):
 _TOKEN = re.compile(
     r"(?P<number>[0-9]+)|(?P<name>[A-Za-z][A-Za-z0-9]*)|(?P<op>[-+*^/()])|(?P<bad>[^ \t\r\n])"
 )
-
-
-def _shown(token: str, noun: str) -> str:
-    # A long token is described by its length, not echoed.
-    return repr(token) if len(token) <= 10 else f"{noun} of {len(token)} characters"
 
 
 class _Parser:
@@ -133,55 +128,81 @@ class _Parser:
         return None
 
     def parse_expr(self) -> Polynomial:
-        first = self.parse_term(1)
-        rest = []
+        return self.ring.sum_terms(self.summands(self.parse_term(1)))
+
+    def summands(self, first):
+        # The terms of one sum, in order, as RingSpec.sum_terms reads them.
+        yield first
         while (kind := self.tokens[self.pos][0]) == "+" or kind == "-":
             self.pos += 1
-            rest.append(self.parse_term(1 if kind == "+" else -1))
-        return first._plus(*rest) if rest else first
+            yield self.parse_term(1 if kind == "+" else -1)
 
-    def parse_term(self, sign: int) -> Polynomial:
-        # A term is one raw scalar times one monomial times its groups; only
-        # a parenthesized group is multiplied in as a Polynomial.
+    def parse_term(self, sign: int) -> tuple[list, Fraction | int] | Polynomial:
+        # A term is one scalar (num/den over Q), sparse (j, e) factors and
+        # the product of its groups; a group holding one literal, like a bare
+        # literal, is folded into the scalar.
         ring = self.ring
-        field, p = ring.field, ring.field.modulus
-        scalar = field.scalar(-sign if self.take("-") else sign)
-        exps = [0] * ring.nvars
+        p = ring.field.modulus
+        num, den = -sign if self.take("-") else sign, 1
+        factors = []
         value = None
         while True:
             kind, token, offset = self.tokens[self.pos]
-            if kind == "(":
-                if self.depth == MAX_DEPTH:
-                    raise ParseError(offset, f"parentheses nested deeper than {MAX_DEPTH}")
-                self.pos += 1
-                self.depth += 1
-                group = self.parse_expr()
-                self.take(")", "')'")
-                self.depth -= 1
-                e = self.exponent()
-                group = group if e == 1 else group**e
-                value = group if value is None else value * group
-            elif kind == "name":
+            if kind == "name":
                 self.pos += 1
                 try:
                     j = ring.index_of(token)
                 except KeyError:
                     raise UnknownVariableError(offset, token) from None
-                exps[j - 1] += self.exponent()
+                factors.append((j, self.exponent()))
             elif kind == "number" or kind == "-":
-                c = self.rational(field)
-                e = self.exponent()
-                scalar = scalar * pow(c, e, p) % p if p else scalar * c**e
+                num, den = self.scale(num, den, *self.rational(p))
+            elif kind == "(":
+                group = self.group(offset)
+                if isinstance(group, Polynomial):
+                    e = self.exponent()
+                    group = group if e == 1 else group**e
+                    value = group if value is None else value * group
+                else:
+                    num, den = self.scale(num, den, *group.as_integer_ratio())
             else:
                 raise ParseError(
                     offset, "expected a value", expected=("number", "variable", "'('")
                 )
             if not self.take("*"):
                 break
-        monomial = ring.monomial(tuple(exps), scalar)
+        scalar = num % p if p else Fraction(num, den)
         if value is None:
-            return monomial
-        return value if scalar == 1 and not any(exps) else value * monomial
+            return factors, scalar
+        if factors or scalar != 1:
+            value = value * ring.sum_terms(((factors, scalar),))
+        return value
+
+    def group(self, offset: int) -> Polynomial | Fraction | int:
+        # A parenthesized sum as a Polynomial, or the raw scalar of a lone
+        # literal, as in (-3/5), which skips the sum.
+        if self.depth == MAX_DEPTH:
+            raise ParseError(offset, f"parentheses nested deeper than {MAX_DEPTH}")
+        self.pos += 1
+        self.depth += 1
+        first = self.parse_term(1)
+        if type(first) is tuple and not first[0] and self.tokens[self.pos][0] == ")":
+            value = first[1]
+        else:
+            value = self.ring.sum_terms(self.summands(first))
+        self.take(")", "')'")
+        self.depth -= 1
+        return value
+
+    def scale(self, num: int, den: int, a: int, b: int) -> tuple[int, int]:
+        # num/den times (a/b)^e, for the exponent that follows; over F_p, b is 1.
+        e = self.exponent()
+        p = self.ring.field.modulus
+        if p:
+            return num * pow(a, e, p) % p, 1
+        if e == 1:
+            return num * a, den * b
+        return num * a**e, den * b**e
 
     def exponent(self) -> int:
         if not self.take("^"):
@@ -190,8 +211,8 @@ class _Parser:
         digits = token.lstrip("0") or "0"
         e = int(digits) if len(digits) <= 10 else MAX_EXPONENT + 1
         if e > MAX_EXPONENT:
-            shown = digits if len(digits) <= 10 else f"of {len(digits)} digits"
-            raise ParseError(offset, f"exponent {shown} exceeds {MAX_EXPONENT}")
+            what = digits if len(digits) <= 10 else f"of {len(digits)} digits"
+            raise ParseError(offset, f"exponent {what} exceeds {MAX_EXPONENT}")
         return e
 
     def literal(self, what: str) -> tuple[int, int]:
@@ -200,17 +221,21 @@ class _Parser:
             raise ParseError(offset, f"number longer than {MAX_LITERAL_DIGITS} digits")
         return int(token), offset
 
-    def rational(self, field: FieldSpec) -> Fraction | int:
-        # The raw field scalar of a signed literal ``-a/b``.
+    def rational(self, p: int | None) -> tuple[int, int]:
+        # A signed literal ``-a/b`` as the ints (a, b); over F_p, b is 1.
         sign = -1 if self.take("-") else 1
         numerator = sign * self.literal("number")[0]
         if not self.take("/"):
-            return field.scalar(numerator)
+            return numerator, 1
         denominator, offset = self.literal("positive denominator")
         if denominator == 0:
             raise ParseError(offset, "denominator must be positive")
+        if not p:
+            return numerator, denominator
+        # Reduced first, so 4/2 is 0 over F2; only 1/2 and the like are refused.
+        field = self.ring.field
         try:
-            return field.scalar(Fraction(numerator, denominator))
+            return field.scalar(Fraction(numerator, denominator)), 1
         except ZeroDivisionError:
             raise FieldLiteralError(
                 offset, f"denominator {denominator} is not invertible in {field}"
@@ -225,7 +250,7 @@ def parse_polynomial(text: str, ring: RingSpec) -> Polynomial:
     if kind != "end":
         raise ParseError(
             offset,
-            f"unexpected {_shown(token, 'token')} after expression",
+            f"unexpected {shown(token, 'token')} after expression",
             expected=("'+'", "'-'", "'*'", "end of input"),
         )
     return value

@@ -34,7 +34,7 @@ from random import Random
 from struct import Struct
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .errors import RingMismatchError, SizeLimitError, ZeroPolynomialError
+from .errors import RingMismatchError, SizeLimitError, ZeroPolynomialError, shown
 from .field import FieldElement, FieldSpec, check_count, is_scalar, scalar_text
 
 _new = object.__new__
@@ -45,7 +45,7 @@ _SLOT = 2**64 - 1
 def check_range(name: str, value: int, lo: int, hi: int) -> None:
     """Raise ValueError unless value is an int (not a bool) with lo <= value <= hi."""
     if type(value) is not int or not lo <= value <= hi:
-        raise ValueError(f"{name} must be in {lo}..{hi}, got {value}")
+        raise ValueError(f"{name} must be in {lo}..{hi}, got {shown(value, 'a value', str)}")
 
 
 def _over_the_degree_limit() -> SizeLimitError:
@@ -221,6 +221,41 @@ class RingSpec:
             return Polynomial._make(self, {e: r for e, c in acc.items() if (r := c % p)})
         return Polynomial._make(self, {e: Fraction(c, d) for e, c in acc.items() if c})
 
+    def sum_terms(self, items: Iterable) -> "Polynomial":
+        """The one merge loop: the sum of polynomials of this ring and of terms
+        (factors, c), c times t_j^e for each (j, e), a raw c; unchecked but for
+        the degree limit.  Items are read once, in order, as ``dot`` reads pairs.
+        """
+        p = self.field.modulus
+        unit, over = self._codec.unit, self._codec.over
+        acc: dict[int, Fraction | int] = {}
+        get = acc.get
+        for item in items:
+            if type(item) is tuple:
+                factors, c = item
+                if not c:
+                    continue
+                key = 0
+                for j, e in factors:
+                    key += e * unit(j)
+                if key >= over:
+                    raise _over_the_degree_limit()
+                pairs = ((key, c),)
+            elif not acc:
+                acc.update(item._keys)
+                continue
+            else:
+                pairs = item._keys.items()
+            for key, c in pairs:
+                prev = get(key)
+                if prev is not None:
+                    c = (prev + c) % p if p else prev + c
+                    if not c:
+                        del acc[key]
+                        continue
+                acc[key] = c
+        return Polynomial._make(self, acc)
+
     def __str__(self) -> str:
         return f"{self.field}[{','.join(self.variables)}]"
 
@@ -311,26 +346,11 @@ class Polynomial:
             return other
         return self.ring.constant(other) if is_scalar(other) else None
 
-    def _plus(self, *others: "Polynomial") -> "Polynomial":
-        # Add polynomials of the same ring, in one pass.
-        p = self.ring.field.modulus
-        acc = dict(self._keys)
-        for other in others:
-            for key, c in other._keys.items():
-                prev = acc.get(key)
-                if prev is not None:
-                    c = (prev + c) % p if p else prev + c
-                    if not c:
-                        del acc[key]
-                        continue
-                acc[key] = c
-        return Polynomial._make(self.ring, acc)
-
     def __add__(self, other):
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        return self._plus(rhs)
+        return self.ring.sum_terms((self, rhs))
 
     __radd__ = __add__
 
@@ -338,7 +358,7 @@ class Polynomial:
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        return self._plus(-rhs)
+        return self.ring.sum_terms((self, -rhs))
 
     def __rsub__(self, other):
         rhs = self._coerce(other)

@@ -439,6 +439,19 @@ class TestErrorsAndExitCodes:
                 2, "", f"error: InvalidArgument: {message}\n"
             )
 
+    def test_long_refused_counts_are_named_by_length(self, capsys):
+        # A refused count of more than 10 characters is not echoed whole.
+        assert run(capsys, "split", "--vars", "2", "-k", "9" * 4300, "t1") == (
+            2, "", "error: InvalidArgument: k must be in 0..2, got a value of 4300 characters\n"
+        )
+        assert run(capsys, "homog", "--vars", "2", "--degree", "-12345678901", "t1") == (
+            2, "", "error: InvalidArgument: degree must be a nonnegative int,"
+            " got a value of 12 characters\n"
+        )
+        assert run(capsys, "split", "--vars", "2", "-k", "-123456789", "t1") == (
+            2, "", "error: InvalidArgument: k must be in 0..2, got -123456789\n"
+        )
+
     @pytest.mark.parametrize("scalar", ["1.5", "1e3", "1_000", "+3", "\u0663", "1/-2", "inf"])
     def test_scalar_outside_the_rational_grammar(self, capsys, scalar):
         # --at takes the grammar's rational := "-"? int ("/" posint)?, nothing else.

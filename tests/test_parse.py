@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import oracles
 
+from krullkit.errors import SizeLimitError
 from krullkit.field import FieldSpec
 from krullkit.parse import (
     MAX_DEPTH,
@@ -130,6 +131,19 @@ class TestErrors:
         assert err.name == "t9"
         assert err.identifier == "UnknownVariable"
 
+    def test_prime_field_literal_is_reduced_before_its_denominator_is_tested(self):
+        # 0/2 and 4/2 reduce to 0 and 2, which are 0 over F2; 1/2 and 2/4 reduce to 1/2.
+        ring = RingSpec.default(FieldSpec.prime(2), 1)
+        assert parse_polynomial("0/2", ring).is_zero
+        assert parse_polynomial("4/2", ring).is_zero
+        for text, offset in [("1/2", 2), ("2/4", 2), ("t1 + 2/4", 7)]:
+            with pytest.raises(FieldLiteralError) as exc_info:
+                parse_polynomial(text, ring)
+            assert exc_info.value.offset == offset
+            assert exc_info.value.message == (
+                f"denominator {text[-1]} is not invertible in F2"
+            )
+
     def test_field_literal_error(self):
         ring = RingSpec.default(FieldSpec.prime(2), 1)
         with pytest.raises(FieldLiteralError) as exc_info:
@@ -159,7 +173,9 @@ class TestErrors:
         assert message in exc_info.value.message
 
     @pytest.mark.parametrize(
-        "opener,factor", [("(", 1), ("-(", -1), ("2*(", 2)], ids=["bare", "minus", "times"]
+        "opener,factor",
+        [("(", 1), ("-(", -1), ("2*(", 2), ("0+(", 1)],
+        ids=["bare", "minus", "times", "summand"],
     )
     def test_nesting_depth_limit(self, opener, factor):
         def nested(depth):
@@ -285,6 +301,7 @@ LITERALS = st.builds(
 )
 EXPONENTS = st.sampled_from(["", "", "^0", "^1", "^2", "^3", " ^ 2"])
 RINGS = [QR3, F5R3, F2XY]
+FOLD_RINGS = [QR3, *(RingSpec.default(FieldSpec.prime(p), 3) for p in (2, 5, 32003))]
 
 
 @st.composite
@@ -344,6 +361,36 @@ class TestReferenceParser:
         assert format_polynomial(P(text, QR3)) == expected
         for ring in (QR3, F5R3):
             assert outcome(text, ring) == reference_outcome(text, ring)
+
+    @pytest.mark.parametrize(
+        "text,expected",
+        [
+            ("(0)^0*t1", "t1"),
+            ("(t1 - t1)*t2", "0"),
+            ("(2/3)^2*t1", "4/9*t1"),
+            ("-(5)^2*t2", "-25*t2"),
+            ("((3))^3", "27"),
+            ("(t1 + 1)^0*(3)", "3"),
+            ("2*(t1)*t2", "2*t1*t2"),
+            ("(1/2 + 1/2)*t1", "t1"),
+            ("(0*t1)^0*t2", "t2"),
+            ("-(-3/4)^3*(t1 + 1)*(2)", "27/32*t1 + 27/32"),
+        ],
+    )
+    def test_constant_groups(self, text, expected):
+        # A group holding one literal folds into its term's scalar; any other
+        # group, constant or not, is multiplied in as a polynomial.
+        assert format_polynomial(P(text, QR3)) == expected
+        for ring in FOLD_RINGS:
+            assert outcome(text, ring) == reference_outcome(text, ring)
+
+    def test_groups_keep_the_degree_limit(self):
+        # 2 * (2^31 - 1)^2 is under 2^63 - 1, and 3 * (2^31 - 1)^2 is over it.
+        text = "((t1^2147483647)^2147483647)^{}"
+        for ring in FOLD_RINGS:
+            assert format_polynomial(P(text.format(2), ring)) == "t1^9223372028264841218"
+            with pytest.raises(SizeLimitError):
+                P(text.format(3), ring)
 
     @given(ring_text=ring_and_text())
     @settings(max_examples=600, deadline=None)
