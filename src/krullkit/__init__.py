@@ -17,6 +17,7 @@ from .chains import (
     verify_chain,
 )
 from .errors import (
+    ArgumentError,
     DegenerateCharPolyError,
     ExhaustedFieldError,
     FieldMismatchError,
@@ -78,6 +79,7 @@ def __getattr__(name: str):
 
 
 __all__ = [
+    "ArgumentError",
     "ChainLevel",
     "ChainReport",
     "DegenerateCharPolyError",

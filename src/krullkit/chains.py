@@ -17,6 +17,7 @@ from .errors import PreconditionViolatedError, RingMismatchError
 from .poly import Polynomial, RingSpec, check_range, random_polynomial
 
 DEFAULT_SEED = 1729
+MAX_CHECKS = 10_000  # the most product checks per level that verify_chain runs
 
 
 @dataclass(frozen=True)
@@ -148,10 +149,9 @@ def verify_chain(
     zero ideal gets the same treatment (biased by zeroing a factor), and
     properness means 1 is outside the top level.  Any failed check lands in
     ``failures`` with the offending witnesses, and ``accepted`` reflects the
-    whole ladder.
+    whole ladder.  ``checks_per_level`` is at most :data:`MAX_CHECKS`.
     """
-    if type(checks_per_level) is not int or checks_per_level < 1:
-        raise ValueError(f"checks per level must be at least 1, got {checks_per_level}")
+    check_range("checks per level", checks_per_level, 1, MAX_CHECKS)
     rng = Random(seed)
     n = ring.nvars
     failures: list[str] = []

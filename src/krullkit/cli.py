@@ -19,7 +19,7 @@ import sys
 from fractions import Fraction
 
 from .chains import DEFAULT_SEED, MonomialPrimeIdeal, extract_min_power, verify_chain
-from .errors import KrullkitError, SelfCheckError
+from .errors import ArgumentError, KrullkitError, SelfCheckError, shown
 from .field import FieldElement, FieldSpec
 from .integral import (
     ReductionCoefficients,
@@ -52,38 +52,34 @@ def _text(doc: dict) -> str:
 _INT = re.compile(r"\s*(-?([0-9]+))\s*")  # the grammar's integer literal, as in --at
 
 
-class _IntError(argparse.ArgumentTypeError, ValueError):
+class _IntError(argparse.ArgumentTypeError, ArgumentError):
     """A bad integer: argparse prints it as a usage error, main as InvalidArgument."""
 
 
 def _int(text: str) -> int:
-    """The one integer reader; a bad token is quoted only if its repr fits in 12 characters."""
+    """The one integer reader; a bad token is named as :func:`shown` names it."""
     if (match := _INT.fullmatch(text)) and len(match[2]) <= 4300:
         return int(match[1])
-    shown = f": {text!r}" if len(repr(text)) <= 12 else f" of {len(text)} characters"
-    raise _IntError(f"invalid int value{shown}")
+    named = shown(text)  # the token quoted, or "of N characters"
+    raise _IntError(f"invalid int value{' ' if named.startswith('of ') else ': '}{named}")
 
 
 def _make_ring(args: argparse.Namespace) -> RingSpec:
     field = FieldSpec.from_text(args.field)
-    if match := _INT.fullmatch(args.vars):
-        if len(match[2]) > 10:
-            raise ValueError(f"variable count of {len(match[2])} digits is too large")
-        return RingSpec.default(field, int(match[1]))
+    if _INT.fullmatch(args.vars):
+        return RingSpec.default(field, _int(args.vars))
     return RingSpec(field, tuple(name.strip() for name in args.vars.split(",")))
 
 
 def _parse_scalar(text: str, field: FieldSpec) -> FieldElement:
     # Only the grammar's rational literal: Fraction() also takes forms such
     # as "1e100000000", which take unbounded time to expand.
-    try:
-        if not re.fullmatch(r"\s*-?[0-9]+(/[0-9]+)?\s*", text):
-            raise ValueError
-        return field.element(Fraction(text))
-    except (ValueError, ZeroDivisionError):
-        # A long literal is described by its length, not echoed.
-        shown = repr(text) if len(text) <= 10 else f"of {len(text)} characters"
-        raise ValueError(f"bad scalar literal {shown}") from None
+    if re.fullmatch(r"\s*-?[0-9]+(/[0-9]+)?\s*", text):
+        try:
+            return field.element(Fraction(text))
+        except (ValueError, ZeroDivisionError):  # over 4300 digits; 1/0, or 1/p over F_p
+            pass
+    raise ArgumentError(f"bad scalar literal {shown(text)}")
 
 
 def _cmd_eval(args, ring, f):
@@ -97,7 +93,7 @@ def _resolve_variable(ring: RingSpec, spec: str) -> int:
         return _int(spec)
     if spec in ring.variables:
         return ring.index_of(spec)
-    raise ValueError(f"unknown variable {spec!r} in {ring}")
+    raise ArgumentError(f"unknown variable {shown(spec, 'name')} in {ring}")
 
 
 def _cmd_degree(args, ring, f):
@@ -298,12 +294,6 @@ def main(argv=None) -> int:
     except KrullkitError as exc:
         print(f"error: {exc.identifier}: {exc}", file=sys.stderr)
         return exc.exit_code
-    except ValueError as exc:
-        print(f"error: InvalidArgument: {exc}", file=sys.stderr)
-        return 2
-    except ZeroDivisionError as exc:
-        print(f"error: DivisionByZero: {exc}", file=sys.stderr)
-        return 1
     try:
         print(json.dumps(doc, indent=2) if args.json else text)
         sys.stdout.flush()

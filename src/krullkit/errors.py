@@ -2,17 +2,25 @@
 
 Every domain error carries a stable ``identifier`` string, which the command
 line interface uses when printing errors, so scripted callers can match on it
-without depending on Python class names, and the ``exit_code`` the command
-line exits with: 1, or 2 for the parse errors.  :func:`shown` names refused values.
+without depending on Python class names, and the ``exit_code`` the command line
+exits with: 1, or 2 for argument and parse errors.  :func:`shown` names refused values.
 """
 
 from __future__ import annotations
 
+import sys
 
-def shown(value, noun: str, quote=repr) -> str:
-    """``quote(value)``, or its length as "<noun> of N characters" past 10 characters."""
-    text = str(value)
-    return quote(value) if len(text) <= 10 else f"{noun} of {len(text)} characters"
+
+def shown(value, noun: str = "", quote=repr) -> str:
+    """``quote(value)`` when ``str(value)`` has at most 10 characters and the
+    quoted form at most 12; else its length, "<noun> of N characters"."""
+    try:
+        text = str(value)
+    except ValueError:  # CPython's int-to-str digit limit
+        return f"{noun} of more than {sys.get_int_max_str_digits()} digits".lstrip()
+    if len(text) <= 10 and len(quoted := quote(value)) <= 12:
+        return quoted
+    return f"{noun} of {len(text)} characters".lstrip()
 
 
 class KrullkitError(Exception):
@@ -20,6 +28,13 @@ class KrullkitError(Exception):
 
     identifier = "Error"
     exit_code = 1
+
+
+class ArgumentError(KrullkitError, ValueError):
+    """A bad argument or option value: a count or index out of range, a bad name."""
+
+    identifier = "InvalidArgument"
+    exit_code = 2
 
 
 class FieldMismatchError(KrullkitError):

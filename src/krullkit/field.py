@@ -22,7 +22,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ExhaustedFieldError, FieldMismatchError, SizeLimitError, shown
+from .errors import ArgumentError, ExhaustedFieldError, FieldMismatchError, SizeLimitError, shown
 
 _FIELD_TEXT_RE = re.compile(r"(Q|F([1-9][0-9]*))\Z")
 
@@ -69,9 +69,9 @@ class FieldSpec:
     def __post_init__(self) -> None:
         p = self.modulus
         if type(p) is int and p >= MAX_MODULUS:
-            raise ValueError(f"modulus must be below {MAX_MODULUS}")
+            raise ArgumentError(f"modulus must be below {MAX_MODULUS}")
         if p is not None and (type(p) is not int or not _is_prime(p)):
-            raise ValueError(f"modulus must be a prime, got {p!r}")
+            raise ArgumentError(f"modulus must be a prime, got {p!r}")
 
     @classmethod
     def rationals(cls) -> "FieldSpec":
@@ -80,20 +80,20 @@ class FieldSpec:
     @classmethod
     def prime(cls, p: int) -> "FieldSpec":
         if p is None:
-            raise ValueError("modulus must be a prime, got None")
+            raise ArgumentError("modulus must be a prime, got None")
         return cls(p)
 
     @classmethod
     def from_text(cls, text: str) -> "FieldSpec":
         m = _FIELD_TEXT_RE.match(text.strip())
         if m is None:
-            raise ValueError(f"unrecognized field {text!r}, expected Q or F<p>")
+            raise ArgumentError(f"unrecognized field {shown(text)}, expected Q or F<p>")
         digits = m.group(2)
         if digits is None:
             return cls.rationals()
         # Refuse before int(), which fails past 4300 digits with its own text.
         if len(digits) > len(str(MAX_MODULUS)):
-            raise ValueError(f"modulus must be below {MAX_MODULUS}")
+            raise ArgumentError(f"modulus must be below {MAX_MODULUS}")
         return cls.prime(int(digits))
 
     def __str__(self) -> str:
@@ -138,9 +138,9 @@ class FieldSpec:
 
 
 def check_count(name: str, value) -> None:
-    """Raise ValueError unless value is an int (not a bool) that is at least 0."""
+    """Raise ArgumentError unless value is an int (not a bool) that is at least 0."""
     if type(value) is not int or value < 0:
-        raise ValueError(f"{name} must be a nonnegative int, got {shown(value, 'a value')}")
+        raise ArgumentError(f"{name} must be a nonnegative int, got {shown(value, 'a value')}")
 
 
 def is_scalar(value) -> bool:

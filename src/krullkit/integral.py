@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import (
+    ArgumentError,
     DegenerateCharPolyError,
     NotMonicError,
     PreconditionViolatedError,
@@ -210,7 +211,7 @@ def characteristic_polynomial(matrix, *, zero=0, one=1) -> list:
     """
     d = len(matrix)
     if d == 0 or any(len(row) != d for row in matrix):
-        raise ValueError("matrix must be square and nonempty")
+        raise ArgumentError("matrix must be square and nonempty")
     # p and q hold the coefficients below the leading 1, highest degree first.
     p = [-matrix[0][0]]
     for r in range(1, d):
@@ -289,7 +290,7 @@ class ReductionCoefficients:
 
     def __post_init__(self) -> None:
         if not self.coefficients:
-            raise ValueError("need at least one coefficient")
+            raise ArgumentError("need at least one coefficient")
 
     @property
     def rank(self) -> int:

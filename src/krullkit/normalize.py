@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import (
+    ArgumentError,
     ExhaustedFieldError,
     FieldTooSmallError,
     NotHomogeneousError,
@@ -93,12 +94,12 @@ class LinearSubstitution:
 
     def __post_init__(self) -> None:
         if self.scale.is_zero:
-            raise ValueError("scale must be nonzero")
+            raise ArgumentError("scale must be nonzero")
 
     def images(self, ring: RingSpec) -> tuple[Polynomial, ...]:
         n = ring.nvars
         if len(self.coefficients) != n - 1:
-            raise ValueError(
+            raise ArgumentError(
                 f"substitution has {len(self.coefficients)} coefficients, "
                 f"ring needs {n - 1}"
             )

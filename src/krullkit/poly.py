@@ -34,18 +34,19 @@ from random import Random
 from struct import Struct
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .errors import RingMismatchError, SizeLimitError, ZeroPolynomialError, shown
+from .errors import ArgumentError, RingMismatchError, SizeLimitError, ZeroPolynomialError, shown
 from .field import FieldElement, FieldSpec, check_count, is_scalar, scalar_text
 
 _new = object.__new__
 MAX_DEGREE = 2**63 - 1
+MAX_VARIABLES = 100_000  # the largest count RingSpec.default names
 _SLOT = 2**64 - 1
 
 
 def check_range(name: str, value: int, lo: int, hi: int) -> None:
-    """Raise ValueError unless value is an int (not a bool) with lo <= value <= hi."""
+    """Raise ArgumentError unless value is an int (not a bool) with lo <= value <= hi."""
     if type(value) is not int or not lo <= value <= hi:
-        raise ValueError(f"{name} must be in {lo}..{hi}, got {shown(value, 'a value', str)}")
+        raise ArgumentError(f"{name} must be in {lo}..{hi}, got {shown(value, 'a value', str)}")
 
 
 def _over_the_degree_limit() -> SizeLimitError:
@@ -118,17 +119,18 @@ class RingSpec:
 
     def __post_init__(self) -> None:
         if not self.variables:
-            raise ValueError("a ring needs at least one variable")
+            raise ArgumentError("a ring needs at least one variable")
         for name in self.variables:
             if not (type(name) is str and name.isascii() and name.isalnum()
                     and name[:1].isalpha()):
-                raise ValueError(f"invalid variable name {name!r}")
+                raise ArgumentError(f"invalid variable name {shown(name)}")
         if len(set(self.variables)) != len(self.variables):
-            raise ValueError("variable names must be distinct")
+            raise ArgumentError("variable names must be distinct")
 
     @classmethod
     def default(cls, field: FieldSpec, nvars: int) -> "RingSpec":
         check_count("variable count", nvars)
+        check_range("variable count", nvars, 0, MAX_VARIABLES)  # the constructor refuses 0
         return cls(field, tuple(f"t{j}" for j in range(1, nvars + 1)))
 
     @property
@@ -141,9 +143,9 @@ class RingSpec:
         return _codec_for(len(self.variables))
 
     def _key(self, exps: tuple) -> int:
-        """The key of exps; ValueError unless it is n plain nonnegative ints (not bools)."""
+        """The key of exps; ArgumentError unless it is n plain nonnegative ints (not bools)."""
         if len(exps) != len(self.variables) or any(type(e) is not int or e < 0 for e in exps):
-            raise ValueError(f"bad exponent vector {exps!r} for {self}")
+            raise ArgumentError(f"bad exponent vector {exps!r} for {self}")
         return self._codec.encode(exps)
 
     def index_of(self, name: str) -> int:
@@ -416,7 +418,7 @@ class Polynomial:
     def evaluate(self, point: Sequence) -> FieldElement:
         """Evaluate at a point, one scalar per variable."""
         if len(point) != self.ring.nvars:
-            raise ValueError(
+            raise ArgumentError(
                 f"point has {len(point)} coordinates, ring has {self.ring.nvars} variables"
             )
         spec = self.ring.field
@@ -438,7 +440,7 @@ class Polynomial:
         lives in that ring.
         """
         if len(images) != self.ring.nvars:
-            raise ValueError(
+            raise ArgumentError(
                 f"got {len(images)} images for {self.ring.nvars} variables"
             )
         target = getattr(images[0], "ring", None)

@@ -9,11 +9,12 @@ from hypothesis import strategies as st
 import oracles
 from krullkit.chains import (
     DEFAULT_SEED,
+    MAX_CHECKS,
     MonomialPrimeIdeal,
     extract_min_power,
     verify_chain,
 )
-from krullkit.errors import PreconditionViolatedError, RingMismatchError
+from krullkit.errors import ArgumentError, PreconditionViolatedError, RingMismatchError
 from krullkit.field import FieldSpec
 from krullkit.parse import parse_polynomial
 from krullkit.poly import Polynomial, RingSpec, embed, random_polynomial
@@ -233,6 +234,15 @@ class TestVerifyChain:
         # not the count 1.
         with pytest.raises(ValueError):
             verify_chain(QR2, checks_per_level=checks)
+
+    def test_rejects_more_than_max_checks(self):
+        # A count is refused before any check runs, and named by its length when long.
+        for checks, got in (
+            (MAX_CHECKS + 1, f"{MAX_CHECKS + 1}"), (-10**20, "a value of 22 characters"),
+        ):
+            with pytest.raises(ArgumentError) as info:
+                verify_chain(QR2, checks_per_level=checks)
+            assert str(info.value) == f"checks per level must be in 1..{MAX_CHECKS}, got {got}"
 
     def test_json_shape(self):
         report = verify_chain(QR2, checks_per_level=5)

@@ -18,6 +18,7 @@ from krullkit.cli import build_parser, main
 from krullkit.errors import KrullkitError
 from krullkit.field import MAX_MODULUS
 from krullkit.integral import IntegralityWitness
+from krullkit.poly import MAX_VARIABLES, Polynomial
 
 EXAMPLE = "t1^3 + 2*t1^2*t2 + 4*t2^3"
 
@@ -465,8 +466,53 @@ class TestErrorsAndExitCodes:
         )
 
     def test_huge_variable_count_is_described_by_its_length(self, capsys):
+        # The count is read by the integer reader, as every integer option is.
         assert run(capsys, "degree", "--vars", "9" * 5000, "t1") == (
-            2, "", "error: InvalidArgument: variable count of 5000 digits is too large\n"
+            2, "", "error: InvalidArgument: invalid int value of 5000 characters\n"
+        )
+        assert run(capsys, "degree", "--vars", "9" * 11, "t1") == (
+            2, "", f"error: InvalidArgument: variable count must be in 0..{MAX_VARIABLES},"
+            " got a value of 11 characters\n"
+        )
+
+    def test_variable_count_limit(self, capsys):
+        # 99999999 once ended in a MemoryError traceback from building the names.
+        assert run(capsys, "degree", "--vars", "99999999", "t1") == (
+            2, "", f"error: InvalidArgument: variable count must be in 0..{MAX_VARIABLES},"
+            " got 99999999\n"
+        )
+        assert run(capsys, "degree", "--vars", str(MAX_VARIABLES), "t1 + t99999") == (0, "1\n", "")
+
+    @pytest.mark.parametrize("argv,message", [
+        (("--field", "x" * 3000, "t1"),
+         "unrecognized field of 3000 characters, expected Q or F<p>"),
+        (("--vars", "t1," + "x" * 3000 + "-", "t1"), "invalid variable name of 3001 characters"),
+        (("--in", "x" * 3000 + "-", "t1"), "unknown variable name of 3001 characters in Q[t1]"),
+    ])
+    def test_long_refused_texts_are_named_by_length(self, capsys, argv, message):
+        assert run(capsys, "degree", *argv) == (2, "", f"error: InvalidArgument: {message}\n")
+
+    def test_short_scalar_with_a_long_quoted_form_is_named_by_its_length(self, capsys):
+        # Ten U+E0001 characters were once quoted whole, a 146-byte line.
+        assert run(capsys, "eval", "--at", "\U000e0001" * 10, "t1") == (
+            2, "", "error: InvalidArgument: bad scalar literal of 10 characters\n"
+        )
+
+    @pytest.mark.parametrize("bug", [ValueError, ZeroDivisionError])
+    def test_a_bug_is_not_an_argument_error(self, monkeypatch, bug):
+        # Only the typed errors are reported; any other exception escapes main.
+        def total_degree(self):
+            raise bug("bug in a handler")
+
+        monkeypatch.setattr(Polynomial, "total_degree", total_degree)
+        with pytest.raises(bug) as info:
+            main(["degree", "t1"])
+        assert type(info.value) is bug
+
+    def test_too_many_checks_per_level(self, capsys):
+        assert run(capsys, "chain-verify", "--checks", "-99999999999999999999") == (
+            2, "", "error: InvalidArgument: checks per level must be in 1..10000,"
+            " got a value of 21 characters\n"
         )
 
     def test_short_trailing_and_unknown_tokens_unchanged(self, capsys):
@@ -1054,6 +1100,36 @@ class TestEntryPoints:
         assert (proc.returncode, proc.stdout, proc.stderr) == (
             2, "", "error: InvalidArgument: bad scalar literal of 11 characters\n"
         )
+
+    def test_checks_over_the_limit_are_refused(self):
+        # 10^8 checks per level once ran past a 10 s timeout; this one only guards against a hang.
+        proc = self.python("-m", "krullkit", "chain-verify", "--vars", "3", "--checks", "100000000")
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            2, "", "error: InvalidArgument: checks per level must be in 1..10000, got 100000000\n"
+        )
+
+    def test_no_bug_is_reported_as_an_argument(self):
+        # Validation raises the typed ArgumentError, never a bare ValueError, and
+        # main reports only typed errors, so a bug stays a visible traceback.
+        for path in sorted(Path(self.SRC, "krullkit").glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if isinstance(node, ast.Raise) and node.exc is not None:
+                    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                    assert getattr(exc, "id", None) != "ValueError", (path.name, node.lineno)
+        # _parse_scalar alone turns Fraction's and the field's refusals into ArgumentError.
+        tree = ast.parse(Path(self.SRC, "krullkit", "cli.py").read_text())
+        for fn in tree.body:
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            handled = {
+                name.id
+                for handler in ast.walk(fn) if isinstance(handler, ast.ExceptHandler)
+                for name in ast.walk(handler.type) if isinstance(name, ast.Name)
+            }
+            if fn.name == "main":
+                assert handled == {"SystemExit", "KrullkitError", "BrokenPipeError"}
+            elif fn.name != "_parse_scalar":
+                assert not handled & {"ValueError", "ZeroDivisionError"}, fn.name
 
     def test_undecodable_argv_bytes(self):
         # argv bytes that are not UTF-8 arrive as surrogate escapes.

@@ -11,15 +11,19 @@ from hypothesis import strategies as st
 
 import oracles
 from krullkit.errors import (
+    ArgumentError,
     FieldMismatchError,
     KrullkitError,
     RingMismatchError,
     SizeLimitError,
     ZeroPolynomialError,
+    shown,
 )
 from krullkit.field import FieldElement, FieldSpec
 from krullkit.parse import parse_polynomial
-from krullkit.poly import Polynomial, RingSpec, embed, random_polynomial, random_scalar
+from krullkit.poly import (
+    MAX_VARIABLES, Polynomial, RingSpec, embed, random_polynomial, random_scalar,
+)
 
 Q = FieldSpec.rationals()
 F5 = FieldSpec.prime(5)
@@ -318,6 +322,37 @@ class TestRefusedInputs:
         with pytest.raises(ValueError) as info:
             call()
         assert str(info.value) == message
+
+    @pytest.mark.parametrize("call", [
+        lambda: RingSpec.default(Q, 3).gen(1).degree_in(10**5000),
+        lambda: RingSpec.default(Q, 3).gen(1) ** -10**5000,
+    ], ids=["index", "exponent"])
+    def test_values_past_the_print_limit_are_named_without_str(self, call):
+        # str() of the value once raised CPython's own "Exceeds the limit" ValueError.
+        with pytest.raises(ArgumentError) as info:
+            call()
+        assert str(info.value).endswith(" got a value of more than 4300 digits")
+        assert len(str(info.value)) < 80
+
+    def test_variable_count_limit(self):
+        assert RingSpec.default(Q, MAX_VARIABLES).variables[-1] == f"t{MAX_VARIABLES}"
+        for count, got in ((MAX_VARIABLES + 1, f"{MAX_VARIABLES + 1}"),
+                           (10**20, "a value of 21 characters")):
+            with pytest.raises(ArgumentError) as info:
+                RingSpec.default(Q, count)
+            assert str(info.value) == f"variable count must be in 0..{MAX_VARIABLES}, got {got}"
+
+    @pytest.mark.parametrize("value,noun,expected", [
+        ("abcdefghij", "token", "'abcdefghij'"),
+        ("abcdefghijk", "token", "token of 11 characters"),
+        # Short, but its quoted form is not: named by its length.
+        ("\U000e0001" * 2, "token", "token of 2 characters"),
+        ("\U000e0001" * 2, "", "of 2 characters"),
+        (-123456789, "a value", "-123456789"),
+        (10**5000, "a value", "a value of more than 4300 digits"),
+    ], ids=["short", "long", "long-repr", "no-noun", "int", "past-the-print-limit"])
+    def test_one_rule_names_a_refused_value(self, value, noun, expected):
+        assert shown(value, noun) == expected
 
     @pytest.mark.parametrize("images", [[1, 2], (None, None)])
     def test_substitution_image_that_is_not_a_polynomial(self, images):
