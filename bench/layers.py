@@ -128,6 +128,8 @@ def cases(smoke: bool) -> dict:
         size = len(big.terms)
         out[f"{name} mul {size}x{len(other.terms)}: {POWER.format(e=e)} * {OTHER.format(e=e)}"] = (
             "poly.mul", lambda a=big, b=other: a * b)
+        out[f"{name} Polynomial(ring, terms) of the {size}-term {POWER.format(e=e)}"] = (
+            "poly.init", lambda r=ring, t=big.terms: Polynomial(r, t))
         out[f"{name} mul 6x6"] = ("poly.mul", lambda a=six, b=six2: a * b)
         out[f"{name} mul 1x1"] = ("poly.mul", lambda a=one, b=one2: a * b)
         product = big * other

@@ -93,7 +93,7 @@ def _resolve_variable(ring: RingSpec, spec: str) -> int:
         return _int(spec)
     if spec in ring.variables:
         return ring.index_of(spec)
-    raise ArgumentError(f"unknown variable {shown(spec, 'name')} in {ring}")
+    raise ArgumentError(f"unknown variable {shown(spec, 'name')}")
 
 
 def _cmd_degree(args, ring, f):

@@ -17,6 +17,6 @@ def test_layer_cases_smoke():
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout)
     assert set(report) == {"python", "platform", "cases"}
-    assert len(report["cases"]) == 49
+    assert len(report["cases"]) == 51
     for case in report["cases"].values():
         assert set(case) == {"layer", "min_s", "number", "repeat"}

@@ -413,7 +413,7 @@ class TestErrorsAndExitCodes:
             2, "", "error: InvalidArgument: invalid variable name '²'\n"
         )
         assert run(capsys, "degree", "--vars", "2", "--in", "²", "t1") == (
-            2, "", "error: InvalidArgument: unknown variable '²' in Q[t1,t2]\n"
+            2, "", "error: InvalidArgument: unknown variable '²'\n"
         )
         assert run(capsys, "degree", "--vars", "2", "--in", "3", "t1") == (
             2, "", "error: InvalidArgument: variable index must be in 1..2, got 3\n"
@@ -423,7 +423,7 @@ class TestErrorsAndExitCodes:
             2, "", "error: InvalidArgument: invalid variable name '\u0663'\n"
         )
         assert run(capsys, "degree", "--vars", "2", "--in", "\u0662", "t2") == (
-            2, "", "error: InvalidArgument: unknown variable '\u0662' in Q[t1,t2]\n"
+            2, "", "error: InvalidArgument: unknown variable '\u0662'\n"
         )
 
     @pytest.mark.parametrize(
@@ -487,10 +487,16 @@ class TestErrorsAndExitCodes:
         (("--field", "x" * 3000, "t1"),
          "unrecognized field of 3000 characters, expected Q or F<p>"),
         (("--vars", "t1," + "x" * 3000 + "-", "t1"), "invalid variable name of 3001 characters"),
-        (("--in", "x" * 3000 + "-", "t1"), "unknown variable name of 3001 characters in Q[t1]"),
+        (("--in", "x" * 3000 + "-", "t1"), "unknown variable name of 3001 characters"),
     ])
     def test_long_refused_texts_are_named_by_length(self, capsys, argv, message):
         assert run(capsys, "degree", *argv) == (2, "", f"error: InvalidArgument: {message}\n")
+
+    def test_unknown_variable_line_is_short_in_a_wide_ring(self, capsys):
+        # The line once named the whole ring: 16,944 bytes at 3000 variables.
+        code, out, err = run(capsys, "degree", "--vars", "3000", "--in", "y", "t1")
+        assert (code, out, err) == (2, "", "error: InvalidArgument: unknown variable 'y'\n")
+        assert len(err.encode()) < 100
 
     def test_short_scalar_with_a_long_quoted_form_is_named_by_its_length(self, capsys):
         # Ten U+E0001 characters were once quoted whole, a 146-byte line.
@@ -1130,6 +1136,22 @@ class TestEntryPoints:
                 assert handled == {"SystemExit", "KrullkitError", "BrokenPipeError"}
             elif fn.name != "_parse_scalar":
                 assert not handled & {"ValueError", "ZeroDivisionError"}, fn.name
+
+    def test_one_key_builder(self):
+        # Exponents become a packed key only in _Codec.key, which raises the
+        # degree limit; RingSpec.dot raises it for keys that are sums.  No bytes
+        # are packed.
+        tree = ast.parse(Path(self.SRC, "krullkit", "poly.py").read_text())
+        raisers = []
+        for node in tree.body:
+            for fn in node.body if isinstance(node, ast.ClassDef) else [node]:
+                for call in ast.walk(fn):
+                    if not isinstance(call, ast.Call):
+                        continue
+                    assert getattr(call.func, "attr", None) != "pack", call.lineno
+                    if getattr(call.func, "id", None) == "_over_the_degree_limit":
+                        raisers.append(fn.name if fn is node else f"{node.name}.{fn.name}")
+        assert sorted(raisers) == ["RingSpec.dot", "_Codec.key"]
 
     def test_undecodable_argv_bytes(self):
         # argv bytes that are not UTF-8 arrive as surrogate escapes.

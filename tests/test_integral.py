@@ -34,7 +34,7 @@ from krullkit.integral import (
     subring_intersection_trivial,
 )
 from krullkit.parse import parse_polynomial
-from krullkit.poly import RingSpec, embed, random_polynomial, random_scalar
+from krullkit.poly import Polynomial, RingSpec, embed, random_polynomial, random_scalar
 
 Q = FieldSpec.rationals()
 QR1 = RingSpec.default(Q, 1)
@@ -78,7 +78,7 @@ def dense_monic(rng, ring, d):
     for j in range(d):
         for exps in _exponents(n - 1, 2):
             c = random_scalar(rng, ring.field) or ring.field.one()
-            g = g + ring.monomial((*exps, j), ring.field.scalar(c))
+            g = g + Polynomial(ring, {(*exps, j): c})
     return g
 
 
@@ -134,6 +134,14 @@ class TestMonicGenerator:
     def test_equality(self):
         assert MonicGenerator(P("t2^2 - t1")) == MonicGenerator(P("t2^2 - t1"))
         assert MonicGenerator(P("t2^2 - t1")) != MonicGenerator(P("t2^2"))
+
+    def test_a_generator_is_not_its_polynomial(self):
+        assert (MonicGenerator(P("t2^2 - t1")) == P("t2^2 - t1")) is False
+
+    def test_repr(self):
+        assert repr(MonicGenerator(P("t2^2 - t1"))) == (
+            "MonicGenerator(<Polynomial t2^2 - t1 over Q[t1,t2]>)"
+        )
 
 
 class TestDivideMonic:
