@@ -1,38 +1,46 @@
 """Layer cases for the scalar and polynomial kernel, timed in one process.
 
-Each case runs a fixed input; its time is the minimum per call over
-``timeit.repeat``.  The script prints one JSON object with the Python
-version, the platform and one entry per case.  It uses only the standard
-library and imports krullkit from ``src/`` next to this directory, or from
-the checkout given with ``--src`` (to time another commit the same way).
+Each case runs a fixed input.  The script uses only the standard library and
+loads krullkit from ``src/`` next to this directory, or from the checkout
+given with ``--src``.  It prints one JSON object with the Python version,
+the platform and one entry per case.  There is no timing gate; the numbers
+are a record, not a test.
 
-    python3 bench/layers.py                  # full sizes, 5 repeats
-    python3 bench/layers.py --smoke          # smallest sizes, one repeat
-    python3 bench/layers.py --src OTHER/src  # the package in another checkout
+    python3 bench/layers.py                        # full sizes, 5 repeats
+    python3 bench/layers.py --smoke                # smallest sizes, one repeat
+    python3 bench/layers.py --src OTHER/src        # the package in another checkout
+    python3 bench/layers.py --ab PARENT/src        # paired: PARENT (A) against src (B)
+    python3 bench/layers.py --ab src > aa.json     # A/A: the noise floor
 
-There is no timing gate; the numbers are a record, not a test.
+The plain mode gives each case's absolute time, the minimum per call over
+``timeit.repeat``.  Between two checkouts it cannot resolve a change under
+about 25% on a shared 2-core machine: run to run, cases whose code did not
+change read x1.09 to x1.25.
 
-The minimum of five repeats in one process, with no calibration, cannot
-resolve a change under about 25% on a shared 2-core machine: cases whose
-code did not change read x1.09 to x1.25 between two checkouts.  To compare
-two checkouts, alternate whole runs, one process each, between them::
-
-    python3 bench/layers.py --src PARENT/src > parent1.json
-    python3 bench/layers.py --src CHANGE/src > change1.json
-    python3 bench/layers.py --src CHANGE/src > change2.json
-    python3 bench/layers.py --src PARENT/src > parent2.json
-
-and compare the cases over several such rounds, not one run per side.
+The ``--ab`` mode loads both trees into one process, as the packages
+``kk_a`` and ``kk_b`` (``src/krullkit`` imports only relatively), and first
+checks that every case gives the same ``repr`` on both sides, so a timing
+run is also a differential test of the two checkouts.  Then each of
+``AB_ROUNDS`` rounds times every case once on each side, back to back, in a
+shuffled order of cases and of sides, with the garbage collector off while
+timing.  Per case it reports the median of the rounds' B/A time ratios, their
+interquartile range and the number of rounds in which B was slower.  Both
+sides share one interpreter, so import cost, start-up and memory layout are
+not compared; end-to-end claims come from ``perfbench/``.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import importlib
+import importlib.util
 import io
 import json
 import os
 import platform
+import random
+import statistics
 import sys
 import timeit
 from fractions import Fraction
@@ -78,6 +86,9 @@ WIDE = "3*t{m}*t{n} + 2/3*t1^2*t{m} - t{n}^3*t2 + 5*t{n}"
 # A member/split input of the wide deck, parenthesized coefficients and all.
 WIDE_TEXT = "(3/2)*t2^2*t{m}^2 + (5)*t1^2*t{m}^2*t{n}^3 + (5)*t{n} + (-3/2)*t1^3*t2^3*t{m}^2"
 EVAL_ARGV = ["eval", "--vars", "2", "--at", "2,2", "t1^3 + 2*t1^2*t2 + 4*t2^3"]
+# Paired rounds in --ab mode, and the time each paired measurement aims for.
+AB_ROUNDS = 41
+AB_TARGET_S = 0.01
 
 
 def _primes(count: int, start: int) -> list[int]:
@@ -91,19 +102,19 @@ def _primes(count: int, start: int) -> list[int]:
     return found
 
 
-def cases(smoke: bool) -> dict:
-    """Map each case name to (layer, zero-argument callable)."""
-    from krullkit import FieldSpec, RingSpec, parse_polynomial
-    from krullkit.chains import verify_chain
-    from krullkit.cli import main
-    from krullkit.integral import (
-        characteristic_polynomial,
-        contraction_witness,
-        coset_action_matrix,
-        divide_monic,
-    )
-    from krullkit.normalize import monicize, nonvanishing_point
-    from krullkit.poly import Polynomial
+def cases(smoke: bool, kk) -> dict:
+    """Map each case name to (layer, zero-argument callable) for the package kk."""
+    def sub(name):
+        return importlib.import_module(f"{kk.__name__}.{name}")
+
+    FieldSpec, RingSpec, parse_polynomial = kk.FieldSpec, kk.RingSpec, kk.parse_polynomial
+    verify_chain, main = sub("chains").verify_chain, sub("cli").main
+    integral, normalize = sub("integral"), sub("normalize")
+    characteristic_polynomial = integral.characteristic_polynomial
+    contraction_witness = integral.contraction_witness
+    coset_action_matrix, divide_monic = integral.coset_action_matrix, integral.divide_monic
+    monicize, nonvanishing_point = normalize.monicize, normalize.nonvanishing_point
+    Polynomial = sub("poly").Polynomial
 
     e = 2 if smoke else 8
     n_wide = 3 if smoke else 200
@@ -131,6 +142,9 @@ def cases(smoke: bool) -> dict:
         out[f"{name} Polynomial(ring, terms) of the {size}-term {POWER.format(e=e)}"] = (
             "poly.init", lambda r=ring, t=big.terms: Polynomial(r, t))
         out[f"{name} mul 6x6"] = ("poly.mul", lambda a=six, b=six2: a * b)
+        out[f"{name} add 6+6"] = ("poly.add", lambda a=six, b=six2: a + b)
+        out[f"{name} coefficients_in(3) of the {size}-term {POWER.format(e=e)}"] = (
+            "poly.coefficients_in", lambda a=big: a.coefficients_in(3))
         out[f"{name} mul 1x1"] = ("poly.mul", lambda a=one, b=one2: a * b)
         product = big * other
         out[f"{name} str of the {len(product.terms)}-term product "
@@ -217,33 +231,86 @@ def cases(smoke: bool) -> dict:
         "poly.in_variable_ideal", lambda f=f, k=k: f.in_variable_ideal(k))
 
     def cli_eval():
-        with contextlib.redirect_stdout(io.StringIO()):
+        with contextlib.redirect_stdout(io.StringIO()) as out:
             main(EVAL_ARGV)
+        return out.getvalue()
 
     out[f"cli.main in process: krullkit {' '.join(EVAL_ARGV)}"] = ("cli.main", cli_eval)
     return out
 
 
-def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--smoke", action="store_true", help="smallest sizes, one repeat")
-    ap.add_argument("--src", help="directory holding the krullkit package")
-    args = ap.parse_args(argv)
-    src = args.src or os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
-    sys.path.insert(0, os.path.abspath(src))
-    repeat = 1 if args.smoke else 5
+def load(name: str, src: str):
+    """The krullkit package in the directory src, imported as package ``name``."""
+    path = os.path.join(os.path.abspath(src), "krullkit")
+    spec = importlib.util.spec_from_file_location(
+        name, os.path.join(path, "__init__.py"), submodule_search_locations=[path])
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def absolute(smoke: bool, kk) -> dict:
+    """Each case's minimum time per call over timeit.repeat."""
+    repeat = 1 if smoke else 5
     result = {}
-    for name, (layer, fn) in cases(args.smoke).items():
+    for name, (layer, fn) in cases(smoke, kk).items():
         once = min(timeit.repeat(fn, number=1, repeat=1))
         # Aim for about 0.2 s per repeat, at least one call.
-        number = 1 if args.smoke else max(1, int(0.2 / max(once, 1e-7)))
+        number = 1 if smoke else max(1, int(0.2 / max(once, 1e-7)))
         best = min(timeit.repeat(fn, number=number, repeat=repeat)) / number
         result[name] = {"layer": layer, "min_s": best, "number": number, "repeat": repeat}
-    print(json.dumps({
-        "python": platform.python_version(),
-        "platform": platform.platform(),
-        "cases": result,
-    }, indent=1))
+    return result
+
+
+def paired(smoke: bool, kk_a, kk_b) -> dict:
+    """Each case's B/A time ratios over shuffled paired rounds; see the module docstring."""
+    a, b = cases(smoke, kk_a), cases(smoke, kk_b)
+    if list(a) != list(b):
+        raise SystemExit(f"the two sides name different cases: {sorted(set(a) ^ set(b))}")
+    numbers = {}
+    for name, (_, fn) in a.items():
+        shown_a, shown_b = repr(fn()), repr(b[name][1]())
+        if shown_a != shown_b:
+            raise SystemExit(f"{name}: A gives {shown_a[:200]}, B gives {shown_b[:200]}")
+        once = min(timeit.repeat(fn, number=1, repeat=3))
+        numbers[name] = 1 if smoke else max(1, int(AB_TARGET_S / max(once, 1e-7)))
+    rng = random.Random(0)
+    ratios: dict[str, list[float]] = {name: [] for name in a}
+    for _ in range(3 if smoke else AB_ROUNDS):
+        order = list(a)
+        rng.shuffle(order)
+        for name in order:
+            sides = [a[name][1], b[name][1]]
+            first = rng.randrange(2)
+            # timeit turns the garbage collector off while it times.
+            t = {side: timeit.Timer(sides[side]).timeit(numbers[name])
+                 for side in (first, 1 - first)}
+            ratios[name].append(t[1] / t[0])
+    result = {}
+    for name, rs in ratios.items():
+        q1, median, q3 = statistics.quantiles(rs, n=4, method="inclusive")
+        result[name] = {"layer": a[name][0], "median_b_over_a": median, "iqr": q3 - q1,
+                        "b_slower": sum(r > 1 for r in rs), "rounds": len(rs),
+                        "number": numbers[name]}
+    return result
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--smoke", action="store_true", help="smallest sizes, fewest repeats")
+    ap.add_argument("--src", help="directory holding the krullkit package (B in --ab mode)")
+    ap.add_argument("--ab", metavar="PARENT_SRC",
+                    help="time every case paired against the package in PARENT_SRC (A)")
+    args = ap.parse_args(argv)
+    src = args.src or os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+    report = {"python": platform.python_version(), "platform": platform.platform()}
+    if args.ab:
+        report["a"], report["b"] = os.path.abspath(args.ab), os.path.abspath(src)
+        report["cases"] = paired(args.smoke, load("kk_a", args.ab), load("kk_b", src))
+    else:
+        report["cases"] = absolute(args.smoke, load("krullkit", src))
+    print(json.dumps(report, indent=1))
     return 0
 
 

@@ -2,10 +2,11 @@
 
 A :class:`FieldSpec` names the field; a :class:`FieldElement` is one scalar in
 canonical form (a reduced ``Fraction`` over the rationals, the least
-nonnegative residue modulo ``p`` over a prime field).  Polynomials store the
-plain canonical values that :meth:`FieldSpec.scalar` produces and wrap them
-in elements only at their API.  All arithmetic is exact; there is no
-floating point anywhere.
+nonnegative residue modulo ``p`` over a prime field).  Polynomials store
+integer numerators over one denominator (see ``poly.py``) and turn them into
+the plain canonical values that :meth:`FieldSpec.scalar` produces, wrapped in
+elements, only at their API.  All arithmetic is exact; there is no floating
+point anywhere.
 
 This module owns the scalar rules.  :func:`is_scalar` is the one test of
 what counts as a scalar (an ``int`` that is not a ``bool``, a ``Fraction``,
@@ -226,10 +227,11 @@ class FieldElement:
         return f"FieldElement({self.spec}, {self.value})"
 
 
-def scalar_text(value: Fraction | int) -> str:
-    """``str(value)``, or SizeLimitError when a part has more digits than Python prints."""
+def scalar_text(value: Fraction | int, den: int = 1) -> str:
+    """``str(value)``, or ``value/den`` for a reduced fraction of ints with den > 1;
+    SizeLimitError when a part has more digits than Python prints."""
     try:
-        return str(value)
+        return str(value) if den == 1 else f"{value}/{den}"
     except ValueError:  # CPython's int-to-str digit limit
         raise SizeLimitError(
             f"a coefficient of more than {sys.get_int_max_str_digits()} digits cannot be printed"

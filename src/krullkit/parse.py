@@ -15,7 +15,10 @@ and it is a parse error if the denominator of the reduced fraction is
 divisible by the characteristic: over F2, ``4/2`` is 0 and ``2/4`` an error).
 Exponents are capped at 2^31 - 1, number literals at
 :data:`MAX_LITERAL_DIGITS` digits, and parentheses nest at most
-:data:`MAX_DEPTH` deep.
+:data:`MAX_DEPTH` deep.  Over Q, a power of a literal or of a parenthesized
+literal whose numerator or denominator would have more than
+:data:`MAX_LITERAL_DIGITS` digits raises :class:`SizeLimitError` before it
+is computed (over F_p such a power is reduced mod p and always fits).
 
 Errors are always :class:`ParseError` values carrying the byte offset into
 the UTF-8 encoding of the input, never raw exceptions from the internals.
@@ -33,7 +36,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .errors import KrullkitError, shown
+from .errors import KrullkitError, SizeLimitError, shown
 from .poly import Polynomial, RingSpec
 
 __all__ = [
@@ -47,6 +50,7 @@ __all__ = [
 MAX_EXPONENT = 2**31 - 1
 # CPython refuses to convert longer digit strings to int (sys.int_info).
 MAX_LITERAL_DIGITS = 4300
+_LITERAL_LIMIT = 10**MAX_LITERAL_DIGITS  # the least int of more digits
 # A parenthesis level takes at most four frames (parse_term, group, sum_terms
 # and summands), so 100 levels take 400 of the default recursion limit of
 # 1000 and leave the rest to the caller's stack and the arithmetic.
@@ -137,10 +141,10 @@ class _Parser:
             self.pos += 1
             yield self.parse_term(1 if kind == "+" else -1)
 
-    def parse_term(self, sign: int) -> tuple[list, Fraction | int] | Polynomial:
-        # A term is one scalar (num/den over Q), sparse (j, e) factors and
-        # the product of its groups; a group holding one literal, like a bare
-        # literal, is folded into the scalar.
+    def parse_term(self, sign: int) -> tuple[list, int, int] | Polynomial:
+        # A term is one scalar num/den (a residue over 1 over F_p), sparse
+        # (j, e) factors and the product of its groups; a group holding one
+        # literal, like a bare literal, is folded into the scalar.
         ring = self.ring
         p = ring.field.modulus
         num, den = -sign if self.take("-") else sign, 1
@@ -164,30 +168,31 @@ class _Parser:
                     group = group if e == 1 else group**e
                     value = group if value is None else value * group
                 else:
-                    num, den = self.scale(num, den, *group.as_integer_ratio())
+                    num, den = self.scale(num, den, *group)
             else:
                 raise ParseError(
                     offset, "expected a value", expected=("number", "variable", "'('")
                 )
             if not self.take("*"):
                 break
-        scalar = num % p if p else Fraction(num, den)
+        if p:
+            num %= p
         if value is None:
-            return factors, scalar
-        if factors or scalar != 1:
-            value = value * ring.sum_terms(((factors, scalar),))
+            return factors, num, den
+        if factors or num != den:
+            value = value * ring.sum_terms(((factors, num, den),))
         return value
 
-    def group(self, offset: int) -> Polynomial | Fraction | int:
-        # A parenthesized sum as a Polynomial, or the raw scalar of a lone
-        # literal, as in (-3/5), which skips the sum.
+    def group(self, offset: int) -> Polynomial | tuple[int, int]:
+        # A parenthesized sum as a Polynomial, or the scalar (num, den) of a
+        # lone literal, as in (-3/5), which skips the sum.
         if self.depth == MAX_DEPTH:
             raise ParseError(offset, f"parentheses nested deeper than {MAX_DEPTH}")
         self.pos += 1
         self.depth += 1
         first = self.parse_term(1)
         if type(first) is tuple and not first[0] and self.tokens[self.pos][0] == ")":
-            value = first[1]
+            value = first[1:]
         else:
             value = self.ring.sum_terms(self.summands(first))
         self.take(")", "')'")
@@ -202,7 +207,7 @@ class _Parser:
             return num * pow(a, e, p) % p, 1
         if e == 1:
             return num * a, den * b
-        return num * a**e, den * b**e
+        return num * _literal_power(a, e), den * _literal_power(b, e)
 
     def exponent(self) -> int:
         if not self.take("^"):
@@ -240,6 +245,17 @@ class _Parser:
             raise FieldLiteralError(
                 offset, f"denominator {denominator} is not invertible in {field}"
             ) from None
+
+
+def _literal_power(a: int, e: int) -> int:
+    # a**e, or SizeLimitError past MAX_LITERAL_DIGITS digits.  A power of at
+    # least (bit length - 1) * e bits is over the limit without computing it;
+    # any other is under twice the limit's bit length, or a power of 0 or 1.
+    if (abs(a).bit_length() - 1) * e < _LITERAL_LIMIT.bit_length():
+        power = a**e
+        if abs(power) < _LITERAL_LIMIT:
+            return power
+    raise SizeLimitError(f"a literal power of more than {MAX_LITERAL_DIGITS} digits")
 
 
 def parse_polynomial(text: str, ring: RingSpec) -> Polynomial:

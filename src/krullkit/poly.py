@@ -1,16 +1,19 @@
 """Sparse multivariate polynomials over an exact coefficient field.
 
-A :class:`Polynomial` is a dict from packed monomial keys to nonzero raw
-scalars (a ``Fraction`` over Q, an ``int`` in 1..p-1 over F_p), tagged with
-its :class:`RingSpec`.  A key is one int, ``[total degree | e1 | ... | en]``
-in 64-bit slots (see :class:`_Codec`), so a monomial product is one int add
-and graded lex order is int order.  Keys are built from (j, e) factors only
-by ``_Codec.key`` and read back only by ``_Codec.decode``.  Arithmetic works
-on the raw scalars and builds its results with the unchecked
-:meth:`Polynomial._make`; scalars cross the API as :class:`FieldElement`
-values.  Every operation returns a new polynomial with zero coefficients
-dropped, so equal polynomials have equal term dicts.  No other module reads
-or builds a term dict; ``terms`` is a decoded view for tests.
+A :class:`Polynomial` maps packed monomial keys to nonzero ``int``
+numerators over one denominator, tagged with its :class:`RingSpec`.  Over Q
+the denominator is the lcm of the coefficients' denominators, so
+``gcd(den, *numerators) == 1``; over F_p the numerators are residues in
+1..p-1 and the denominator is 1, as it is for the zero polynomial.  A key is
+one int, ``[total degree | e1 | ... | en]`` in 64-bit slots (see
+:class:`_Codec`), so a monomial product is one int add and graded lex order
+is int order.  Keys are built from (j, e) factors only by ``_Codec.key`` and
+read back only by ``_Codec.decode``.  Arithmetic works on ints and builds
+its results with the unchecked :meth:`Polynomial._make`, or with
+:func:`_reduced` where a Q result may share a factor with its denominator;
+``Fraction`` values are built only where scalars leave as
+:class:`FieldElement` values.  Equal polynomials have equal stored fields.
+No other module reads or builds the stored form; ``terms`` is a decoded view.
 
 A monomial's total degree is at most :data:`MAX_DEGREE`, 2^63 - 1; a
 monomial over it raises :class:`SizeLimitError`.
@@ -30,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
-from math import lcm
+from math import gcd, lcm
 from random import Random
 from struct import Struct
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -173,12 +176,12 @@ class RingSpec:
 
     def constant(self, value) -> "Polynomial":
         c = self.field.scalar(value)
-        return Polynomial._make(self, {0: c} if c else {})
+        return Polynomial._make(self, {0: c.numerator} if c else {}, c.denominator)
 
     def gen(self, j: int) -> "Polynomial":
         """The variable t_j as a polynomial (j is 1-based)."""
         check_range("variable index", j, 1, self.nvars)
-        return Polynomial._make(self, {self._codec.unit(j): self.field.scalar(1)})
+        return Polynomial._make(self, {self._codec.unit(j): 1})
 
     def gens(self) -> tuple["Polynomial", ...]:
         return tuple(self.gen(j) for j in range(1, self.nvars + 1))
@@ -186,31 +189,24 @@ class RingSpec:
     def dot(self, pairs: Iterable[tuple["Polynomial", "Polynomial"]]) -> "Polynomial":
         """The sum of x * y over pairs of polynomials of this ring; unchecked.
 
-        The one product loop: every product goes unreduced into one
-        accumulator, and each output term is reduced once, by ``% p`` or by
-        one ``Fraction`` over d, the lcm of the pairs' denominators d1 * d2.
-        The pairs are read once, in order, so they may come from a generator.
+        The one product loop: every product of numerators goes unreduced into
+        one accumulator over d, the lcm of the pairs' denominators d1 * d2, and
+        each output term is reduced once, by ``% p`` or, over Q, by one gcd
+        for the whole result.  The pairs are read once, in order, so they may
+        come from a generator.
         """
         p = self.field.modulus
         acc: dict[int, int] = {}
         get = acc.get
         d = 1
         for x, y in pairs:
-            if p:
-                left, right = x._keys.items(), list(y._keys.items())
-            else:
-                d1, left = _numerators(x._keys)
-                d2, right = _numerators(y._keys)
-                pair_d = d1 * d2
-                if not acc:  # acc holds numerators over d; it is empty, so d is free
-                    d = pair_d
-                elif d % pair_d:
-                    scale = lcm(d, pair_d) // d
-                    for key in acc:
-                        acc[key] *= scale
-                    d *= scale
+            left, right = x._keys.items(), list(y._keys.items())
+            if not p:
+                pair_d = x._den * y._den
                 if pair_d != d:
-                    left = [(e, c * (d // pair_d)) for e, c in left]
+                    d, scale = _common_denominator(acc, d, pair_d)
+                    if scale != 1:
+                        left = [(e, c * scale) for e, c in left]
             for k1, c1 in left:
                 for k2, c2 in right:
                     key = k1 + k2
@@ -219,29 +215,39 @@ class RingSpec:
             raise _over_the_degree_limit()
         if p:
             return Polynomial._make(self, {e: r for e, c in acc.items() if (r := c % p)})
-        return Polynomial._make(self, {e: Fraction(c, d) for e, c in acc.items() if c})
+        return _reduced(self, {e: c for e, c in acc.items() if c}, d)
 
     def sum_terms(self, items: Iterable) -> "Polynomial":
         """The one merge loop: the sum of polynomials of this ring and of terms
-        (factors, c), c times t_j^e for each (j, e), a raw c; unchecked but for
-        the degree limit, zero c too.  Items are read once, in order, as ``dot``'s pairs.
+        (factors, c, den), c/den times t_j^e for each (j, e), for an int c and
+        an int den > 0 (a residue c and den 1 over F_p); unchecked but for the
+        degree limit, zero c too.  Items are read once, in order, as ``dot``'s pairs.
         """
         p = self.field.modulus
         key_of = self._codec.key
-        acc: dict[int, Fraction | int] = {}
+        acc: dict[int, int] = {}
         get = acc.get
+        d = 1
         for item in items:
             if type(item) is tuple:
-                factors, c = item
+                factors, c, den = item
                 key = key_of(factors)
                 if not c:
                     continue
+                if den != d:
+                    d, scale = _common_denominator(acc, d, den)
+                    c *= scale
                 pairs = ((key, c),)
             elif not acc:
                 acc.update(item._keys)
+                d = item._den
                 continue
             else:
                 pairs = item._keys.items()
+                if item._den != d:
+                    d, scale = _common_denominator(acc, d, item._den)
+                    if scale != 1:
+                        pairs = [(key, c * scale) for key, c in pairs]
             for key, c in pairs:
                 prev = get(key)
                 if prev is not None:
@@ -250,16 +256,39 @@ class RingSpec:
                         del acc[key]
                         continue
                 acc[key] = c
-        return Polynomial._make(self, acc)
+        return _reduced(self, acc, d)
 
     def __str__(self) -> str:
         return f"{self.field}[{','.join(self.variables)}]"
 
 
-def _numerators(terms: dict) -> tuple[int, list[tuple[int, int]]]:
-    # (D, [(key, c * D)]) for Fraction terms, D the lcm of their denominators.
-    d = lcm(*[c.denominator for c in terms.values()])
-    return d, [(k, c.numerator * (d // c.denominator)) for k, c in terms.items()]
+def _common_denominator(acc: dict, d: int, den: int) -> tuple[int, int]:
+    # For numerators acc over d and a summand over den: rescale acc in place
+    # to the lcm of d and den and return it with the summand's scale factor.
+    if not acc:  # no numerators, so d is free
+        return den, 1
+    if d % den:
+        scale = lcm(d, den) // d
+        for key in acc:
+            acc[key] *= scale
+        d *= scale
+    return d, d // den
+
+
+def _reduced(ring: RingSpec, keys: dict, den: int) -> "Polynomial":
+    # The one Q normalizer: wrap nonzero numerators over den > 0, divided by
+    # their common factor with den, so that gcd(den, *numerators) == 1.  It
+    # builds the result itself, so den == 1 costs what _make does.
+    if den != 1:
+        g = gcd(den, *keys.values())
+        if g != 1:
+            den //= g
+            keys = {k: c // g for k, c in keys.items()}
+    f = _new(Polynomial)
+    f.ring = ring
+    f._keys = keys
+    f._den = den
+    return f
 
 
 def _power(cache: dict[int, "Polynomial"], e: int) -> "Polynomial":
@@ -277,14 +306,15 @@ def _power(cache: dict[int, "Polynomial"], e: int) -> "Polynomial":
 
 
 class Polynomial:
-    """A sparse polynomial; ``_keys`` maps packed keys to raw scalars, ``terms`` decodes them.
+    """A sparse polynomial; ``_keys`` maps packed keys to int numerators over
+    the denominator ``_den``, and ``terms`` decodes them to raw scalars.
 
     The constructor validates exponents (plain nonnegative ints, so not
     bools, of total degree at most MAX_DEGREE), coerces ints, Fractions and
-    FieldElements to raw scalars, and merges duplicate keys.
+    FieldElements through ``FieldSpec.scalar``, and merges duplicate keys.
     """
 
-    __slots__ = ("ring", "_keys")
+    __slots__ = ("ring", "_keys", "_den")
 
     def __init__(
         self,
@@ -293,22 +323,29 @@ class Polynomial:
     ) -> None:
         factors, scalar = ring._factors, ring.field.scalar
         items = terms.items() if isinstance(terms, Mapping) else terms
-        self.ring = ring
-        self._keys = ring.sum_terms((factors(exps), scalar(c)) for exps, c in items)._keys
+        f = ring.sum_terms(
+            (factors(exps), (c := scalar(v)).numerator, c.denominator) for exps, v in items
+        )
+        self.ring, self._keys, self._den = ring, f._keys, f._den
 
     @staticmethod
-    def _make(ring: RingSpec, keys: dict) -> "Polynomial":
-        """Wrap a dict of packed keys that is already canonical, without checking it."""
+    def _make(ring: RingSpec, keys: dict, den: int = 1) -> "Polynomial":
+        """Wrap numerators over den that are already canonical, without checking them."""
         f = _new(Polynomial)
         f.ring = ring
         f._keys = keys
+        f._den = den
         return f
+
+    def _scalar(self, c: int) -> Fraction | int:
+        # The raw scalar (FieldSpec.scalar's form) of a stored numerator c.
+        return c if self.ring.field.modulus else Fraction(c, self._den)
 
     @property
     def terms(self) -> dict[tuple[int, ...], Fraction | int]:
         """A new dict from exponent tuples to raw scalars, decoded on each read."""
-        decode = self.ring._codec.decode
-        return {decode(k): c for k, c in self._keys.items()}
+        decode, scalar = self.ring._codec.decode, self._scalar
+        return {decode(k): scalar(c) for k, c in self._keys.items()}
 
     @property
     def is_zero(self) -> bool:
@@ -316,17 +353,13 @@ class Polynomial:
 
     def coefficient(self, exps: Sequence[int]) -> FieldElement:
         key = self.ring._codec.key(self.ring._factors(exps))
-        return self.ring.field.element(self._keys.get(key, 0))
-
-    def _sorted_raw(self) -> list[tuple[tuple[int, ...], Fraction | int]]:
-        # (exps, raw scalar) in graded lex order, highest first.
-        decode, keys = self.ring._codec.decode, self._keys
-        return [(decode(k), keys[k]) for k in sorted(keys, reverse=True)]
+        return self.ring.field.element(self._scalar(self._keys.get(key, 0)))
 
     def sorted_terms(self) -> list[tuple[tuple[int, ...], FieldElement]]:
         """Terms in canonical order (graded lex, highest first)."""
-        spec = self.ring.field
-        return [(e, FieldElement(spec, c)) for e, c in self._sorted_raw()]
+        spec, decode, keys = self.ring.field, self.ring._codec.decode, self._keys
+        return [(decode(k), FieldElement(spec, self._scalar(keys[k])))
+                for k in sorted(keys, reverse=True)]
 
     def _coerce(self, other) -> "Polynomial | None":
         if isinstance(other, Polynomial):
@@ -368,7 +401,7 @@ class Polynomial:
     def __neg__(self) -> "Polynomial":
         p = self.ring.field.modulus
         return Polynomial._make(
-            self.ring, {k: p - c if p else -c for k, c in self._keys.items()}
+            self.ring, {k: p - c if p else -c for k, c in self._keys.items()}, self._den
         )
 
     def __pow__(self, exponent: int) -> "Polynomial":
@@ -383,7 +416,8 @@ class Polynomial:
                 return False
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self.ring == other.ring and self._keys == other._keys
+        return (self.ring == other.ring and self._keys == other._keys
+                and self._den == other._den)
 
     __hash__ = None
 
@@ -413,14 +447,16 @@ class Polynomial:
         spec = self.ring.field
         p = spec.modulus
         values = [spec.scalar(v) for v in point]
+        if not p:  # integral coordinates keep the sum in ints
+            values = [v.numerator if v.denominator == 1 else v for v in values]
         decode = self.ring._codec.decode
         total = 0
         for key, c in self._keys.items():
             for v, e in zip(values, decode(key)):
                 if e:
-                    c = c * pow(v, e, p) % p if p else c * v**e
+                    c = c * pow(v, e, p) % p if p else v**e * c
             total += c
-        return spec.element(total)
+        return spec.element(total if p else Fraction(total, self._den))
 
     def substitute(self, images: Sequence["Polynomial"]) -> "Polynomial":
         """Apply the ring map sending variable j to images[j - 1].
@@ -443,11 +479,12 @@ class Polynomial:
         # powers[j] caches images[j]^e by e, shared by all terms.
         powers: list[dict[int, Polynomial]] = [{1: img} for img in images]
         decode = self.ring._codec.decode
-        # Term c * t^exps maps to the product of c, all its powers but the
-        # last, and the last power; dot sums those pairs as they come.
+        # Term c * t^exps maps to the product of the numerator c, all its
+        # powers but the last, and the last power; dot sums those pairs as
+        # they come, and the sum is then put over this polynomial's denominator.
         def pairs():
             for key, c in self._keys.items():
-                term, last = target.constant(c), None
+                term, last = Polynomial._make(target, {0: c}), None
                 for j, e in enumerate(decode(key)):
                     if not e:
                         continue
@@ -456,14 +493,15 @@ class Polynomial:
                     last = _power(powers[j], e)
                 yield term, target.one() if last is None else last
 
-        return target.dot(pairs())
+        f = target.dot(pairs())
+        return f if self._den == 1 else _reduced(target, f._keys, f._den * self._den)
 
     def homogeneous_component(self, degree: int) -> "Polynomial":
         """The sum of the terms of exactly the given total degree."""
         check_count("degree", degree)
         top = self.ring._codec.top
-        return Polynomial._make(
-            self.ring, {k: c for k, c in self._keys.items() if k >> top == degree}
+        return _reduced(
+            self.ring, {k: c for k, c in self._keys.items() if k >> top == degree}, self._den
         )
 
     def leading_form(self) -> "Polynomial":
@@ -495,7 +533,7 @@ class Polynomial:
                 dependent[key] = c
             else:
                 free[key] = c
-        return Polynomial._make(self.ring, dependent), Polynomial._make(self.ring, free)
+        return _reduced(self.ring, dependent, self._den), _reduced(self.ring, free, self._den)
 
     def in_variable_ideal(self, k: int) -> bool:
         """Whether every term touches one of variables 1..k (the split's free part is 0)."""
@@ -512,11 +550,12 @@ class Polynomial:
         check_range("variable index", j, 1, self.ring.nvars)
         codec = self.ring._codec
         shift, unit = codec.shifts[j - 1], codec.unit(j)
-        buckets: dict[int, dict[int, Fraction | int]] = {}
+        buckets: dict[int, dict[int, int]] = {}
         for key, c in self._keys.items():
             e = key >> shift & _SLOT
             buckets.setdefault(e, {})[key - e * unit] = c
-        return {e: Polynomial._make(self.ring, terms) for e, terms in buckets.items()}
+        ring, den = self.ring, self._den
+        return {e: _reduced(ring, terms, den) for e, terms in buckets.items()}
 
     @classmethod
     def from_coefficients_in(cls, ring: RingSpec, j: int, slices: Mapping) -> "Polynomial":
@@ -526,8 +565,15 @@ class Polynomial:
         """
         check_range("variable index", j, 1, ring.nvars)
         unit = ring._codec.unit(j)
-        keys = {key + e * unit: c for e, s in slices.items() for key, c in s._keys.items()}
-        return cls._make(ring, keys)
+        # Slices go over the lcm of their denominators, which needs no gcd: a
+        # prime's top power in it comes from one slice, canonical on its own.
+        den = 1 if ring.field.modulus else lcm(*[s._den for s in slices.values()])
+        if den == 1:
+            keys = {key + e * unit: c for e, s in slices.items() for key, c in s._keys.items()}
+        else:
+            keys = {key + e * unit: c * (den // s._den)
+                    for e, s in slices.items() for key, c in s._keys.items()}
+        return cls._make(ring, keys, den)
 
     def __iter__(self) -> Iterator[tuple[tuple[int, ...], FieldElement]]:
         return iter(self.sorted_terms())
@@ -535,23 +581,30 @@ class Polynomial:
     def __str__(self) -> str:
         if self.is_zero:
             return "0"
-        names = self.ring.variables
+        names, decode = self.ring.variables, self.ring._codec.decode
+        keys, den = self._keys, self._den
         pieces: list[str] = []
-        for idx, (exps, value) in enumerate(self._sorted_raw()):
+        for key in sorted(keys, reverse=True):
+            value = keys[key]
             negative = value < 0
             magnitude = -value if negative else value
+            d = den
+            if d != 1:  # the term's reduced fraction magnitude/d
+                g = gcd(magnitude, d)
+                magnitude //= g
+                d //= g
             factors = [
                 name if e == 1 else f"{name}^{e}"
-                for name, e in zip(names, exps)
+                for name, e in zip(names, decode(key))
                 if e
             ]
             if not factors:
-                body = scalar_text(magnitude)
-            elif magnitude == 1:
+                body = scalar_text(magnitude, d)
+            elif magnitude == 1 and d == 1:
                 body = "*".join(factors)
             else:
-                body = "*".join([scalar_text(magnitude), *factors])
-            if idx == 0:
+                body = "*".join([scalar_text(magnitude, d), *factors])
+            if not pieces:
                 pieces.append(f"-{body}" if negative else body)
             else:
                 pieces.append(f" - {body}" if negative else f" + {body}")
@@ -572,19 +625,25 @@ def embed(f: Polynomial, target: RingSpec) -> Polynomial:
         raise RingMismatchError(f"{target} does not extend {f.ring}")
     # The appended variables take the low slots; every part moves up by them.
     shift = target._codec.top - f.ring._codec.top
-    return Polynomial._make(target, {k << shift: c for k, c in f._keys.items()})
+    return Polynomial._make(target, {k << shift: c for k, c in f._keys.items()}, f._den)
 
 
-def _random_raw(rng: Random, field: FieldSpec) -> Fraction | int:
-    # The raw canonical value behind random_scalar; may be zero.
+# Over Q a random scalar is a/b with |a| <= 9 and 1 <= b <= 9, drawn as a
+# numerator over their common denominator, the lcm of 1..9.
+_RANDOM_DEN = 2520
+
+
+def _random_raw(rng: Random, field: FieldSpec) -> int:
+    # The numerator behind random_scalar, over _RANDOM_DEN over Q; may be zero.
     if field.modulus:
         return rng.randrange(field.modulus)
-    return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+    return rng.randint(-9, 9) * (_RANDOM_DEN // rng.randint(1, 9))
 
 
 def random_scalar(rng: Random, field: FieldSpec) -> FieldElement:
     """A small random scalar; may be zero."""
-    return field.element(_random_raw(rng, field))
+    c = _random_raw(rng, field)
+    return field.element(c if field.modulus else Fraction(c, _RANDOM_DEN))
 
 
 def random_polynomial(
@@ -602,7 +661,7 @@ def random_polynomial(
     p = field.modulus
     while True:
         # Its own merge loop: through sum_terms it was x1.21-1.23 slower per call at n = 3-20.
-        acc: dict[int, Fraction | int] = {}
+        acc: dict[int, int] = {}
         for _ in range(rng.randint(0, max_terms)):
             degree = rng.randint(0, max_degree)
             key = degree << top
@@ -612,6 +671,6 @@ def random_polynomial(
             if key in acc:
                 c = (acc[key] + c) % p if p else acc[key] + c
             acc[key] = c
-        f = Polynomial._make(ring, {k: c for k, c in acc.items() if c})
+        f = _reduced(ring, {k: c for k, c in acc.items() if c}, 1 if p else _RANDOM_DEN)
         if not (nonzero and f.is_zero):
             return f

@@ -6,17 +6,33 @@ import sys
 from pathlib import Path
 
 SCRIPT = Path(__file__).resolve().parents[1] / "bench" / "layers.py"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def test_layer_cases_smoke():
+def layers(*args):
     # The timeout only guards against a hang; it is not a timing gate.
     proc = subprocess.run(
-        [sys.executable, str(SCRIPT), "--smoke"],
+        [sys.executable, str(SCRIPT), "--smoke", *args],
         capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    report = json.loads(proc.stdout)
+    return json.loads(proc.stdout)
+
+
+def test_layer_cases_smoke():
+    report = layers()
     assert set(report) == {"python", "platform", "cases"}
-    assert len(report["cases"]) == 51
+    assert len(report["cases"]) == 55
     for case in report["cases"].values():
         assert set(case) == {"layer", "min_s", "number", "repeat"}
+
+
+def test_paired_mode_smoke():
+    # This tree against itself: both sides load, give equal results and pair up.
+    report = layers("--ab", str(SRC))
+    assert set(report) == {"python", "platform", "a", "b", "cases"}
+    assert report["a"] == report["b"] == str(SRC)
+    assert len(report["cases"]) == 55
+    for case in report["cases"].values():
+        assert set(case) == {"layer", "median_b_over_a", "iqr", "b_slower", "rounds", "number"}
+        assert case["rounds"] == 3 and 0 <= case["b_slower"] <= 3

@@ -1082,13 +1082,15 @@ class TestEntryPoints:
             assert imported <= used, (path.name, sorted(imported - used))
 
     def test_only_poly_reads_the_term_format(self):
-        # The term dict is poly.py's private format; other modules use its API.
+        # The numerators and their denominator are poly.py's private format;
+        # other modules use its API.
         for path in sorted(Path(self.SRC, "krullkit").glob("*.py")):
             if path.name == "poly.py":
                 continue
             for node in ast.walk(ast.parse(path.read_text(), str(path))):
                 if isinstance(node, ast.Attribute):
-                    assert node.attr not in ("terms", "_keys", "_make"), (path.name, node.lineno)
+                    assert node.attr not in ("terms", "_keys", "_den", "_make"), (
+                        path.name, node.lineno)
 
     def test_only_field_knows_the_field_kind(self):
         # Which field a scalar lives in is field.py's decision; other modules
@@ -1152,6 +1154,24 @@ class TestEntryPoints:
                     if getattr(call.func, "id", None) == "_over_the_degree_limit":
                         raisers.append(fn.name if fn is node else f"{node.name}.{fn.name}")
         assert sorted(raisers) == ["RingSpec.dot", "_Codec.key"]
+
+    @pytest.mark.parametrize("text", ["10^4300", "3^2147483647", "(2/3)^2147483647"])
+    def test_literal_powers_past_the_digit_limit_are_refused(self, text):
+        # 3^2147483647 once ran for minutes; the timeout only guards against a hang.
+        proc = self.python("-m", "krullkit", "degree", "--vars", "1", f"{text}*t1")
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            1, "", "error: SizeLimit: a literal power of more than 4300 digits\n"
+        )
+
+    @pytest.mark.parametrize("field, text, value", [
+        ("Q", "10^4299", "1" + "0" * 4299),
+        ("F32003", "3^2147483647", str(pow(3, 2147483647, 32003))),
+    ])
+    def test_literal_powers_within_the_limit_parse(self, field, text, value):
+        # The timeout only guards against a hang; it is not a timing gate.
+        proc = self.python("-m", "krullkit", "eval", "--field", field, "--vars", "1",
+                           "--at", "1", f"{text}*t1")
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, value + "\n", "")
 
     def test_undecodable_argv_bytes(self):
         # argv bytes that are not UTF-8 arrive as surrogate escapes.

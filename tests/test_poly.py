@@ -4,6 +4,8 @@ import copy
 import pickle
 import random
 from fractions import Fraction
+from functools import reduce
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -678,6 +680,113 @@ class TestRawRepresentation:
         assert QR2.constant(0).is_zero and FR2.constant(5).is_zero
 
 
+STORED_RINGS = [RingSpec.default(field, 3) for field in (Q, FieldSpec.prime(2), FieldSpec.prime(32003))]
+
+
+def stored_terms(ring):
+    # (exps, coefficient) lists with repeated monomials, for Polynomial(ring, ...).
+    p = ring.field.modulus
+    if p:
+        coeffs = st.integers(min_value=-p, max_value=2 * p)
+    else:
+        coeffs = st.fractions(min_value=-20, max_value=20, max_denominator=30)
+    return st.lists(st.tuples(exponents(3, max_each=2), coeffs), max_size=4)
+
+
+def assert_stored_form(f):
+    """Nonzero int numerators over one den >= 1 with gcd 1; den 1 for zero and over F_p."""
+    nums, den, p = list(f._keys.values()), f._den, f.ring.field.modulus
+    assert type(den) is int and den >= 1
+    assert all(type(c) is int and c for c in nums)
+    assert gcd(den, *nums) == 1
+    if p:
+        assert den == 1 and all(0 < c < p for c in nums)
+    if not nums:
+        assert den == 1
+
+
+def random_oracle(rng, ring, max_degree, max_terms):
+    # random_polynomial's draws, replayed through random_scalar and summed naively.
+    out = {}
+    for _ in range(rng.randint(0, max_terms)):
+        exps = [0] * ring.nvars
+        for _ in range(rng.randint(0, max_degree)):
+            exps[rng.randrange(ring.nvars)] += 1
+        term = {tuple(exps): random_scalar(rng, ring.field).value}
+        out = oracles.naive_add(out, term, ring.field.modulus)
+    return out
+
+
+def grouped_text(terms: dict, names) -> str:
+    # The benchmark decks' form, "(c)*t1^2*t2 + ...", one group per coefficient.
+    parts = []
+    for exps, c in terms.items():
+        factors = [v if e == 1 else f"{v}^{e}" for v, e in zip(names, exps) if e]
+        parts.append("*".join([f"({c})", *factors]))
+    return " + ".join(parts) or "0"
+
+
+class TestStoredForm:
+    """Every result-building operation returns the canonical stored form and
+    agrees with the naive oracles, over Q, F2 and F32003."""
+
+    @given(
+        case=st.sampled_from(STORED_RINGS).flatmap(
+            lambda ring: st.tuples(st.just(ring), *[stored_terms(ring)] * 6)
+        ),
+        e=st.integers(min_value=0, max_value=3),
+        j=st.integers(min_value=1, max_value=3),
+        k=st.integers(min_value=0, max_value=3),
+        d=st.integers(min_value=0, max_value=6),
+        seed=st.integers(min_value=0, max_value=2**32),
+    )
+    @settings(max_examples=120, derandomize=True, deadline=None)
+    def test_results_are_canonical_and_match_the_oracles(self, case, e, j, k, d, seed):
+        ring, *term_lists = case
+        p, n, names = ring.field.modulus, ring.nvars, ring.variables
+        raw = oracles.raw
+        f, g, h, *images = [Polynomial(ring, ts) for ts in term_lists]
+        F, G, H = raw(f), raw(g), raw(h)
+        text = f"({f})*({g}) - ({h})^{e} + (-2/3)^{e}*t{j} + {grouped_text(F, names)}"
+        free = [x.coefficients_in(j).get(0, ring.zero()) for x in (f, g, h)]
+        joined = Polynomial.from_coefficients_in(ring, j, dict(enumerate(free)))
+        dependent, rest = f.split_by_support(k)
+
+        def at_j(exps, i):
+            return exps[: j - 1] + (i,) + exps[j:]
+
+        results = [
+            (x, reduce(lambda acc, t: oracles.naive_add(acc, {t[0]: t[1]}, p), ts, {}))
+            for x, ts in zip((f, g, h, *images), term_lists)
+        ]
+        results += [
+            (parse_polynomial(text, ring), oracles.reference_parse(text, names, p)),
+            (f + g, oracles.naive_add(F, G, p)),
+            (f - g, oracles.naive_add(F, oracles.naive_neg(G, p), p)),
+            (f * g, oracles.naive_mul(F, G, p)),
+            (h**e, oracles.naive_pow(H, e, n, p)),
+            (-f, oracles.naive_neg(F, p)),
+            (dependent, {x: c for x, c in F.items() if any(x[:k])}),
+            (rest, {x: c for x, c in F.items() if not any(x[:k])}),
+            (f.homogeneous_component(d), {x: c for x, c in F.items() if sum(x) == d}),
+            (joined, {at_j(x, i): c for i, s in enumerate(free) for x, c in raw(s).items()}),
+            (Polynomial.from_coefficients_in(ring, j, f.coefficients_in(j)), F),
+            (embed(f, RingSpec.default(ring.field, 4)), {x + (0,): c for x, c in F.items()}),
+            (f.substitute(images), oracles.naive_subst(F, [raw(x) for x in images], n, p)),
+            (random_polynomial(random.Random(seed), ring, max_degree=3, max_terms=5),
+             random_oracle(random.Random(seed), ring, 3, 5)),
+        ]
+        results += [
+            (s, {at_j(x, 0): c for x, c in F.items() if x[j - 1] == i})
+            for i, s in f.coefficients_in(j).items()
+        ]
+        for result, expected in results:
+            assert_stored_form(result)
+            assert raw(result) == expected
+        point = [seed % 7 - 3, 2, -1] if p else [Fraction(seed % 7 - 3, 1 + seed % 5), 2, -1]
+        assert f.evaluate(point).value == oracles.naive_eval(F, point, p)
+
+
 class TestTermViews:
     """coefficient, sorted_terms and iteration agree with the term dict."""
 
@@ -934,10 +1043,10 @@ class TestDegreeLimit:
     def test_a_zero_term_obeys_the_limit(self):
         # Every key is built, and checked, before its coefficient is looked at.
         with pytest.raises(SizeLimitError):
-            QR2.sum_terms([([(1, 2**62), (2, 2**62)], Fraction(0))])
+            QR2.sum_terms([([(1, 2**62), (2, 2**62)], 0, 1)])
         with pytest.raises(SizeLimitError):
             Polynomial(QR2, {(2**62, 2**62): 0})
-        assert QR2.sum_terms([([(1, 2**62), (2, 2**62 - 1)], Fraction(0))]).is_zero
+        assert QR2.sum_terms([([(1, 2**62), (2, 2**62 - 1)], 0, 1)]).is_zero
 
     @pytest.mark.parametrize("ring", [QR2, RingSpec.default(F5, 200)], ids=str)
     def test_products_at_the_boundary(self, ring):
