@@ -30,7 +30,7 @@ from .integral import (
     principal_member,
 )
 from .normalize import monicize, nonvanishing_point, nonvanishing_point_homogeneous
-from .parse import parse_polynomial
+from .parse import literal_digits, parse_polynomial
 from .poly import RingSpec
 
 
@@ -58,7 +58,7 @@ class _IntError(argparse.ArgumentTypeError, ArgumentError):
 
 def _int(text: str) -> int:
     """The one integer reader; a bad token is named as :func:`shown` names it."""
-    if (match := _INT.fullmatch(text)) and len(match[2]) <= 4300:
+    if (match := _INT.fullmatch(text)) and len(match[2]) <= literal_digits():
         return int(match[1])
     named = shown(text)  # the token quoted, or "of N characters"
     raise _IntError(f"invalid int value{' ' if named.startswith('of ') else ': '}{named}")
@@ -77,7 +77,7 @@ def _parse_scalar(text: str, field: FieldSpec) -> FieldElement:
     if re.fullmatch(r"\s*-?[0-9]+(/[0-9]+)?\s*", text):
         try:
             return field.element(Fraction(text))
-        except (ValueError, ZeroDivisionError):  # over 4300 digits; 1/0, or 1/p over F_p
+        except (ValueError, ZeroDivisionError):  # past the digit limit; 1/0, or 1/p over F_p
             pass
     raise ArgumentError(f"bad scalar literal {shown(text)}")
 

@@ -3,7 +3,9 @@
 Every domain error carries a stable ``identifier`` string, which the command
 line interface uses when printing errors, so scripted callers can match on it
 without depending on Python class names, and the ``exit_code`` the command line
-exits with: 1, or 2 for argument and parse errors.  :func:`shown` names refused values.
+exits with: 1, or 2 for argument and parse errors.  :func:`shown` names every
+value an error message names, and :func:`digit_limit` reads the one limit on
+int/str conversions.
 """
 
 from __future__ import annotations
@@ -11,13 +13,21 @@ from __future__ import annotations
 import sys
 
 
+def digit_limit() -> int | None:
+    """The interpreter's int/str conversion limit in digits, read now; None
+    when there is none (a limit of 0, or a Python before 3.10.7)."""
+    read = getattr(sys, "get_int_max_str_digits", None)
+    return (read() or None) if read else None
+
+
 def shown(value, noun: str = "", quote=repr) -> str:
     """``quote(value)`` when ``str(value)`` has at most 10 characters and the
-    quoted form at most 12; else its length, "<noun> of N characters"."""
+    quoted form at most 12; else its length, "<noun> of N characters", or
+    "<noun> of more than N digits" when it holds an int too long to print."""
     try:
         text = str(value)
-    except ValueError:  # CPython's int-to-str digit limit
-        return f"{noun} of more than {sys.get_int_max_str_digits()} digits".lstrip()
+    except (ValueError, SizeLimitError):  # an int past the digit limit
+        return f"{noun} of more than {digit_limit()} digits".lstrip()
     if len(text) <= 10 and len(quoted := quote(value)) <= 12:
         return quoted
     return f"{noun} of {len(text)} characters".lstrip()
@@ -105,6 +115,6 @@ class SelfCheckError(KrullkitError, RuntimeError):
 
 class SizeLimitError(KrullkitError):
     """A result is over a size limit: a monomial's total degree over 2^63 - 1,
-    or a coefficient longer than Python prints (``sys.get_int_max_str_digits``)."""
+    or a coefficient longer than Python prints (:func:`digit_limit`)."""
 
     identifier = "SizeLimit"

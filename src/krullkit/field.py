@@ -19,11 +19,12 @@ field branch is ``modulus``: ``None`` over the rationals, ``p`` over F_p, so
 from __future__ import annotations
 
 import re
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ArgumentError, ExhaustedFieldError, FieldMismatchError, SizeLimitError, shown
+from .errors import (
+    ArgumentError, ExhaustedFieldError, FieldMismatchError, SizeLimitError, digit_limit, shown,
+)
 
 _FIELD_TEXT_RE = re.compile(r"(Q|F([1-9][0-9]*))\Z")
 
@@ -72,7 +73,7 @@ class FieldSpec:
         if type(p) is int and p >= MAX_MODULUS:
             raise ArgumentError(f"modulus must be below {MAX_MODULUS}")
         if p is not None and (type(p) is not int or not _is_prime(p)):
-            raise ArgumentError(f"modulus must be a prime, got {p!r}")
+            raise ArgumentError(f"modulus must be a prime, got {shown(p, 'a value')}")
 
     @classmethod
     def rationals(cls) -> "FieldSpec":
@@ -92,7 +93,7 @@ class FieldSpec:
         digits = m.group(2)
         if digits is None:
             return cls.rationals()
-        # Refuse before int(), which fails past 4300 digits with its own text.
+        # Refuse before int(), which fails past the digit limit with its own text.
         if len(digits) > len(str(MAX_MODULUS)):
             raise ArgumentError(f"modulus must be below {MAX_MODULUS}")
         return cls.prime(int(digits))
@@ -113,7 +114,7 @@ class FieldSpec:
                 )
             return value.value
         if not is_scalar(value):
-            raise TypeError(f"cannot make a field element from {value!r}")
+            raise TypeError(f"cannot make a field element from {shown(value, 'a value')}")
         p = self.modulus
         if p is None:
             return Fraction(value)
@@ -121,7 +122,7 @@ class FieldSpec:
             return value % p
         if value.denominator % p == 0:
             raise ZeroDivisionError(
-                f"denominator {value.denominator} is not invertible mod {p}"
+                f"denominator {shown(value.denominator, '', str)} is not invertible mod {p}"
             )
         return value.numerator * pow(value.denominator, -1, p) % p
 
@@ -234,7 +235,7 @@ def scalar_text(value: Fraction | int, den: int = 1) -> str:
         return str(value) if den == 1 else f"{value}/{den}"
     except ValueError:  # CPython's int-to-str digit limit
         raise SizeLimitError(
-            f"a coefficient of more than {sys.get_int_max_str_digits()} digits cannot be printed"
+            f"a coefficient of more than {digit_limit()} digits cannot be printed"
         ) from None
 
 
@@ -247,6 +248,7 @@ def enumerate_nonzero(spec: FieldSpec, index: int) -> FieldElement:
     check_count("index", index)
     if spec.modulus is not None and index >= spec.modulus - 1:
         raise ExhaustedFieldError(
-            f"{spec} has only {spec.modulus - 1} nonzero elements, index {index} is out of range"
+            f"{spec} has only {spec.modulus - 1} nonzero elements,"
+            f" index {shown(index, '', str)} is out of range"
         )
     return spec.element(index + 1)

@@ -22,6 +22,7 @@ from .errors import (
     PreconditionViolatedError,
     RingMismatchError,
     ZeroCosetError,
+    shown,
 )
 from .field import check_count
 from .poly import Polynomial, RingSpec
@@ -41,14 +42,12 @@ class MonicGenerator:
         n = ring.nvars
         slices = polynomial.coefficients_in(n)
         d = max(slices, default=0)
-        if d < 1:
+        if d < 1 or slices[d] != ring.one():
+            last = shown(ring.variables[-1], "a variable", str)
+            if d < 1:
+                raise NotMonicError(f"generator must have positive degree in {last}")
             raise NotMonicError(
-                f"generator must have positive degree in {ring.variables[-1]}"
-            )
-        if slices[d] != ring.one():
-            raise NotMonicError(
-                f"leading coefficient in {ring.variables[-1]} is "
-                f"{slices[d]}, not 1"
+                f"leading coefficient in {last} is {shown(slices[d], 'a polynomial', str)}, not 1"
             )
         self.polynomial = polynomial
         self.degree = d

@@ -22,6 +22,7 @@ from .errors import (
     NotHomogeneousError,
     SelfCheckError,
     ZeroPolynomialError,
+    shown,
 )
 from .field import FieldElement, enumerate_nonzero
 from .poly import Polynomial, RingSpec
@@ -55,7 +56,7 @@ def nonvanishing_point(f: Polynomial) -> tuple[FieldElement, ...]:
             except ExhaustedFieldError as exc:
                 raise FieldTooSmallError(
                     f"{spec} has too few nonzero elements to fix variable "
-                    f"{ring.variables[m - 1]} (degree {d})"
+                    f"{shown(ring.variables[m - 1], 'name', str)} (degree {d})"
                 ) from exc
             if not g.evaluate(prefix + (candidate,) + pad).is_zero:
                 return prefix + (candidate,)
@@ -73,7 +74,7 @@ def nonvanishing_point_homogeneous(f: Polynomial) -> tuple[FieldElement, ...]:
     :func:`nonvanishing_point` refuses it.
     """
     if not f.is_homogeneous():
-        raise NotHomogeneousError(f"{f} is not homogeneous")
+        raise NotHomogeneousError(f"{shown(f, 'a polynomial', str)} is not homogeneous")
     point = nonvanishing_point(f)
     factor = point[-1].inv()
     return tuple(b * factor for b in point[:-1]) + (f.ring.field.one(),)

@@ -14,11 +14,12 @@ are reduced at parse time (over a prime field, ``a/b`` means ``a * b^-1``,
 and it is a parse error if the denominator of the reduced fraction is
 divisible by the characteristic: over F2, ``4/2`` is 0 and ``2/4`` an error).
 Exponents are capped at 2^31 - 1, number literals at
-:data:`MAX_LITERAL_DIGITS` digits, and parentheses nest at most
-:data:`MAX_DEPTH` deep.  Over Q, a power of a literal or of a parenthesized
-literal whose numerator or denominator would have more than
-:data:`MAX_LITERAL_DIGITS` digits raises :class:`SizeLimitError` before it
-is computed (over F_p such a power is reduced mod p and always fits).
+:data:`MAX_LITERAL_DIGITS` digits or the interpreter's lower limit
+(:func:`literal_digits`), and parentheses nest at most :data:`MAX_DEPTH`
+deep.  Over Q, a power of a literal or of a parenthesized literal whose
+numerator or denominator would have more than :data:`MAX_LITERAL_DIGITS`
+digits raises :class:`SizeLimitError` before it is computed (over F_p such a
+power is reduced mod p and always fits).
 
 Errors are always :class:`ParseError` values carrying the byte offset into
 the UTF-8 encoding of the input, never raw exceptions from the internals.
@@ -36,7 +37,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .errors import KrullkitError, SizeLimitError, shown
+from .errors import KrullkitError, SizeLimitError, digit_limit, shown
 from .poly import Polynomial, RingSpec
 
 __all__ = [
@@ -48,13 +49,20 @@ __all__ = [
 ]
 
 MAX_EXPONENT = 2**31 - 1
-# CPython refuses to convert longer digit strings to int (sys.int_info).
+# CPython's default digit limit, the grammar's cap even where the interpreter
+# converts longer digit strings to int.
 MAX_LITERAL_DIGITS = 4300
 _LITERAL_LIMIT = 10**MAX_LITERAL_DIGITS  # the least int of more digits
 # A parenthesis level takes at most four frames (parse_term, group, sum_terms
 # and summands), so 100 levels take 400 of the default recursion limit of
 # 1000 and leave the rest to the caller's stack and the arithmetic.
 MAX_DEPTH = 100
+
+
+def literal_digits() -> int:
+    """The most digits a number literal may have: :data:`MAX_LITERAL_DIGITS`,
+    or the interpreter's lower limit (:func:`~krullkit.errors.digit_limit`)."""
+    return min(MAX_LITERAL_DIGITS, digit_limit() or MAX_LITERAL_DIGITS)
 
 
 class ParseError(KrullkitError):
@@ -113,8 +121,8 @@ class _Parser:
         for m in _TOKEN.finditer(data):
             kind, token, i = m.lastgroup, m.group(), m.start()
             if kind == "bad":
-                shown = repr(token) if token < "\x80" else f"0x{ord(token):02x}"
-                raise ParseError(i, f"unexpected character {shown}")
+                named = repr(token) if token < "\x80" else f"0x{ord(token):02x}"
+                raise ParseError(i, f"unexpected character {named}")
             self.tokens.append((token if kind == "op" else kind, token, i))
         self.tokens.append(("end", "", len(data)))
         self.pos = 0
@@ -222,9 +230,12 @@ class _Parser:
 
     def literal(self, what: str) -> tuple[int, int]:
         _, token, offset = self.take("number", what)
-        if len(token) > MAX_LITERAL_DIGITS:
-            raise ParseError(offset, f"number longer than {MAX_LITERAL_DIGITS} digits")
-        return int(token), offset
+        if len(token) <= MAX_LITERAL_DIGITS:
+            try:
+                return int(token), offset
+            except ValueError:  # past the interpreter's lower digit limit
+                pass
+        raise ParseError(offset, f"number longer than {literal_digits()} digits")
 
     def rational(self, p: int | None) -> tuple[int, int]:
         # A signed literal ``-a/b`` as the ints (a, b); over F_p, b is 1.
@@ -243,7 +254,7 @@ class _Parser:
             return field.scalar(Fraction(numerator, denominator)), 1
         except ZeroDivisionError:
             raise FieldLiteralError(
-                offset, f"denominator {denominator} is not invertible in {field}"
+                offset, f"denominator {shown(denominator, '', str)} is not invertible in {field}"
             ) from None
 
 

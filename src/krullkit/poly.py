@@ -153,7 +153,7 @@ class RingSpec:
         """exps as (j, e) factors, e > 0; ArgumentError unless n plain ints >= 0 (not bools)."""
         exps = tuple(exps)
         if len(exps) != len(self.variables) or any(type(e) is not int or e < 0 for e in exps):
-            raise ArgumentError(f"bad exponent vector {exps!r} for {self}")
+            raise ArgumentError(f"bad exponent vector {shown(exps)} for {self}")
         return [(j, e) for j, e in enumerate(exps, 1) if e]
 
     def index_of(self, name: str) -> int:
@@ -422,7 +422,7 @@ class Polynomial:
     __hash__ = None
 
     def __bool__(self) -> bool:
-        return not self.is_zero
+        return bool(self._keys)
 
     def total_degree(self) -> int | None:
         """Total degree, or None for the zero polynomial (degree undefined)."""
@@ -494,7 +494,7 @@ class Polynomial:
                 yield term, target.one() if last is None else last
 
         f = target.dot(pairs())
-        return f if self._den == 1 else _reduced(target, f._keys, f._den * self._den)
+        return _reduced(target, f._keys, f._den * self._den)
 
     def homogeneous_component(self, degree: int) -> "Polynomial":
         """The sum of the terms of exactly the given total degree."""
@@ -568,11 +568,8 @@ class Polynomial:
         # Slices go over the lcm of their denominators, which needs no gcd: a
         # prime's top power in it comes from one slice, canonical on its own.
         den = 1 if ring.field.modulus else lcm(*[s._den for s in slices.values()])
-        if den == 1:
-            keys = {key + e * unit: c for e, s in slices.items() for key, c in s._keys.items()}
-        else:
-            keys = {key + e * unit: c * (den // s._den)
-                    for e, s in slices.items() for key, c in s._keys.items()}
+        keys = {key + e * unit: c * (den // s._den)
+                for e, s in slices.items() for key, c in s._keys.items()}
         return cls._make(ring, keys, den)
 
     def __iter__(self) -> Iterator[tuple[tuple[int, ...], FieldElement]]:

@@ -332,9 +332,11 @@ class _ReferenceParser:
                 raise ReferenceParseError(offset, "denominator must be positive")
             value = Fraction(numerator, denominator)
             if self.modulus and value.denominator % self.modulus == 0:
+                digits = str(denominator)
+                named = digits if len(digits) <= 10 else f"of {len(digits)} characters"
                 raise ReferenceParseError(
                     offset,
-                    f"denominator {denominator} is not invertible in F{self.modulus}",
+                    f"denominator {named} is not invertible in F{self.modulus}",
                     cls="FieldLiteralError",
                 )
         if self.modulus:

@@ -539,6 +539,55 @@ class TestErrorsAndExitCodes:
             2, "", "error: ParseError: denominator 2 is not invertible in F2 (byte 2)\n"
         )
 
+    LONG_NAME = "x" * 3001
+
+    @pytest.mark.parametrize("argv, code, line, short_argv, short_line", [
+        (("witness", "--vars", "2", "t1", "(t1+3)^200*t2^2+t1"), 1,
+         "NotMonic: leading coefficient in t2 is a polynomial of 20047 characters, not 1",
+         ("divide", "--vars", "2", "t1", "2*t2^2"),
+         "NotMonic: leading coefficient in t2 is 2, not 1"),
+        (("witness", "--vars", "2", "t1", "10^4299*10^4299*t1*t2^2 + t1"), 1,
+         "NotMonic: leading coefficient in t2 is a polynomial of more than 4300 digits, not 1",
+         ("witness", "--vars", "2", "t1", "(t1+1)*t2^2 + t1"),
+         "NotMonic: leading coefficient in t2 is t1 + 1, not 1"),
+        (("nonvanish", "--homogeneous", "--vars", "2", "(t1+t2)^200+1"), 1,
+         "NotHomogeneous: a polynomial of 11747 characters is not homogeneous",
+         ("nonvanish", "--homogeneous", "--vars", "2", "t1^2 + t2"),
+         "NotHomogeneous: t1^2 + t2 is not homogeneous"),
+        (("nonvanish", "--homogeneous", "--vars", "2", "10^4299*10^4299*t1^2 + t2"), 1,
+         "NotHomogeneous: a polynomial of more than 4300 digits is not homogeneous",
+         ("nonvanish", "--homogeneous", "--vars", "2", "9*t1^2 - 1"),
+         "NotHomogeneous: 9*t1^2 - 1 is not homogeneous"),
+        (("divide", "--vars", f"t1,{LONG_NAME}", "t1", "t1"), 1,
+         "NotMonic: generator must have positive degree in a variable of 3001 characters",
+         ("divide", "--vars", "2", "t1", "t1"),
+         "NotMonic: generator must have positive degree in t2"),
+        (("divide", "--vars", f"t1,{LONG_NAME}", "t1", f"2*{LONG_NAME}"), 1,
+         "NotMonic: leading coefficient in a variable of 3001 characters is 2, not 1",
+         ("divide", "--vars", "t1,abcdefghij", "t1", "2*abcdefghij"),
+         "NotMonic: leading coefficient in abcdefghij is 2, not 1"),
+        (("nonvanish", "--vars", f"t1,{LONG_NAME}", "--field", "F2", f"t1^2 + t1*{LONG_NAME}"),
+         1, "FieldTooSmall: F2 has too few nonzero elements to fix variable name of"
+         " 3001 characters (degree 1)",
+         ("nonvanish", "--vars", "2", "--field", "F2", "t1^2 + t1*t2"),
+         "FieldTooSmall: F2 has too few nonzero elements to fix variable t2 (degree 1)"),
+        (("degree", "--field", "F5", "t1 + 1/" + "5" * 4000), 2,
+         "ParseError: denominator of 4000 characters is not invertible in F5 (byte 7)",
+         ("degree", "--field", "F5", "t1 + 1/" + "5" * 10),
+         "ParseError: denominator 5555555555 is not invertible in F5 (byte 7)"),
+    ], ids=["not-monic", "not-monic-unprintable", "not-homogeneous",
+            "not-homogeneous-unprintable", "not-monic-degree-name", "not-monic-name",
+            "field-too-small-name", "field-literal-denominator"])
+    def test_long_values_in_domain_errors_are_named_by_their_length(
+            self, capsys, argv, code, line, short_argv, short_line):
+        # Each line once echoed the value whole (up to 20,101 bytes), or, for a
+        # value CPython cannot print, said SizeLimit instead of its own identifier.
+        got, out, err = run(capsys, *argv)
+        assert (got, out, err) == (code, "", f"error: {line}\n")
+        assert len(err.encode()) <= 200
+        # A value of at most 10 characters is still written out.
+        assert run(capsys, *short_argv) == (code, "", f"error: {short_line}\n")
+
     def test_usage_error_exits_two(self, capsys):
         assert main(["bogus"]) == 2
         capsys.readouterr()
@@ -970,16 +1019,18 @@ class TestArgparseText:
 class TestEntryPoints:
     SRC = str(Path(__file__).resolve().parents[1] / "src")
 
-    def env(self):
-        env = dict(os.environ)
+    def env(self, **overrides):
+        # The caller's PYTHONINTMAXSTRDIGITS would change the expected lines;
+        # a test that wants a lower digit limit sets it.
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONINTMAXSTRDIGITS"}
         env["PYTHONPATH"] = os.pathsep.join(
             [self.SRC, *filter(None, [env.get("PYTHONPATH")])]
         )
-        return env
+        return {**env, **overrides}
 
-    def python(self, *args):
+    def python(self, *args, **env):
         return subprocess.run(
-            [sys.executable, *args], capture_output=True, text=True, env=self.env(),
+            [sys.executable, *args], capture_output=True, text=True, env=self.env(**env),
             timeout=60,
         )
 
@@ -1172,6 +1223,44 @@ class TestEntryPoints:
         proc = self.python("-m", "krullkit", "eval", "--field", field, "--vars", "1",
                            "--at", "1", f"{text}*t1")
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, value + "\n", "")
+
+    @pytest.mark.parametrize("argv, line", [
+        (("degree", "t1 + " + "7" * 1000),
+         "error: ParseError: number longer than 640 digits (byte 5)"),
+        (("degree", "--vars", "9" * 1000, "t1"),
+         "error: InvalidArgument: invalid int value of 1000 characters"),
+        (("split", "--vars", "2", "-k", "9" * 1000, "t1"),
+         "krullkit split: error: argument -k/--level: invalid int value of 1000 characters"),
+    ], ids=["literal", "vars", "k"])
+    def test_a_lower_digit_limit_ends_in_the_typed_error(self, argv, line):
+        # Each once ended in a traceback, or in argparse's "invalid _int value"
+        # with all 1000 digits.
+        proc = self.python("-m", "krullkit", *argv, PYTHONINTMAXSTRDIGITS="640")
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr.splitlines()[-1] == line
+        assert "Traceback" not in proc.stderr and len(line.encode()) <= 200
+
+    def test_one_reader_of_the_digit_limit(self):
+        # errors.digit_limit alone reads the interpreter's limit, and 4300 is
+        # written in code only as parse.MAX_LITERAL_DIGITS.
+        def mentions(root):
+            return sum("get_int_max_str_digits" in (getattr(node, "attr", None),
+                                                    getattr(node, "value", None))
+                       for node in ast.walk(root))
+
+        readers, fours = [], []
+        for path in sorted(Path(self.SRC, "krullkit").glob("*.py")):
+            source = path.read_text()
+            tree = ast.parse(source, str(path))
+            if total := mentions(tree):
+                readers += [(path.name, fn.name) for fn in ast.walk(tree)
+                            if isinstance(fn, ast.FunctionDef) and mentions(fn) == total]
+            fours += [(path.name, source.splitlines()[node.lineno - 1])
+                      for node in ast.walk(tree)
+                      if isinstance(node, ast.Constant) and type(node.value) is int
+                      and node.value == 4300]
+        assert readers == [("errors.py", "digit_limit")]
+        assert fours == [("parse.py", "MAX_LITERAL_DIGITS = 4300")]
 
     def test_undecodable_argv_bytes(self):
         # argv bytes that are not UTF-8 arrive as surrogate escapes.

@@ -384,6 +384,12 @@ class TestReferenceParser:
         for ring in FOLD_RINGS:
             assert outcome(text, ring) == reference_outcome(text, ring)
 
+    def test_denominator_with_no_inverse(self):
+        # A denominator of more than 10 digits is named by its length.
+        for digits in (1, 10, 11, 4000):
+            text = "t1 + 1/" + "5" * digits
+            assert outcome(text, F5R3) == reference_outcome(text, F5R3)
+
     def test_groups_keep_the_degree_limit(self):
         # 2 * (2^31 - 1)^2 is under 2^63 - 1, and 3 * (2^31 - 1)^2 is over it.
         text = "((t1^2147483647)^2147483647)^{}"

@@ -3,6 +3,7 @@
 import copy
 import pickle
 import random
+import sys
 from fractions import Fraction
 from functools import reduce
 from math import gcd
@@ -14,15 +15,17 @@ from hypothesis import strategies as st
 import oracles
 from krullkit.errors import (
     ArgumentError,
+    ExhaustedFieldError,
     FieldMismatchError,
     KrullkitError,
     RingMismatchError,
     SizeLimitError,
     ZeroPolynomialError,
+    digit_limit,
     shown,
 )
-from krullkit.field import FieldElement, FieldSpec
-from krullkit.parse import parse_polynomial
+from krullkit.field import FieldElement, FieldSpec, enumerate_nonzero
+from krullkit.parse import MAX_LITERAL_DIGITS, literal_digits, parse_polynomial
 from krullkit.poly import (
     MAX_VARIABLES, Polynomial, RingSpec, embed, random_polynomial, random_scalar,
 )
@@ -355,6 +358,43 @@ class TestRefusedInputs:
     ], ids=["short", "long", "long-repr", "no-noun", "int", "past-the-print-limit"])
     def test_one_rule_names_a_refused_value(self, value, noun, expected):
         assert shown(value, noun) == expected
+
+    @pytest.mark.parametrize("call, error, message", [
+        (lambda: Polynomial(RingSpec.default(Q, 1), {(10**5000, 1): 1}), ArgumentError,
+         "bad exponent vector of more than 4300 digits for Q[t1]"),
+        (lambda: QR2.gen(1).coefficient((1,) * 5000), ArgumentError,
+         "bad exponent vector of 15000 characters for Q[t1,t2]"),
+        (lambda: enumerate_nonzero(F5, 10**5000), ExhaustedFieldError,
+         "F5 has only 4 nonzero elements, index of more than 4300 digits is out of range"),
+        (lambda: F5.scalar(Fraction(1, 5 * 10**2999)), ZeroDivisionError,
+         "denominator of 3000 characters is not invertible mod 5"),
+        (lambda: FieldSpec(-10**5000), ArgumentError,
+         "modulus must be a prime, got a value of more than 4300 digits"),
+        (lambda: F5.scalar([1] * 5000), TypeError,
+         "cannot make a field element from a value of 15000 characters"),
+    ], ids=["vector-past-the-print-limit", "long-vector", "index", "denominator", "modulus",
+            "not-a-scalar"])
+    def test_long_values_in_library_errors_are_named_by_their_length(self, call, error, message):
+        # Each once echoed the value whole (a 15,030-character message), or
+        # raised CPython's own "Exceeds the limit" ValueError.
+        with pytest.raises(error) as info:
+            call()
+        assert (type(info.value), str(info.value)) == (error, message)
+
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                        reason="this Python has no int/str digit limit")
+    def test_the_digit_limit_is_read_at_call_time(self, monkeypatch):
+        assert digit_limit() == literal_digits() == MAX_LITERAL_DIGITS
+        sys.set_int_max_str_digits(640)
+        try:
+            assert digit_limit() == literal_digits() == 640
+            assert shown(10**700, "a value") == "a value of more than 640 digits"
+        finally:
+            sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
+        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 0)  # no limit
+        assert digit_limit() is None and literal_digits() == MAX_LITERAL_DIGITS
+        monkeypatch.delattr(sys, "get_int_max_str_digits")  # Python 3.10 before 3.10.7
+        assert digit_limit() is None
 
     @pytest.mark.parametrize("images", [[1, 2], (None, None)])
     def test_substitution_image_that_is_not_a_polynomial(self, images):
