@@ -54,6 +54,7 @@ CUBIC = "t3^3 + t1*t3 - t2"
 # and 1,820 at e=12.
 LINEAR4 = "(t1-2/3*t2+5/7*t3-3*t4+1/2)^{e}"
 MONICIZE = "t1 + t2^{e}"
+SPARSE_WIDE = "t1*t2 + t3"
 # A sparse coset like the integral deck's contract jobs: t1 + c*t2 modulo
 # t2^d - c'*t1, here at its largest d = 7.
 SPARSE = ("t1 + 3/2*t2", "t2^7 - 5/3*t1")
@@ -229,6 +230,12 @@ def cases(smoke: bool, kk) -> dict:
         "poly.split_by_support", lambda f=f, k=k: f.split_by_support(k))
     out[f"Q in_variable_ideal k={k} of {WIDE}".format(n=n_wide, m=n_wide // 2 + 1)] = (
         "poly.in_variable_ideal", lambda f=f, k=k: f.in_variable_ideal(k))
+    # Three variables of a wide ring: work per variable the input contains.
+    sparse = parse_polynomial(SPARSE_WIDE, ring)
+    out[f"Q nonvanishing_point of {SPARSE_WIDE} in {n_wide} variables"] = (
+        "normalize.nonvanishing_point", lambda f=sparse: nonvanishing_point(f))
+    out[f"Q monicize {SPARSE_WIDE} in {n_wide} variables"] = (
+        "normalize.monicize", lambda f=sparse: monicize(f))
 
     def cli_eval():
         with contextlib.redirect_stdout(io.StringIO()) as out:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from random import Random
 
-from .errors import PreconditionViolatedError, RingMismatchError
+from .errors import PreconditionViolatedError, RingMismatchError, shown_ring
 from .poly import Polynomial, RingSpec, check_range, random_polynomial
 
 DEFAULT_SEED = 1729
@@ -40,7 +40,7 @@ class MonomialPrimeIdeal:
         zero polynomial.
         """
         if f.ring != self.ring:
-            raise RingMismatchError(f"{f.ring} is not {self.ring}")
+            raise RingMismatchError(f"{shown_ring(f.ring)} is not {shown_ring(self.ring)}")
         return f.in_variable_ideal(self.level)
 
     def __contains__(self, f: Polynomial) -> bool:

@@ -4,8 +4,8 @@ Every domain error carries a stable ``identifier`` string, which the command
 line interface uses when printing errors, so scripted callers can match on it
 without depending on Python class names, and the ``exit_code`` the command line
 exits with: 1, or 2 for argument and parse errors.  :func:`shown` names every
-value an error message names, and :func:`digit_limit` reads the one limit on
-int/str conversions.
+value an error message names, :func:`shown_ring` every ring it names, and
+:func:`digit_limit` reads the one limit on int/str conversions.
 """
 
 from __future__ import annotations
@@ -31,6 +31,13 @@ def shown(value, noun: str = "", quote=repr) -> str:
     if len(text) <= 10 and len(quoted := quote(value)) <= 12:
         return quoted
     return f"{noun} of {len(text)} characters".lstrip()
+
+
+def shown_ring(ring) -> str:
+    """``str(ring)`` when it has at most 40 characters, else
+    "<field> ring of <n> variables"."""
+    text = str(ring)
+    return text if len(text) <= 40 else f"{ring.field} ring of {ring.nvars} variables"
 
 
 class KrullkitError(Exception):

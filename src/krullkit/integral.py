@@ -23,6 +23,7 @@ from .errors import (
     RingMismatchError,
     ZeroCosetError,
     shown,
+    shown_ring,
 )
 from .field import check_count
 from .poly import Polynomial, RingSpec
@@ -71,7 +72,7 @@ class MonicGenerator:
 def _generator(g: "Polynomial | MonicGenerator", ring: RingSpec | None = None) -> MonicGenerator:
     gen = g if isinstance(g, MonicGenerator) else MonicGenerator(g)
     if ring is not None and ring != gen.ring:
-        raise RingMismatchError(f"{ring} is not {gen.ring}")
+        raise RingMismatchError(f"{shown_ring(ring)} is not {shown_ring(gen.ring)}")
     return gen
 
 

@@ -1,14 +1,16 @@
 """Non-vanishing points and the substitution that makes a polynomial monic.
 
 The point search is deterministic and exact.  To find a point where a
-nonzero polynomial takes a nonzero value, recurse on the leading
-coefficient with respect to the last active variable: once the earlier
-coordinates keep that coefficient nonzero, the polynomial is (in the last
-active variable) a nonzero univariate of degree d, so among any d + 1
-distinct nonzero scalars one misses all its roots.  Candidates come from
-the field's fixed nonzero enumeration, which makes the result reproducible
-and makes failure on a too-small finite field a definite, reported event
-rather than a sampling accident.
+nonzero polynomial takes a nonzero value, walk the chain of leading
+coefficients down through the variables it contains, last first, then fix
+their coordinates back up: once the earlier coordinates keep a link's
+coefficient nonzero, the link is (in its variable) a nonzero univariate of
+degree d, so among any d + 1 distinct nonzero scalars one misses all its
+roots.  A variable of degree 0 in its link, or absent from the polynomial,
+keeps coordinate 1, the first candidate.  Candidates come from the field's
+fixed nonzero enumeration, which makes the result reproducible and makes
+failure on a too-small finite field a definite, reported event rather than
+a sampling accident.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from .errors import (
     shown,
 )
 from .field import FieldElement, enumerate_nonzero
-from .poly import Polynomial, RingSpec
+from .poly import Polynomial
 
 
 def nonvanishing_point(f: Polynomial) -> tuple[FieldElement, ...]:
@@ -33,36 +35,42 @@ def nonvanishing_point(f: Polynomial) -> tuple[FieldElement, ...]:
 
     Raises :class:`ZeroPolynomialError` on the zero polynomial and
     :class:`FieldTooSmallError` when a finite field runs out of candidates
-    (which can genuinely happen: over F2 every point with nonzero
-    coordinates is a root of t1^2 + t1*t2).
+    for one variable (which can genuinely happen: over F2 every point with
+    nonzero coordinates is a root of t1^2 + t1*t2).  The search is greedy,
+    fixing each coordinate once, so that error does not prove that no point
+    exists: over F3 it is raised for t2^2 + t1*t2 - t2 - 1, which is 1 at
+    (2, 1).  A variable f does not contain gets coordinate 1.
     """
     if f.is_zero:
         raise ZeroPolynomialError("the zero polynomial vanishes everywhere")
     ring = f.ring
     spec = ring.field
-    pad_one = spec.one()
-
-    def search(g: Polynomial, m: int) -> tuple[FieldElement, ...]:
-        # g is nonzero and free of variables m+1..n.
-        if m == 0:
-            return ()
+    # chain[i] = (m, g, d): g is nonzero, free of the variables after t_m, of
+    # degree d > 0 in t_m, and the next link's g is its coefficient of t_m^d.
+    # A g free of t_m is the next link's g, nonzero at t_m = 1 too.
+    chain = []
+    g = f
+    for m in reversed(f.occurring_variables()):
         coeffs = g.coefficients_in(m)
         d = max(coeffs)
-        prefix = search(coeffs[d], m - 1)
-        pad = (pad_one,) * (ring.nvars - m)
+        if d:
+            chain.append((m, g, d))
+        g = coeffs[d]
+    point = [spec.one()] * ring.nvars
+    for m, g, d in reversed(chain):
         for idx in range(d + 1):
             try:
-                candidate = enumerate_nonzero(spec, idx)
+                point[m - 1] = enumerate_nonzero(spec, idx)
             except ExhaustedFieldError as exc:
                 raise FieldTooSmallError(
                     f"{spec} has too few nonzero elements to fix variable "
                     f"{shown(ring.variables[m - 1], 'name', str)} (degree {d})"
                 ) from exc
-            if not g.evaluate(prefix + (candidate,) + pad).is_zero:
-                return prefix + (candidate,)
-        raise SelfCheckError("unreachable: d + 1 distinct candidates, at most d roots")
-
-    return search(f, ring.nvars)
+            if not g.evaluate(point).is_zero:
+                break
+        else:
+            raise SelfCheckError("unreachable: d + 1 distinct candidates, at most d roots")
+    return tuple(point)
 
 
 def nonvanishing_point_homogeneous(f: Polynomial) -> tuple[FieldElement, ...]:
@@ -97,21 +105,23 @@ class LinearSubstitution:
         if self.scale.is_zero:
             raise ArgumentError("scale must be nonzero")
 
-    def images(self, ring: RingSpec) -> tuple[Polynomial, ...]:
+    def apply(self, f: Polynomial) -> Polynomial:
+        """Substitute into f (no scaling; the caller divides by ``scale``)."""
+        ring = f.ring
         n = ring.nvars
         if len(self.coefficients) != n - 1:
             raise ArgumentError(
                 f"substitution has {len(self.coefficients)} coefficients, "
                 f"ring needs {n - 1}"
             )
+        # Only the variables f contains get their image t_j + c_j * t_n; the
+        # other slots share t_n, which substitute checks but never reads.
         last = ring.gen(n)
-        return tuple(
-            ring.gen(j + 1) + c * last for j, c in enumerate(self.coefficients)
-        ) + (last,)
-
-    def apply(self, f: Polynomial) -> Polynomial:
-        """Substitute into f (no scaling; the caller divides by ``scale``)."""
-        return f.substitute(self.images(f.ring))
+        images = [last] * n
+        for j in f.occurring_variables():
+            if j < n:
+                images[j - 1] = ring.gen(j) + self.coefficients[j - 1] * last
+        return f.substitute(images)
 
 
 @dataclass(frozen=True)

@@ -38,7 +38,9 @@ from random import Random
 from struct import Struct
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .errors import ArgumentError, RingMismatchError, SizeLimitError, ZeroPolynomialError, shown
+from .errors import (
+    ArgumentError, RingMismatchError, SizeLimitError, ZeroPolynomialError, shown, shown_ring,
+)
 from .field import FieldElement, FieldSpec, check_count, is_scalar, scalar_text
 
 _new = object.__new__
@@ -153,7 +155,7 @@ class RingSpec:
         """exps as (j, e) factors, e > 0; ArgumentError unless n plain ints >= 0 (not bools)."""
         exps = tuple(exps)
         if len(exps) != len(self.variables) or any(type(e) is not int or e < 0 for e in exps):
-            raise ArgumentError(f"bad exponent vector {shown(exps)} for {self}")
+            raise ArgumentError(f"bad exponent vector {shown(exps)} for {shown_ring(self)}")
         return [(j, e) for j, e in enumerate(exps, 1) if e]
 
     def index_of(self, name: str) -> int:
@@ -365,7 +367,8 @@ class Polynomial:
         if isinstance(other, Polynomial):
             if other.ring is not self.ring and other.ring != self.ring:
                 raise RingMismatchError(
-                    f"cannot combine polynomials over {self.ring} and {other.ring}"
+                    f"cannot combine polynomials over {shown_ring(self.ring)} and "
+                    f"{shown_ring(other.ring)}"
                 )
             return other
         return self.ring.constant(other) if is_scalar(other) else None
@@ -437,6 +440,14 @@ class Polynomial:
             return None
         shift = self.ring._codec.shifts[j - 1]
         return max(k >> shift & _SLOT for k in self._keys)
+
+    def occurring_variables(self) -> list[int]:
+        """The 1-based indices of the variables some term uses, ascending."""
+        # No slot carries, so a slot of the OR is nonzero iff some key's is.
+        union = 0
+        for key in self._keys:
+            union |= key
+        return [j for j, e in enumerate(self.ring._codec.decode(union), 1) if e]
 
     def evaluate(self, point: Sequence) -> FieldElement:
         """Evaluate at a point, one scalar per variable."""
@@ -619,7 +630,7 @@ def embed(f: Polynomial, target: RingSpec) -> Polynomial:
         or target.nvars < n
         or target.variables[:n] != f.ring.variables
     ):
-        raise RingMismatchError(f"{target} does not extend {f.ring}")
+        raise RingMismatchError(f"{shown_ring(target)} does not extend {shown_ring(f.ring)}")
     # The appended variables take the low slots; every part moves up by them.
     shift = target._codec.top - f.ring._codec.top
     return Polynomial._make(target, {k << shift: c for k, c in f._keys.items()}, f._den)

@@ -4,10 +4,10 @@ Everything here works on raw dicts mapping exponent tuples to scalars
 (Fractions over the rationals, least nonnegative residues mod a prime),
 with deliberately naive algorithms: schoolbook products, repeated
 multiplication instead of binary powering, dense univariate division,
-permutation-sum determinants, and a recursive-descent parser that makes
-every atom a dict and combines them with the naive operations.  The only
-package coupling allowed is reading ``Polynomial.terms`` when a test
-converts a value for comparison.
+permutation-sum determinants, a point search that recurses once per
+variable, and a recursive-descent parser that makes every atom a dict and
+combines them with the naive operations.  The only package coupling allowed
+is reading ``Polynomial.terms`` when a test converts a value for comparison.
 """
 
 import re
@@ -163,6 +163,68 @@ def leibniz_charpoly(matrix: list) -> list:
         for k, v in enumerate(prod):
             total[k] += sign * v
     return total
+
+
+class ReferenceFieldTooSmall(Exception):
+    """The reference point search ran out of nonzero candidates."""
+
+
+def _inverse(c, modulus):
+    return Fraction(1) / c if modulus is None else pow(c, -1, modulus)
+
+
+def reference_point(a: dict, names, modulus=None) -> tuple:
+    """A non-vanishing point of a nonzero raw dict, by the recursive search.
+
+    search(g, m) fixes t1..t_{m-1} so that g's leading coefficient in t_m
+    does not vanish, then takes the first of the candidates 1, 2, ... (1..p-1
+    over F_p) at which g does not; variables after m are 1.  It recurses once
+    per variable, so it is for small rings only.  Running out of candidates
+    raises ReferenceFieldTooSmall with the package's FieldTooSmall text, for
+    names of at most 10 characters, which that text writes out.
+    """
+    n = len(names)
+    field = "Q" if modulus is None else f"F{modulus}"
+
+    def search(g: dict, m: int) -> tuple:
+        # g is nonzero and free of variables m+1..n.
+        if m == 0:
+            return ()
+        d = max(exps[m - 1] for exps in g)
+        lead = {exps[: m - 1] + (0,) + exps[m:]: c for exps, c in g.items() if exps[m - 1] == d}
+        prefix = search(lead, m - 1)
+        for candidate in range(1, d + 2):
+            if modulus is not None and candidate >= modulus:
+                raise ReferenceFieldTooSmall(f"{field} has too few nonzero elements to fix "
+                                             f"variable {names[m - 1]} (degree {d})")
+            if naive_eval(g, prefix + (candidate,) + (1,) * (n - m), modulus):
+                return prefix + (candidate,)
+        raise AssertionError("d + 1 distinct candidates, at most d roots")
+
+    return search(a, n)
+
+
+def reference_monicize(a: dict, names, modulus=None) -> tuple:
+    """(a list, scale, monic raw dict, degree) for a nonzero raw dict.
+
+    The leading form's reference point, rescaled to end in 1, gives the
+    coefficients a_j; the scale is the form's value there, and the monic
+    polynomial is a with t_j -> t_j + a_j*t_n, divided by the scale.
+    """
+    n = len(names)
+    degree = total_deg(a)
+    form = {exps: c for exps, c in a.items() if sum(exps) == degree}
+    point = reference_point(form, names, modulus)
+    last = _inverse(point[-1], modulus)
+    coefficients = [b * last if modulus is None else b * last % modulus for b in point[:-1]]
+    scale = naive_eval(form, coefficients + [1], modulus)
+    unit = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+    images = [_norm({unit[j]: 1, unit[-1]: c}, modulus) for j, c in enumerate(coefficients)]
+    images.append({unit[-1]: 1})
+    inverse = _inverse(scale, modulus)
+    monic = _norm({exps: c * inverse for exps, c in naive_subst(a, images, n, modulus).items()},
+                  modulus)
+    return coefficients, scale, monic, degree
 
 
 class ReferenceParseError(Exception):

@@ -1278,6 +1278,42 @@ class TestEntryPoints:
             "a: 1\nlambda: 1\ng: t2^2147483647 + t1 + t2\ndegree: 2147483647\n"
         )
 
+    @pytest.mark.parametrize("n", [990, 100_000])
+    @pytest.mark.parametrize("argv, text", [
+        (("nonvanish",), "t1*t2 + t3"),
+        (("nonvanish", "--homogeneous"), "t1*t2 + t3^2"),
+        (("monicize",), "t1*t2 + t3"),
+    ], ids=["nonvanish", "homogeneous", "monicize"])
+    def test_point_search_answers_in_wide_rings(self, argv, text, n):
+        # Each once ended in a RecursionError traceback from about 990 variables
+        # on; the timeout only guards against a hang.
+        proc = self.python("-m", "krullkit", *argv, "--vars", str(n), text)
+        if argv == ("monicize",):
+            t = f"t{n}"
+            expected = (f"a: {','.join(['1'] * (n - 1))}\nlambda: 1\n"
+                        f"g: t1*t2 + t1*{t} + t2*{t} + {t}^2 + t3 + {t}\ndegree: 2\n")
+        else:
+            expected = ",".join(["1"] * n) + "\n"
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == expected
+
+    def test_no_function_calls_itself(self):
+        # A function that recursed once per variable ended in RecursionError
+        # at about 990 variables, below MAX_VARIABLES.  The parser's mutual
+        # descent is capped by MAX_DEPTH and is not direct.
+        for path in sorted(Path(self.SRC, "krullkit").glob("*.py")):
+            for fn in ast.walk(ast.parse(path.read_text(), str(path))):
+                if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                for call in ast.walk(fn):
+                    if not isinstance(call, ast.Call):
+                        continue
+                    callee = call.func
+                    direct = isinstance(callee, ast.Name) and callee.id == fn.name
+                    method = (isinstance(callee, ast.Attribute) and callee.attr == fn.name
+                              and getattr(callee.value, "id", None) in ("self", "cls"))
+                    assert not (direct or method), (path.name, fn.name, call.lineno)
+
     @pytest.mark.parametrize("power,coords", [(100_000_000, "1,0\n"), (100_000_001, "0,1\n")])
     def test_huge_power_reduce_finishes(self, power, coords):
         # The timeout only guards against a hang; it is not a timing gate.

@@ -1,10 +1,14 @@
 """Non-vanishing point search and the monicizing substitution."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+import oracles
 from krullkit.errors import (
     ExhaustedFieldError,
     FieldTooSmallError,
@@ -20,7 +24,9 @@ from krullkit.normalize import (
     nonvanishing_point_homogeneous,
 )
 from krullkit.parse import parse_polynomial
-from krullkit.poly import RingSpec, random_polynomial
+from krullkit.poly import Polynomial, RingSpec, random_polynomial
+
+from test_poly import polys
 
 Q = FieldSpec.rationals()
 QR1 = RingSpec.default(Q, 1)
@@ -116,9 +122,10 @@ class TestNonvanishingPointHomogeneous:
 
 class TestLinearSubstitution:
     def test_images(self):
+        # Each variable goes to its image: t1 -> t1 + 2*t2, and t2 stays.
         sub = LinearSubstitution((Q.element(2),), Q.element(3))
         t1, t2 = QR2.gens()
-        assert sub.images(QR2) == (t1 + 2 * t2, t2)
+        assert (sub.apply(t1), sub.apply(t2)) == (t1 + 2 * t2, t2)
 
     def test_apply(self):
         sub = LinearSubstitution((Q.element(1),), Q.element(1))
@@ -130,8 +137,8 @@ class TestLinearSubstitution:
 
     def test_wrong_arity(self):
         sub = LinearSubstitution((Q.one(), Q.one()), Q.one())
-        with pytest.raises(ValueError):
-            sub.images(QR2)
+        with pytest.raises(ValueError, match="^substitution has 2 coefficients, ring needs 1$"):
+            sub.apply(P("t1"))
 
 
 class TestMonicize:
@@ -219,3 +226,88 @@ class TestMonicize:
     def test_determinism(self):
         f = P("t1^2*t2 - 3*t2^3 + t1")
         assert monicize(f) == monicize(f)
+
+
+FIELDS = [Q, FieldSpec.prime(2), FieldSpec.prime(3), FieldSpec.prime(7)]
+
+
+@st.composite
+def nonzero_polys(draw):
+    """A nonzero polynomial over Q, F2, F3 or F7 in 1 to 8 variables."""
+    ring = RingSpec.default(draw(st.sampled_from(FIELDS)), draw(st.integers(1, 8)))
+    f = draw(polys(ring))
+    assume(not f.is_zero)
+    return f
+
+
+def point_outcome(f):
+    try:
+        return tuple(c.value for c in nonvanishing_point(f))
+    except FieldTooSmallError as exc:
+        return str(exc)
+
+
+def reference_point_outcome(f):
+    try:
+        return oracles.reference_point(oracles.raw(f), f.ring.variables, f.ring.field.modulus)
+    except oracles.ReferenceFieldTooSmall as exc:
+        return str(exc)
+
+
+def monicize_outcome(f):
+    try:
+        return monicize(f).to_json_dict()
+    except FieldTooSmallError as exc:
+        return str(exc)
+
+
+def reference_monicize_outcome(f):
+    ring, field = f.ring, f.ring.field
+    try:
+        a, scale, monic, degree = oracles.reference_monicize(
+            oracles.raw(f), ring.variables, field.modulus
+        )
+    except oracles.ReferenceFieldTooSmall as exc:
+        return str(exc)
+    return {
+        "a": [str(field.element(c)) for c in a],
+        "lambda": str(field.element(scale)),
+        "g": str(Polynomial(ring, monic)),
+        "degree": degree,
+    }
+
+
+class TestAgainstTheRecursiveSearch:
+    """The one-loop search against the recursive search kept in oracles."""
+
+    @given(f=nonzero_polys())
+    @settings(max_examples=400, derandomize=True, deadline=None)
+    def test_same_point_or_same_refusal(self, f):
+        assert point_outcome(f) == reference_point_outcome(f)
+        if f.ring.nvars <= 4:  # the reference substitutes by repeated products
+            assert monicize_outcome(f) == reference_monicize_outcome(f)
+
+
+class TestWidthContract:
+    """The search and monicize work per variable f contains, not per ring variable."""
+
+    def test_calls_do_not_grow_with_the_ring(self, monkeypatch):
+        # At n ring variables the recursive search made n evaluations and n
+        # coefficients_in calls for t1*t2 + t3, and recursed n deep.
+        counts = Counter()
+        for name in ("evaluate", "coefficients_in"):
+            def counted(self, *args, _name=name, _method=getattr(Polynomial, name)):
+                counts[_name] += 1
+                return _method(self, *args)
+
+            monkeypatch.setattr(Polynomial, name, counted)
+        seen = {}
+        for op in (nonvanishing_point, monicize):
+            for n in (10, 100, 1000):
+                counts.clear()
+                op(parse_polynomial("t1*t2 + t3", RingSpec.default(Q, n)))
+                seen.setdefault(op.__name__, []).append(dict(counts))
+        # One slicing per variable f contains; only t3 has a link of positive
+        # degree (t1*t2 + t3 in t3), and its first candidate passes.
+        assert seen["nonvanishing_point"] == [{"evaluate": 1, "coefficients_in": 3}] * 3
+        assert seen["monicize"] == [seen["monicize"][0]] * 3

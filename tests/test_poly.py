@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from krullkit.chains import MonomialPrimeIdeal
 from krullkit.errors import (
     ArgumentError,
     ExhaustedFieldError,
@@ -25,6 +26,7 @@ from krullkit.errors import (
     shown,
 )
 from krullkit.field import FieldElement, FieldSpec, enumerate_nonzero
+from krullkit.integral import divide_monic
 from krullkit.parse import MAX_LITERAL_DIGITS, literal_digits, parse_polynomial
 from krullkit.poly import (
     MAX_VARIABLES, Polynomial, RingSpec, embed, random_polynomial, random_scalar,
@@ -35,6 +37,8 @@ F5 = FieldSpec.prime(5)
 QR2 = RingSpec.default(Q, 2)
 QR3 = RingSpec.default(Q, 3)
 FR2 = RingSpec.default(F5, 2)
+WIDE = RingSpec.default(Q, 3000)
+NARROWER = RingSpec.default(Q, 2999)
 
 
 def P(text, ring=QR2):
@@ -395,6 +399,36 @@ class TestRefusedInputs:
         assert digit_limit() is None and literal_digits() == MAX_LITERAL_DIGITS
         monkeypatch.delattr(sys, "get_int_max_str_digits")  # Python 3.10 before 3.10.7
         assert digit_limit() is None
+
+    @pytest.mark.parametrize("call, error, message", [
+        (lambda: WIDE.gen(1).coefficient((1,)), ArgumentError,
+         "bad exponent vector (1,) for Q ring of 3000 variables"),
+        (lambda: WIDE.gen(1) + NARROWER.gen(1), RingMismatchError,
+         "cannot combine polynomials over Q ring of 3000 variables and "
+         "Q ring of 2999 variables"),
+        (lambda: embed(WIDE.gen(1), NARROWER), RingMismatchError,
+         "Q ring of 2999 variables does not extend Q ring of 3000 variables"),
+        (lambda: MonomialPrimeIdeal(WIDE, 1).contains(NARROWER.gen(1)), RingMismatchError,
+         "Q ring of 2999 variables is not Q ring of 3000 variables"),
+        (lambda: divide_monic(NARROWER.gen(1), WIDE.gen(3000)), RingMismatchError,
+         "Q ring of 2999 variables is not Q ring of 3000 variables"),
+        (lambda: QR2.gen(1) + FR2.gen(1), RingMismatchError,
+         "cannot combine polynomials over Q[t1,t2] and F5[t1,t2]"),
+        (lambda: embed(QR3.gen(1), QR2), RingMismatchError,
+         "Q[t1,t2] does not extend Q[t1,t2,t3]"),
+        (lambda: RingSpec.default(Q, 11).gen(1).coefficient((1,)), ArgumentError,
+         "bad exponent vector (1,) for Q[t1,t2,t3,t4,t5,t6,t7,t8,t9,t10,t11]"),
+        (lambda: RingSpec.default(Q, 12).gen(1).coefficient((1,)), ArgumentError,
+         "bad exponent vector (1,) for Q ring of 12 variables"),
+    ], ids=["vector", "combine", "embed", "chain", "divide", "short-combine", "short-embed",
+            "40-characters", "41-characters"])
+    def test_rings_in_errors_are_named_by_one_rule(self, call, error, message):
+        # A ring of more than 40 characters is named by its field and width; in
+        # 3000 variables these once wrote out every name (up to 33,821 characters).
+        with pytest.raises(error) as info:
+            call()
+        assert (type(info.value), str(info.value)) == (error, message)
+        assert len(message) <= 200
 
     @pytest.mark.parametrize("images", [[1, 2], (None, None)])
     def test_substitution_image_that_is_not_a_polynomial(self, images):
