@@ -86,6 +86,9 @@ WIDE_1X1 = ("3/5*t1*t{n}", "-7/3*t2*t{n}")
 WIDE = "3*t{m}*t{n} + 2/3*t1^2*t{m} - t{n}^3*t2 + 5*t{n}"
 # A member/split input of the wide deck, parenthesized coefficients and all.
 WIDE_TEXT = "(3/2)*t2^2*t{m}^2 + (5)*t1^2*t{m}^2*t{n}^3 + (5)*t{n} + (-3/2)*t1^3*t2^3*t{m}^2"
+# A strict member of level k, as in the wide deck's minpow jobs: lower terms
+# in t1..t(k-1), then t_k^2 times a cofactor with a constant term.
+WIDE_MINPOW = "2/3*t1^2*t{j} - 5*t{j} + 3/2*t{k}^2*t{m}*t{n} - 7/4*t{k}^3*t{n}^2 + 4*t{k}^2"
 EVAL_ARGV = ["eval", "--vars", "2", "--at", "2,2", "t1^3 + 2*t1^2*t2 + 4*t2^3"]
 # Paired rounds in --ab mode, and the time each paired measurement aims for.
 AB_ROUNDS = 41
@@ -110,6 +113,7 @@ def cases(smoke: bool, kk) -> dict:
 
     FieldSpec, RingSpec, parse_polynomial = kk.FieldSpec, kk.RingSpec, kk.parse_polynomial
     verify_chain, main = sub("chains").verify_chain, sub("cli").main
+    extract_min_power = sub("chains").extract_min_power
     integral, normalize = sub("integral"), sub("normalize")
     characteristic_polynomial = integral.characteristic_polynomial
     contraction_witness = integral.contraction_witness
@@ -230,6 +234,11 @@ def cases(smoke: bool, kk) -> dict:
         "poly.split_by_support", lambda f=f, k=k: f.split_by_support(k))
     out[f"Q in_variable_ideal k={k} of {WIDE}".format(n=n_wide, m=n_wide // 2 + 1)] = (
         "poly.in_variable_ideal", lambda f=f, k=k: f.in_variable_ideal(k))
+    k = n_wide // 2 + 1
+    text = WIDE_MINPOW.format(j=k - 1, k=k, m=(k + n_wide) // 2, n=n_wide)
+    f = parse_polynomial(text, ring)
+    out[f"Q extract_min_power k={k} of {text}"] = (
+        "chains.extract_min_power", lambda f=f, k=k: extract_min_power(f, k))
     # Three variables of a wide ring: work per variable the input contains.
     sparse = parse_polynomial(SPARSE_WIDE, ring)
     out[f"Q nonvanishing_point of {SPARSE_WIDE} in {n_wide} variables"] = (

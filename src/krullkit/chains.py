@@ -80,12 +80,14 @@ def extract_min_power(f: Polynomial, k: int) -> MinPowerDecomposition:
     """
     ring = f.ring
     check_range("k", k, 1, ring.nvars)
-    if not f.in_variable_ideal(k) or f.in_variable_ideal(k - 1):
+    # f is outside level k - 1 iff rest is nonzero, and inside level k iff
+    # every term of rest touches t_k.
+    lower_part, rest = f.split_by_support(k - 1)
+    slices = rest.coefficients_in(k)
+    if not slices or 0 in slices:
         raise PreconditionViolatedError(
             f"need membership at level {k} but not at level {k - 1}"
         )
-    lower_part, rest = f.split_by_support(k - 1)
-    slices = rest.coefficients_in(k)
     power = min(slices)
     shifted = {e - power: s for e, s in slices.items()}
     cofactor = Polynomial.from_coefficients_in(ring, k, shifted)

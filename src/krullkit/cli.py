@@ -19,7 +19,7 @@ import sys
 from fractions import Fraction
 
 from .chains import DEFAULT_SEED, MonomialPrimeIdeal, extract_min_power, verify_chain
-from .errors import ArgumentError, KrullkitError, SelfCheckError, shown
+from .errors import ArgumentError, KrullkitError, SelfCheckError, digit_limit, shown
 from .field import FieldElement, FieldSpec
 from .integral import (
     ReductionCoefficients,
@@ -30,7 +30,7 @@ from .integral import (
     principal_member,
 )
 from .normalize import monicize, nonvanishing_point, nonvanishing_point_homogeneous
-from .parse import literal_digits, parse_polynomial
+from .parse import parse_polynomial
 from .poly import RingSpec
 
 
@@ -50,6 +50,7 @@ def _text(doc: dict) -> str:
 
 
 _INT = re.compile(r"\s*(-?([0-9]+))\s*")  # the grammar's integer literal, as in --at
+_RATIONAL = re.compile(r"\s*-?([0-9]+)(?:/([0-9]+))?\s*")  # and its rational literal
 
 
 class _IntError(argparse.ArgumentTypeError, ArgumentError):
@@ -58,7 +59,7 @@ class _IntError(argparse.ArgumentTypeError, ArgumentError):
 
 def _int(text: str) -> int:
     """The one integer reader; a bad token is named as :func:`shown` names it."""
-    if (match := _INT.fullmatch(text)) and len(match[2]) <= literal_digits():
+    if (match := _INT.fullmatch(text)) and len(match[2]) <= digit_limit():
         return int(match[1])
     named = shown(text)  # the token quoted, or "of N characters"
     raise _IntError(f"invalid int value{' ' if named.startswith('of ') else ': '}{named}")
@@ -72,12 +73,12 @@ def _make_ring(args: argparse.Namespace) -> RingSpec:
 
 
 def _parse_scalar(text: str, field: FieldSpec) -> FieldElement:
-    # Only the grammar's rational literal: Fraction() also takes forms such
-    # as "1e100000000", which take unbounded time to expand.
-    if re.fullmatch(r"\s*-?[0-9]+(/[0-9]+)?\s*", text):
+    # Only the grammar's rational literal, within the digit rule: Fraction()
+    # also takes forms such as "1e100000000", which take unbounded time to expand.
+    if (match := _RATIONAL.fullmatch(text)) and max(map(len, match.groups(""))) <= digit_limit():
         try:
             return field.element(Fraction(text))
-        except (ValueError, ZeroDivisionError):  # past the digit limit; 1/0, or 1/p over F_p
+        except ZeroDivisionError:  # 1/0, or 1/p over F_p
             pass
     raise ArgumentError(f"bad scalar literal {shown(text)}")
 

@@ -5,19 +5,24 @@ line interface uses when printing errors, so scripted callers can match on it
 without depending on Python class names, and the ``exit_code`` the command line
 exits with: 1, or 2 for argument and parse errors.  :func:`shown` names every
 value an error message names, :func:`shown_ring` every ring it names, and
-:func:`digit_limit` reads the one limit on int/str conversions.
+:func:`digit_limit` is the one digit rule for every number read or printed:
+:data:`MAX_LITERAL_DIGITS`, or the interpreter's lower int/str limit, so
+raising or disabling that limit changes no answer.
 """
 
 from __future__ import annotations
 
 import sys
 
+MAX_LITERAL_DIGITS = 4300  # CPython's default int/str limit, and the most krullkit allows
+DIGIT_BOUND = 10**MAX_LITERAL_DIGITS  # the least int of more digits
 
-def digit_limit() -> int | None:
-    """The interpreter's int/str conversion limit in digits, read now; None
-    when there is none (a limit of 0, or a Python before 3.10.7)."""
+
+def digit_limit() -> int:
+    """The most digits a number read or printed may have, read now:
+    :data:`MAX_LITERAL_DIGITS`, or the interpreter's lower int/str limit."""
     read = getattr(sys, "get_int_max_str_digits", None)
-    return (read() or None) if read else None
+    return min(MAX_LITERAL_DIGITS, (read() if read else 0) or MAX_LITERAL_DIGITS)
 
 
 def shown(value, noun: str = "", quote=repr) -> str:
@@ -122,6 +127,6 @@ class SelfCheckError(KrullkitError, RuntimeError):
 
 class SizeLimitError(KrullkitError):
     """A result is over a size limit: a monomial's total degree over 2^63 - 1,
-    or a coefficient longer than Python prints (:func:`digit_limit`)."""
+    or a coefficient of more digits than :func:`digit_limit` allows."""
 
     identifier = "SizeLimit"

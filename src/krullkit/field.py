@@ -23,7 +23,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
-    ArgumentError, ExhaustedFieldError, FieldMismatchError, SizeLimitError, digit_limit, shown,
+    DIGIT_BOUND, ArgumentError, ExhaustedFieldError, FieldMismatchError, SizeLimitError,
+    digit_limit, shown,
 )
 
 _FIELD_TEXT_RE = re.compile(r"(Q|F([1-9][0-9]*))\Z")
@@ -222,21 +223,22 @@ class FieldElement:
         return not self.is_zero
 
     def __str__(self) -> str:
-        return scalar_text(self.value)
+        return scalar_text(self.value.numerator, self.value.denominator)
 
     def __repr__(self) -> str:
         return f"FieldElement({self.spec}, {self.value})"
 
 
-def scalar_text(value: Fraction | int, den: int = 1) -> str:
-    """``str(value)``, or ``value/den`` for a reduced fraction of ints with den > 1;
-    SizeLimitError when a part has more digits than Python prints."""
-    try:
-        return str(value) if den == 1 else f"{value}/{den}"
-    except ValueError:  # CPython's int-to-str digit limit
-        raise SizeLimitError(
-            f"a coefficient of more than {digit_limit()} digits cannot be printed"
-        ) from None
+def scalar_text(num: int, den: int = 1) -> str:
+    """The text of the reduced fraction num/den, den > 0: ``str(num)`` when den
+    is 1; SizeLimitError, before any digit is printed, when a part has more
+    digits than :func:`~krullkit.errors.digit_limit` allows."""
+    if abs(num) < DIGIT_BOUND > den:
+        try:
+            return str(num) if den == 1 else f"{num}/{den}"
+        except ValueError:  # past the interpreter's lower int/str limit
+            pass
+    raise SizeLimitError(f"a coefficient of more than {digit_limit()} digits cannot be printed")
 
 
 def enumerate_nonzero(spec: FieldSpec, index: int) -> FieldElement:

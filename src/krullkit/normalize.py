@@ -85,7 +85,12 @@ def nonvanishing_point_homogeneous(f: Polynomial) -> tuple[FieldElement, ...]:
         raise NotHomogeneousError(f"{shown(f, 'a polynomial', str)} is not homogeneous")
     point = nonvanishing_point(f)
     factor = point[-1].inv()
-    return tuple(b * factor for b in point[:-1]) + (f.ring.field.one(),)
+    # A coordinate the search left at 1 scales to factor itself.
+    scaled = [factor] * len(point)
+    for j in f.occurring_variables():
+        scaled[j - 1] = point[j - 1] * factor
+    scaled[-1] = f.ring.field.one()
+    return tuple(scaled)
 
 
 @dataclass(frozen=True)

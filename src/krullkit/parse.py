@@ -14,8 +14,8 @@ are reduced at parse time (over a prime field, ``a/b`` means ``a * b^-1``,
 and it is a parse error if the denominator of the reduced fraction is
 divisible by the characteristic: over F2, ``4/2`` is 0 and ``2/4`` an error).
 Exponents are capped at 2^31 - 1, number literals at
-:data:`MAX_LITERAL_DIGITS` digits or the interpreter's lower limit
-(:func:`literal_digits`), and parentheses nest at most :data:`MAX_DEPTH`
+:func:`~krullkit.errors.digit_limit` digits (:data:`MAX_LITERAL_DIGITS`, or the
+interpreter's lower limit), and parentheses nest at most :data:`MAX_DEPTH`
 deep.  Over Q, a power of a literal or of a parenthesized literal whose
 numerator or denominator would have more than :data:`MAX_LITERAL_DIGITS`
 digits raises :class:`SizeLimitError` before it is computed (over F_p such a
@@ -37,7 +37,9 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .errors import KrullkitError, SizeLimitError, digit_limit, shown
+from .errors import (
+    DIGIT_BOUND, MAX_LITERAL_DIGITS, KrullkitError, SizeLimitError, digit_limit, shown,
+)
 from .poly import Polynomial, RingSpec
 
 __all__ = [
@@ -49,20 +51,10 @@ __all__ = [
 ]
 
 MAX_EXPONENT = 2**31 - 1
-# CPython's default digit limit, the grammar's cap even where the interpreter
-# converts longer digit strings to int.
-MAX_LITERAL_DIGITS = 4300
-_LITERAL_LIMIT = 10**MAX_LITERAL_DIGITS  # the least int of more digits
 # A parenthesis level takes at most four frames (parse_term, group, sum_terms
 # and summands), so 100 levels take 400 of the default recursion limit of
 # 1000 and leave the rest to the caller's stack and the arithmetic.
 MAX_DEPTH = 100
-
-
-def literal_digits() -> int:
-    """The most digits a number literal may have: :data:`MAX_LITERAL_DIGITS`,
-    or the interpreter's lower limit (:func:`~krullkit.errors.digit_limit`)."""
-    return min(MAX_LITERAL_DIGITS, digit_limit() or MAX_LITERAL_DIGITS)
 
 
 class ParseError(KrullkitError):
@@ -235,7 +227,7 @@ class _Parser:
                 return int(token), offset
             except ValueError:  # past the interpreter's lower digit limit
                 pass
-        raise ParseError(offset, f"number longer than {literal_digits()} digits")
+        raise ParseError(offset, f"number longer than {digit_limit()} digits")
 
     def rational(self, p: int | None) -> tuple[int, int]:
         # A signed literal ``-a/b`` as the ints (a, b); over F_p, b is 1.
@@ -262,9 +254,9 @@ def _literal_power(a: int, e: int) -> int:
     # a**e, or SizeLimitError past MAX_LITERAL_DIGITS digits.  A power of at
     # least (bit length - 1) * e bits is over the limit without computing it;
     # any other is under twice the limit's bit length, or a power of 0 or 1.
-    if (abs(a).bit_length() - 1) * e < _LITERAL_LIMIT.bit_length():
+    if (abs(a).bit_length() - 1) * e < DIGIT_BOUND.bit_length():
         power = a**e
-        if abs(power) < _LITERAL_LIMIT:
+        if abs(power) < DIGIT_BOUND:
             return power
     raise SizeLimitError(f"a literal power of more than {MAX_LITERAL_DIGITS} digits")
 

@@ -131,6 +131,20 @@ class TestExtractMinPower:
         with pytest.raises(ValueError):
             extract_min_power(P("t1"), 3)
 
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(st.sampled_from([QR3, RingSpec.default(FieldSpec.prime(7), 3)]).flatmap(polys),
+           st.integers(min_value=1, max_value=3))
+    def test_raises_exactly_outside_the_precondition(self, f, k):
+        outside = not f.in_variable_ideal(k) or f.in_variable_ideal(k - 1)
+        try:
+            dec = extract_min_power(f, k)
+        except PreconditionViolatedError as exc:
+            assert outside
+            assert str(exc) == f"need membership at level {k} but not at level {k - 1}"
+        else:
+            assert not outside
+            assert dec.lower_part + f.ring.gen(k) ** dec.power * dec.cofactor == f
+
     def test_random_decompositions(self):
         rng = random.Random(99)
         ring = QR3

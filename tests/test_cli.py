@@ -6,6 +6,7 @@ import io
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -27,6 +28,35 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def readme_transcripts():
+    """(argv, output) for each ``$ krullkit`` command in README's console blocks."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    found = []
+    for block in re.findall(r"^```console\n(.*?)^```$", text, re.S | re.M):
+        first, *commands = re.split(r"^\$ krullkit ", block, flags=re.M)
+        assert first == "", block
+        for command in commands:
+            line, _, output = command.partition("\n")
+            found.append((shlex.split(line), output))
+    return found
+
+
+README_TRANSCRIPTS = readme_transcripts()
+
+
+class TestReadmeTranscripts:
+    """README's console transcripts, run as written."""
+
+    def test_every_transcript_is_found(self):
+        assert len(README_TRANSCRIPTS) == 6
+
+    @pytest.mark.parametrize("argv, output", README_TRANSCRIPTS,
+                             ids=[argv[0] for argv, _ in README_TRANSCRIPTS])
+    def test_transcript(self, capsys, argv, output):
+        _, out, err = run(capsys, *argv)
+        assert out + err == output
 
 
 class TestWorkedExampleTranscripts:
@@ -1240,9 +1270,28 @@ class TestEntryPoints:
         assert proc.stderr.splitlines()[-1] == line
         assert "Traceback" not in proc.stderr and len(line.encode()) <= 200
 
+    @pytest.mark.parametrize("limit", ["0", "10000"])
+    @pytest.mark.parametrize("argv, code, out, err", [
+        (("--at", "7" * 4301, "t1"), 2, "",
+         "error: InvalidArgument: bad scalar literal of 4301 characters\n"),
+        (("--at", "1/" + "7" * 4301, "t1"), 2, "",
+         "error: InvalidArgument: bad scalar literal of 4303 characters\n"),
+        (("--at", "7" * 4300, "t1"), 0, "7" * 4300 + "\n", ""),
+        (("--at", "2", "t1^20000"), 1, "",
+         "error: SizeLimit: a coefficient of more than 4300 digits cannot be printed\n"),
+        (("--at", "2", "t1^6000000"), 1, "",
+         "error: SizeLimit: a coefficient of more than 4300 digits cannot be printed\n"),
+    ], ids=["at-4301", "at-denominator-4301", "at-4300", "print-6021", "print-1806180"])
+    def test_a_higher_or_no_digit_limit_changes_no_answer(self, argv, code, out, err, limit):
+        # Under a raised or disabled interpreter limit, --at once took any length and
+        # printing had no limit: t1^6000000 at 2 printed 1.8 MB in about 52 s.  The
+        # timeout only guards against a hang.
+        proc = self.python("-m", "krullkit", "eval", *argv, PYTHONINTMAXSTRDIGITS=limit)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
+
     def test_one_reader_of_the_digit_limit(self):
         # errors.digit_limit alone reads the interpreter's limit, and 4300 is
-        # written in code only as parse.MAX_LITERAL_DIGITS.
+        # written in code only as errors.MAX_LITERAL_DIGITS.
         def mentions(root):
             return sum("get_int_max_str_digits" in (getattr(node, "attr", None),
                                                     getattr(node, "value", None))
@@ -1260,7 +1309,8 @@ class TestEntryPoints:
                       if isinstance(node, ast.Constant) and type(node.value) is int
                       and node.value == 4300]
         assert readers == [("errors.py", "digit_limit")]
-        assert fours == [("parse.py", "MAX_LITERAL_DIGITS = 4300")]
+        assert fours == [("errors.py", "MAX_LITERAL_DIGITS = 4300  # CPython's default"
+                                       " int/str limit, and the most krullkit allows")]
 
     def test_undecodable_argv_bytes(self):
         # argv bytes that are not UTF-8 arrive as surrogate escapes.

@@ -15,7 +15,7 @@ from krullkit.errors import (
     NotHomogeneousError,
     ZeroPolynomialError,
 )
-from krullkit.field import FieldSpec
+from krullkit.field import FieldElement, FieldSpec
 from krullkit.integral import MonicGenerator
 from krullkit.normalize import (
     LinearSubstitution,
@@ -287,9 +287,43 @@ class TestAgainstTheRecursiveSearch:
         if f.ring.nvars <= 4:  # the reference substitutes by repeated products
             assert monicize_outcome(f) == reference_monicize_outcome(f)
 
+    @given(f=nonzero_polys())
+    @settings(max_examples=400, derandomize=True, deadline=None)
+    def test_homogeneous_rescale_matches_scaling_every_coordinate(self, f):
+        # The rescale once multiplied every coordinate by the inverse of the last.
+        form = f.leading_form()
+        try:
+            point = nonvanishing_point(form)
+        except FieldTooSmallError as exc:
+            with pytest.raises(FieldTooSmallError) as info:
+                nonvanishing_point_homogeneous(form)
+            assert str(info.value) == str(exc)
+            return
+        factor = point[-1].inv()
+        expected = tuple(b * factor for b in point[:-1]) + (form.ring.field.one(),)
+        assert nonvanishing_point_homogeneous(form) == expected
+
 
 class TestWidthContract:
     """The search and monicize work per variable f contains, not per ring variable."""
+
+    @pytest.mark.parametrize("text", ["t1*t2", "t1 - t{n}"])
+    def test_homogeneous_rescale_does_not_grow_with_the_ring(self, monkeypatch, text):
+        # The rescale once made n - 1 scalar products, one per ring variable.
+        calls = Counter()
+        mul = FieldElement.__mul__
+
+        def counted(self, other):
+            calls["mul"] += 1
+            return mul(self, other)
+
+        monkeypatch.setattr(FieldElement, "__mul__", counted)
+        seen = []
+        for n in (10, 100, 1000):
+            calls.clear()
+            nonvanishing_point_homogeneous(P(text.format(n=n), RingSpec.default(Q, n)))
+            seen.append(calls["mul"])
+        assert seen == [seen[0]] * 3
 
     def test_calls_do_not_grow_with_the_ring(self, monkeypatch):
         # At n ring variables the recursive search made n evaluations and n

@@ -27,7 +27,7 @@ from krullkit.errors import (
 )
 from krullkit.field import FieldElement, FieldSpec, enumerate_nonzero
 from krullkit.integral import divide_monic
-from krullkit.parse import MAX_LITERAL_DIGITS, literal_digits, parse_polynomial
+from krullkit.parse import MAX_LITERAL_DIGITS, parse_polynomial
 from krullkit.poly import (
     MAX_VARIABLES, Polynomial, RingSpec, embed, random_polynomial, random_scalar,
 )
@@ -388,17 +388,39 @@ class TestRefusedInputs:
     @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
                         reason="this Python has no int/str digit limit")
     def test_the_digit_limit_is_read_at_call_time(self, monkeypatch):
-        assert digit_limit() == literal_digits() == MAX_LITERAL_DIGITS
+        assert digit_limit() == MAX_LITERAL_DIGITS
         sys.set_int_max_str_digits(640)
         try:
-            assert digit_limit() == literal_digits() == 640
+            assert digit_limit() == 640
             assert shown(10**700, "a value") == "a value of more than 640 digits"
         finally:
             sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
         monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 0)  # no limit
-        assert digit_limit() is None and literal_digits() == MAX_LITERAL_DIGITS
+        assert digit_limit() == MAX_LITERAL_DIGITS
         monkeypatch.delattr(sys, "get_int_max_str_digits")  # Python 3.10 before 3.10.7
-        assert digit_limit() is None
+        assert digit_limit() == MAX_LITERAL_DIGITS
+
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                        reason="this Python has no int/str digit limit")
+    def test_no_interpreter_limit_keeps_the_digit_rule(self):
+        # With the interpreter's limit off, str() once printed any coefficient.
+        bound = 10**MAX_LITERAL_DIGITS  # the least int of 4301 digits
+        t1 = RingSpec.default(Q, 1).gen(1)
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            assert digit_limit() == MAX_LITERAL_DIGITS
+            assert str((bound - 1) * t1) == "9" * MAX_LITERAL_DIGITS + "*t1"
+            assert str(Q.element(Fraction(-1, bound - 1))) == "-1/" + "9" * MAX_LITERAL_DIGITS
+            for value in (bound * t1, Fraction(1, bound) * t1, Q.element(bound),
+                          Q.element(Fraction(1, bound))):
+                with pytest.raises(SizeLimitError) as info:
+                    str(value)
+                assert str(info.value) == (
+                    "a coefficient of more than 4300 digits cannot be printed"
+                )
+        finally:
+            sys.set_int_max_str_digits(saved)
 
     @pytest.mark.parametrize("call, error, message", [
         (lambda: WIDE.gen(1).coefficient((1,)), ArgumentError,
