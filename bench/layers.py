@@ -90,6 +90,8 @@ WIDE_TEXT = "(3/2)*t2^2*t{m}^2 + (5)*t1^2*t{m}^2*t{n}^3 + (5)*t{n} + (-3/2)*t1^3
 # in t1..t(k-1), then t_k^2 times a cofactor with a constant term.
 WIDE_MINPOW = "2/3*t1^2*t{j} - 5*t{j} + 3/2*t{k}^2*t{m}*t{n} - 7/4*t{k}^3*t{n}^2 + 4*t{k}^2"
 EVAL_ARGV = ["eval", "--vars", "2", "--at", "2,2", "t1^3 + 2*t1^2*t2 + 4*t2^3"]
+# Polynomials per random_polynomial case, drawn as verify_chain draws them.
+CHAIN_DRAWS = 20
 # Paired rounds in --ab mode, and the time each paired measurement aims for.
 AB_ROUNDS = 41
 AB_TARGET_S = 0.01
@@ -106,12 +108,19 @@ def _primes(count: int, start: int) -> list[int]:
     return found
 
 
+def draws(random_polynomial, ring) -> list:
+    # CHAIN_DRAWS draws of up to 4 terms of degree up to 4, from a fresh seed.
+    rng = random.Random(CHAIN_DRAWS)
+    return [random_polynomial(rng, ring, max_degree=4, max_terms=4) for _ in range(CHAIN_DRAWS)]
+
+
 def cases(smoke: bool, kk) -> dict:
     """Map each case name to (layer, zero-argument callable) for the package kk."""
     def sub(name):
         return importlib.import_module(f"{kk.__name__}.{name}")
 
     FieldSpec, RingSpec, parse_polynomial = kk.FieldSpec, kk.RingSpec, kk.parse_polynomial
+    random_polynomial = kk.random_polynomial
     verify_chain, main = sub("chains").verify_chain, sub("cli").main
     extract_min_power = sub("chains").extract_min_power
     integral, normalize = sub("integral"), sub("normalize")
@@ -151,6 +160,9 @@ def cases(smoke: bool, kk) -> dict:
         out[f"{name} coefficients_in(3) of the {size}-term {POWER.format(e=e)}"] = (
             "poly.coefficients_in", lambda a=big: a.coefficients_in(3))
         out[f"{name} mul 1x1"] = ("poly.mul", lambda a=one, b=one2: a * b)
+        # The cli deck's chain-verify shape.
+        out[f"{name} verify_chain n=3, checks_per_level=20"] = (
+            "chains.verify_chain", lambda r=ring: verify_chain(r, checks_per_level=20))
         product = big * other
         out[f"{name} str of the {len(product.terms)}-term product "
             f"{POWER.format(e=e)} * {OTHER.format(e=e)}"] = ("poly.str", lambda f=product: str(f))
@@ -227,6 +239,10 @@ def cases(smoke: bool, kk) -> dict:
     text = WIDE_TEXT.format(n=n_wide, m=n_wide // 2 + 1)
     out[f"Q parse in {n_wide} variables: {text}"] = (
         "parse.parse_polynomial", lambda t=text, r=ring: parse_polynomial(t, r))
+    for n in (3, 200):
+        out[f"Q random_polynomial x{CHAIN_DRAWS} in {n} variables"] = (
+            "poly.random_polynomial",
+            lambda r=RingSpec.default(FieldSpec.rationals(), n): draws(random_polynomial, r))
     out[f"Q verify_chain n={n_wide}, checks_per_level=2"] = (
         "chains.verify_chain", lambda: verify_chain(ring, checks_per_level=2))
     f, k = parse_polynomial(WIDE.format(n=n_wide, m=n_wide // 2 + 1), ring), n_wide // 2

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from random import Random
 
 from .errors import PreconditionViolatedError, RingMismatchError, shown_ring
-from .poly import Polynomial, RingSpec, check_range, random_polynomial
+from .poly import Polynomial, RingSpec, _randbelow, check_range, random_polynomial
 
 DEFAULT_SEED = 1729
 MAX_CHECKS = 10_000  # the most product checks per level that verify_chain runs
@@ -161,9 +161,10 @@ def verify_chain(
     def draw(bias_into: MonomialPrimeIdeal | None) -> Polynomial:
         f = random_polynomial(rng, ring, max_degree=4, max_terms=4)
         if bias_into is not None and rng.random() < 0.5:
-            if bias_into.level == 0:
+            level = bias_into.level
+            if level == 0:
                 return ring.zero()
-            f = f * ring.gen(rng.randint(1, bias_into.level))
+            f = f * ring.gen(1 + _randbelow(rng.getrandbits, level, level.bit_length()))
         return f
 
     def probe(ideal: MonomialPrimeIdeal) -> int:

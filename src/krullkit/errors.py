@@ -29,7 +29,10 @@ def shown(value, noun: str = "", quote=repr) -> str:
     """``quote(value)`` when ``str(value)`` has at most 10 characters and the
     quoted form at most 12; else its length, "<noun> of N characters", or
     "<noun> of more than N digits" when it holds an int too long to print."""
+    parts = value if type(value) is tuple else (value,)
     try:
+        if any(isinstance(v, int) and not -DIGIT_BOUND < v < DIGIT_BOUND for v in parts):
+            raise SizeLimitError  # past the digit rule whatever the interpreter's limit
         text = str(value)
     except (ValueError, SizeLimitError):  # an int past the digit limit
         return f"{noun} of more than {digit_limit()} digits".lstrip()

@@ -641,17 +641,28 @@ def embed(f: Polynomial, target: RingSpec) -> Polynomial:
 _RANDOM_DEN = 2520
 
 
-def _random_raw(rng: Random, field: FieldSpec) -> int:
+def _randbelow(bits, n: int, k: int) -> int:
+    # rng.randrange(n) by CPython's rejection loop, for bits = rng.getrandbits
+    # and k = n.bit_length(): one frame per draw where randint takes three.
+    r = bits(k)
+    while r >= n:
+        r = bits(k)
+    return r
+
+
+def _random_raw(bits, p: int | None, k: int | None) -> int:
     # The numerator behind random_scalar, over _RANDOM_DEN over Q; may be zero.
-    if field.modulus:
-        return rng.randrange(field.modulus)
-    return rng.randint(-9, 9) * (_RANDOM_DEN // rng.randint(1, 9))
+    # k is p's bit length; over Q, randint(-9, 9) then randint(1, 9).
+    if p:
+        return _randbelow(bits, p, k)
+    return (_randbelow(bits, 19, 5) - 9) * (_RANDOM_DEN // (_randbelow(bits, 9, 4) + 1))
 
 
 def random_scalar(rng: Random, field: FieldSpec) -> FieldElement:
     """A small random scalar; may be zero."""
-    c = _random_raw(rng, field)
-    return field.element(c if field.modulus else Fraction(c, _RANDOM_DEN))
+    p = field.modulus
+    c = _random_raw(rng.getrandbits, p, p and p.bit_length())
+    return field.element(c if p else Fraction(c, _RANDOM_DEN))
 
 
 def random_polynomial(
@@ -662,20 +673,25 @@ def random_polynomial(
     max_terms: int = 4,
     nonzero: bool = False,
 ) -> Polynomial:
-    """A random sparse polynomial with small coefficients, for test sampling."""
+    """A random sparse polynomial with small coefficients, for test sampling; its
+    draws follow ``random.Random``'s randrange/randint stream, taken through
+    ``rng.getrandbits``, so a subclass that overrides ``getrandbits`` changes them."""
+    if max_terms < nonzero or max_degree < 0:  # an empty range: no draw would end
+        raise ArgumentError(f"max_terms must be at least {int(nonzero)} and max_degree at least 0")
     n = ring.nvars
     top, shifts = ring._codec.top, ring._codec.shifts
-    field = ring.field
-    p = field.modulus
+    p = ring.field.modulus
+    bits, terms, degrees = rng.getrandbits, max_terms + 1, max_degree + 1
+    kt, kd, kn, kp = terms.bit_length(), degrees.bit_length(), n.bit_length(), p and p.bit_length()
     while True:
         # Its own merge loop: through sum_terms it was x1.21-1.23 slower per call at n = 3-20.
         acc: dict[int, int] = {}
-        for _ in range(rng.randint(0, max_terms)):
-            degree = rng.randint(0, max_degree)
+        for _ in range(_randbelow(bits, terms, kt)):
+            degree = _randbelow(bits, degrees, kd)
             key = degree << top
             for _ in range(degree):  # one unit in the slot of a random variable
-                key += 1 << shifts[rng.randrange(n)]
-            c = _random_raw(rng, field)
+                key += 1 << shifts[_randbelow(bits, n, kn)]
+            c = _random_raw(bits, p, kp)
             if key in acc:
                 c = (acc[key] + c) % p if p else acc[key] + c
             acc[key] = c

@@ -22,7 +22,7 @@ def layers(*args):
 def test_layer_cases_smoke():
     report = layers()
     assert set(report) == {"python", "platform", "cases"}
-    assert len(report["cases"]) == 58
+    assert len(report["cases"]) == 62
     for case in report["cases"].values():
         assert set(case) == {"layer", "min_s", "number", "repeat"}
 
@@ -32,7 +32,7 @@ def test_paired_mode_smoke():
     report = layers("--ab", str(SRC))
     assert set(report) == {"python", "platform", "a", "b", "cases"}
     assert report["a"] == report["b"] == str(SRC)
-    assert len(report["cases"]) == 58
+    assert len(report["cases"]) == 62
     for case in report["cases"].values():
         assert set(case) == {"layer", "median_b_over_a", "iqr", "b_slower", "rounds", "number"}
         assert case["rounds"] == 3 and 0 <= case["b_slower"] <= 3

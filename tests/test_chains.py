@@ -282,6 +282,29 @@ class TestVerifyChain:
         assert doc["failures"] == []
 
 
+class TestWidthContract:
+    """verify_chain's products grow with (n + 1) * checks and nothing else:
+    each product check forms g * h, and a biased g one more product by a
+    generator, so there are 1 to 2 RingSpec.dot calls per check at every n.
+    Counts, not times."""
+
+    @pytest.mark.parametrize("field", [Q, FieldSpec.prime(32003)])
+    def test_dot_calls_per_check_do_not_grow_with_n(self, field, monkeypatch):
+        calls = 0
+        dot = RingSpec.dot
+
+        def counted(self, pairs):
+            nonlocal calls
+            calls += 1
+            return dot(self, pairs)
+
+        monkeypatch.setattr(RingSpec, "dot", counted)
+        for n in (10, 100, 1000):
+            calls = 0
+            assert verify_chain(RingSpec.default(field, n), checks_per_level=1).accepted
+            assert 1 <= calls / (n + 1) <= 2, (n, calls)
+
+
 class TestContract:
     def test_levels(self):
         assert MonomialPrimeIdeal(QR3, 2).contract() == MonomialPrimeIdeal(

@@ -1289,6 +1289,27 @@ class TestEntryPoints:
         proc = self.python("-m", "krullkit", "eval", *argv, PYTHONINTMAXSTRDIGITS=limit)
         assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
 
+    @pytest.mark.parametrize("limit", [None, "0"], ids=["default", "no-limit"])
+    def test_library_errors_name_a_long_int_by_the_digit_rule(self, limit):
+        # With the interpreter's limit off, an int or an int in a vector was
+        # once printed first and named by its length: "a value of 5002 characters".
+        code = (
+            "from krullkit.field import FieldSpec\n"
+            "from krullkit.poly import Polynomial, RingSpec\n"
+            "q1 = RingSpec.default(FieldSpec.rationals(), 1)\n"
+            "for call in (lambda: FieldSpec(-10**5000), lambda: Polynomial(q1, {(10**5000, 1): 1})):\n"
+            "    try:\n"
+            "        call()\n"
+            "    except ValueError as error:\n"
+            "        print(error)\n"
+        )
+        proc = self.python("-c", code, **({} if limit is None else {"PYTHONINTMAXSTRDIGITS": limit}))
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout.splitlines() == [
+            "modulus must be a prime, got a value of more than 4300 digits",
+            "bad exponent vector of more than 4300 digits for Q[t1]",
+        ]
+
     def test_one_reader_of_the_digit_limit(self):
         # errors.digit_limit alone reads the interpreter's limit, and 4300 is
         # written in code only as errors.MAX_LITERAL_DIGITS.

@@ -1,6 +1,8 @@
 """Polynomial arithmetic, degrees, splitting, substitution, canonical text."""
 
 import copy
+import hashlib
+import json
 import pickle
 import random
 import sys
@@ -13,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from krullkit.chains import MonomialPrimeIdeal
+from krullkit.chains import MonomialPrimeIdeal, verify_chain
 from krullkit.errors import (
     ArgumentError,
     ExhaustedFieldError,
@@ -29,7 +31,7 @@ from krullkit.field import FieldElement, FieldSpec, enumerate_nonzero
 from krullkit.integral import divide_monic
 from krullkit.parse import MAX_LITERAL_DIGITS, parse_polynomial
 from krullkit.poly import (
-    MAX_VARIABLES, Polynomial, RingSpec, embed, random_polynomial, random_scalar,
+    MAX_VARIABLES, Polynomial, RingSpec, _randbelow, embed, random_polynomial, random_scalar,
 )
 
 Q = FieldSpec.rationals()
@@ -716,6 +718,63 @@ class TestRandomPolynomial:
             f = random_polynomial(fast, ring, max_degree=2, max_terms=6)
             assert f.terms == Polynomial(ring, terms).terms
         assert fast.getstate() == slow.getstate()
+
+    @pytest.mark.parametrize("max_terms, max_degree, nonzero", [
+        (-1, 5, False), (4, -1, False), (0, 5, True),
+    ], ids=["no-term-count", "no-degree", "nonzero-from-no-terms"])
+    def test_empty_ranges_are_refused(self, max_terms, max_degree, nonzero):
+        # randint(0, -1) once raised from the first draw, or, for a degree,
+        # only when a term was drawn; nonzero with no terms never returned.
+        with pytest.raises(ArgumentError) as info:
+            random_polynomial(random.Random(0), QR2, max_terms=max_terms,
+                              max_degree=max_degree, nonzero=nonzero)
+        assert str(info.value) == (
+            f"max_terms must be at least {int(nonzero)} and max_degree at least 0")
+
+
+# sha256 of draw_stream_text(), taken before the draws went through getrandbits.
+DRAW_STREAM_DIGEST = "09333a52990447bcc9252f61766c6dfce7d0eaef4709a1230b73a4cc6d1840ee"
+
+
+def draw_stream_text() -> str:
+    """random_polynomial's draws over Q, F2 and F32003 at n = 1, 3, 20 and 200,
+    each seed's next 64 random bits after them, and seeded chain reports."""
+    lines = []
+    for field in (Q, FieldSpec.prime(2), FieldSpec.prime(32003)):
+        for n in (1, 3, 20, 200):
+            ring = RingSpec.default(field, n)
+            for seed in range(8):
+                rng = random.Random(seed)
+                lines += [str(random_polynomial(rng, ring, nonzero=seed % 2 == 1))
+                          for _ in range(10)]
+                lines.append(str(rng.getrandbits(64)))
+    for field in (Q, FieldSpec.prime(32003)):
+        for n in (3, 20):
+            for seed in (0, 1729):
+                report = verify_chain(RingSpec.default(field, n), checks_per_level=20, seed=seed)
+                lines.append(json.dumps(report.to_json_dict(), sort_keys=True))
+    return "\n".join(lines)
+
+
+class TestDrawStream:
+    """The sampler's stream is test data and seeded reports: it must stay the
+    stream of random.Random's randrange and randint."""
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 9, 19, 200, 32003, 100000, 2**61 - 1])
+    def test_randbelow_is_randrange_and_randint(self, n):
+        # An interpreter whose randrange draws otherwise fails here, loudly,
+        # rather than silently changing every seeded sample.
+        k = n.bit_length()
+        for seed in range(60):
+            ours, theirs = random.Random(seed), random.Random(seed)
+            got = [(_randbelow(ours.getrandbits, n, k), 1 + _randbelow(ours.getrandbits, n, k))
+                   for _ in range(20)]
+            assert got == [(theirs.randrange(n), theirs.randint(1, n)) for _ in range(20)]
+            assert ours.getstate() == theirs.getstate()
+
+    def test_golden_draws_and_reports(self):
+        digest = hashlib.sha256(draw_stream_text().encode()).hexdigest()
+        assert digest == DRAW_STREAM_DIGEST
 
 
 F7R3 = RingSpec.default(FieldSpec.prime(7), 3)
