@@ -1,32 +1,25 @@
-"""Layer cases for the scalar and polynomial kernel, timed in one process.
+"""Layer cases for the scalar and polynomial kernel, timed in pairs in one process.
 
-Each case runs a fixed input.  The script uses only the standard library and
-loads krullkit from ``src/`` next to this directory, or from the checkout
-given with ``--src``.  It prints one JSON object with the Python version,
-the platform and one entry per case.  There is no timing gate; the numbers
-are a record, not a test.
+Each case runs a fixed input.  The script uses only the standard library.  It
+loads krullkit twice, as the packages ``kk_a`` and ``kk_b`` (``src/krullkit``
+imports only relatively): A from the directory given with ``--ab`` and B from
+``src/`` next to this directory.  It prints one JSON object with the Python
+version, the platform, both directories and one entry per case.  There is no
+timing gate; the numbers are a record, not a test.
 
-    python3 bench/layers.py                        # full sizes, 5 repeats
-    python3 bench/layers.py --smoke                # smallest sizes, one repeat
-    python3 bench/layers.py --src OTHER/src        # the package in another checkout
-    python3 bench/layers.py --ab PARENT/src        # paired: PARENT (A) against src (B)
-    python3 bench/layers.py --ab src > aa.json     # A/A: the noise floor
+    python3 bench/layers.py --ab PARENT/src            # PARENT (A) against src (B)
+    python3 bench/layers.py --ab src > aa.json         # A/A: the noise floor
+    python3 bench/layers.py --ab PARENT/src --smoke    # smallest sizes, 3 rounds
 
-The plain mode gives each case's absolute time, the minimum per call over
-``timeit.repeat``.  Between two checkouts it cannot resolve a change under
-about 25% on a shared 2-core machine: run to run, cases whose code did not
-change read x1.09 to x1.25.
-
-The ``--ab`` mode loads both trees into one process, as the packages
-``kk_a`` and ``kk_b`` (``src/krullkit`` imports only relatively), and first
-checks that every case gives the same ``repr`` on both sides, so a timing
-run is also a differential test of the two checkouts.  Then each of
+It first checks that every case gives the same ``repr`` on both sides, so a
+timing run is also a differential test of the two checkouts.  Then each of
 ``AB_ROUNDS`` rounds times every case once on each side, back to back, in a
 shuffled order of cases and of sides, with the garbage collector off while
 timing.  Per case it reports the median of the rounds' B/A time ratios, their
-interquartile range and the number of rounds in which B was slower.  Both
-sides share one interpreter, so import cost, start-up and memory layout are
-not compared; end-to-end claims come from ``perfbench/``.
+interquartile range, the number of rounds in which B was slower, and A's
+median seconds per call, which keeps absolute costs in view.  Both sides
+share one interpreter, so import cost, start-up and memory layout are not
+compared; end-to-end claims come from ``perfbench/``.
 """
 
 from __future__ import annotations
@@ -124,9 +117,9 @@ def cases(smoke: bool, kk) -> dict:
     verify_chain, main = sub("chains").verify_chain, sub("cli").main
     extract_min_power = sub("chains").extract_min_power
     integral, normalize = sub("integral"), sub("normalize")
-    characteristic_polynomial = integral.characteristic_polynomial
     contraction_witness = integral.contraction_witness
-    coset_action_matrix, divide_monic = integral.coset_action_matrix, integral.divide_monic
+    coset_integrality_witness, divide_monic = (
+        integral.coset_integrality_witness, integral.divide_monic)
     monicize, nonvanishing_point = normalize.monicize, normalize.nonvanishing_point
     Polynomial = sub("poly").Polynomial
 
@@ -190,12 +183,10 @@ def cases(smoke: bool, kk) -> dict:
                 "poly.mul", lambda a=left, b=right: a * b)
         ring2 = RingSpec.default(field, 2)
         for d, (gen_text, element_text) in DENSE[name].items():
-            matrix = coset_action_matrix(parse_polynomial(element_text, ring2),
-                                         parse_polynomial(gen_text, ring2))
-            out[f"{name} characteristic_polynomial of the dense coset action, d={d}"] = (
-                "integral.characteristic_polynomial",
-                lambda m=matrix, z=ring2.zero(), o=ring2.one():
-                    characteristic_polynomial(m, zero=z, one=o))
+            f, g = parse_polynomial(element_text, ring2), parse_polynomial(gen_text, ring2)
+            out[f"{name} coset_integrality_witness of the dense coset, d={d}"] = (
+                "integral.coset_integrality_witness",
+                lambda f=f, g=g: coset_integrality_witness(f, g))
         gen_text, element_text = DENSE[name][6]
         dividend = parse_polynomial(element_text, ring2) ** 3
         out[f"{name} divide_monic: the {len(dividend.terms)}-term cube of the d=6 dense "
@@ -282,19 +273,6 @@ def load(name: str, src: str):
     return module
 
 
-def absolute(smoke: bool, kk) -> dict:
-    """Each case's minimum time per call over timeit.repeat."""
-    repeat = 1 if smoke else 5
-    result = {}
-    for name, (layer, fn) in cases(smoke, kk).items():
-        once = min(timeit.repeat(fn, number=1, repeat=1))
-        # Aim for about 0.2 s per repeat, at least one call.
-        number = 1 if smoke else max(1, int(0.2 / max(once, 1e-7)))
-        best = min(timeit.repeat(fn, number=number, repeat=repeat)) / number
-        result[name] = {"layer": layer, "min_s": best, "number": number, "repeat": repeat}
-    return result
-
-
 def paired(smoke: bool, kk_a, kk_b) -> dict:
     """Each case's B/A time ratios over shuffled paired rounds; see the module docstring."""
     a, b = cases(smoke, kk_a), cases(smoke, kk_b)
@@ -308,7 +286,7 @@ def paired(smoke: bool, kk_a, kk_b) -> dict:
         once = min(timeit.repeat(fn, number=1, repeat=3))
         numbers[name] = 1 if smoke else max(1, int(AB_TARGET_S / max(once, 1e-7)))
     rng = random.Random(0)
-    ratios: dict[str, list[float]] = {name: [] for name in a}
+    times: dict[str, list[dict]] = {name: [] for name in a}
     for _ in range(3 if smoke else AB_ROUNDS):
         order = list(a)
         rng.shuffle(order)
@@ -316,32 +294,29 @@ def paired(smoke: bool, kk_a, kk_b) -> dict:
             sides = [a[name][1], b[name][1]]
             first = rng.randrange(2)
             # timeit turns the garbage collector off while it times.
-            t = {side: timeit.Timer(sides[side]).timeit(numbers[name])
-                 for side in (first, 1 - first)}
-            ratios[name].append(t[1] / t[0])
+            times[name].append({side: timeit.Timer(sides[side]).timeit(numbers[name])
+                                for side in (first, 1 - first)})
     result = {}
-    for name, rs in ratios.items():
+    for name, ts in times.items():
+        rs = [t[1] / t[0] for t in ts]
         q1, median, q3 = statistics.quantiles(rs, n=4, method="inclusive")
         result[name] = {"layer": a[name][0], "median_b_over_a": median, "iqr": q3 - q1,
                         "b_slower": sum(r > 1 for r in rs), "rounds": len(rs),
-                        "number": numbers[name]}
+                        "number": numbers[name],
+                        "median_a_s": statistics.median(t[0] for t in ts) / numbers[name]}
     return result
 
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--smoke", action="store_true", help="smallest sizes, fewest repeats")
-    ap.add_argument("--src", help="directory holding the krullkit package (B in --ab mode)")
-    ap.add_argument("--ab", metavar="PARENT_SRC",
-                    help="time every case paired against the package in PARENT_SRC (A)")
+    ap.add_argument("--smoke", action="store_true", help="smallest sizes, fewest rounds")
+    ap.add_argument("--ab", metavar="PARENT_SRC", required=True,
+                    help="the directory holding the krullkit package to time as A")
     args = ap.parse_args(argv)
-    src = args.src or os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
-    report = {"python": platform.python_version(), "platform": platform.platform()}
-    if args.ab:
-        report["a"], report["b"] = os.path.abspath(args.ab), os.path.abspath(src)
-        report["cases"] = paired(args.smoke, load("kk_a", args.ab), load("kk_b", src))
-    else:
-        report["cases"] = absolute(args.smoke, load("krullkit", src))
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+    report = {"python": platform.python_version(), "platform": platform.platform(),
+              "a": os.path.abspath(args.ab), "b": os.path.abspath(src)}
+    report["cases"] = paired(args.smoke, load("kk_a", args.ab), load("kk_b", src))
     print(json.dumps(report, indent=1))
     return 0
 

@@ -181,9 +181,7 @@ def _cmd_power_reduce(args, ring):
         parse_polynomial(part, ring) for part in args.relation.split(",")
     )
     relation = ReductionCoefficients(coeffs)
-    reduced = power_reduce(
-        relation, args.power, zero=ring.zero(), one=ring.one()
-    )
+    reduced = power_reduce(relation, args.power)
     return {"coordinates": [str(c) for c in reduced.coefficients]}
 
 

@@ -13,6 +13,7 @@ raising or disabling that limit changes no answer.
 from __future__ import annotations
 
 import sys
+from fractions import Fraction
 
 MAX_LITERAL_DIGITS = 4300  # CPython's default int/str limit, and the most krullkit allows
 DIGIT_BOUND = 10**MAX_LITERAL_DIGITS  # the least int of more digits
@@ -27,11 +28,12 @@ def digit_limit() -> int:
 
 def shown(value, noun: str = "", quote=repr) -> str:
     """``quote(value)`` when ``str(value)`` has at most 10 characters and the
-    quoted form at most 12; else its length, "<noun> of N characters", or
-    "<noun> of more than N digits" when it holds an int too long to print."""
+    quoted form at most 12; else its length, "<noun> of N characters", or "<noun>
+    of more than N digits" when it holds an int or Fraction too long to print."""
     parts = value if type(value) is tuple else (value,)
     try:
-        if any(isinstance(v, int) and not -DIGIT_BOUND < v < DIGIT_BOUND for v in parts):
+        if any(not -DIGIT_BOUND < n < DIGIT_BOUND for v in parts if isinstance(v, (int, Fraction))
+               for n in (v.numerator, v.denominator)):  # an int is its own numerator, over 1
             raise SizeLimitError  # past the digit rule whatever the interpreter's limit
         text = str(value)
     except (ValueError, SizeLimitError):  # an int past the digit limit

@@ -135,9 +135,8 @@ def subring_intersection_trivial(
     gen = _generator(g, candidate.ring)
     n = candidate.ring.nvars
     if not candidate.is_zero and candidate.degree_in(n) != 0:
-        raise PreconditionViolatedError(
-            f"candidate must be free of {candidate.ring.variables[-1]}"
-        )
+        last = shown(candidate.ring.variables[-1], "a variable", str)
+        raise PreconditionViolatedError(f"candidate must be free of {last}")
     return candidate.is_zero or not principal_member(candidate, gen)
 
 
@@ -196,22 +195,22 @@ def _dot(xs, ys, zero):
     return sum((x * y for x, y in pairs), zero)
 
 
-def characteristic_polynomial(matrix, *, zero=0, one=1) -> list:
+def characteristic_polynomial(matrix) -> list:
     """Coefficients of det(t*I - M), lowest degree first, length d + 1.
 
     Computed by Berkowitz's division-free algorithm, so the entries may come
-    from any commutative ring: ints, field scalars or polynomials.  Border
-    the leading r x r block A by the column C above and the row R left of
-    the new diagonal entry a; the characteristic polynomial of the grown
+    from any commutative ring (ints, field scalars or polynomials, all of one
+    type, with zero M[0][0] - M[0][0]), and the coefficients are of that type.
+    Border the leading r x r block A by the column C above and the row R left
+    of the new diagonal entry a; the characteristic polynomial of the grown
     block is the lower triangular Toeplitz matrix with first column
-    (1, -a, -R C, -R A C, ..., -R A^(r-1) C) applied to that of A.  That
-    is O(d^4) ring operations, and every product skips zero entries, which
-    keeps the sparse action matrices cheap.  ``zero`` and ``one`` supply
-    the constants of the value type.
+    (1, -a, -R C, -R A C, ..., -R A^(r-1) C) applied to that of A.  That is
+    O(d^4) ring operations, and every product skips zero entries.
     """
     d = len(matrix)
     if d == 0 or any(len(row) != d for row in matrix):
         raise ArgumentError("matrix must be square and nonempty")
+    zero = matrix[0][0] - matrix[0][0]
     # p and q hold the coefficients below the leading 1, highest degree first.
     p = [-matrix[0][0]]
     for r in range(1, d):
@@ -224,7 +223,7 @@ def characteristic_polynomial(matrix, *, zero=0, one=1) -> list:
             q.append(-_dot(w, cols[r], zero))
         p.append(zero)
         p = [q[k] + p[k] + _dot(reversed(q[:k]), p, zero) for k in range(r + 1)]
-    return [*p[::-1], one]
+    return [*p[::-1], zero + 1]
 
 
 @dataclass(frozen=True)
@@ -261,25 +260,17 @@ def _horner(coefficients, x: Polynomial, gen: MonicGenerator) -> Polynomial:
     return acc
 
 
-def integrality_witness_from_action(
-    matrix, element, *, zero=0, one=1
-) -> IntegralityWitness:
-    """Cayley-Hamilton: the action matrix's characteristic polynomial kills
-    the element, so it is a monic integral dependence."""
-    coeffs = characteristic_polynomial(matrix, zero=zero, one=one)
-    return IntegralityWitness(tuple(coeffs), element)
+def integrality_witness_from_action(matrix, element) -> IntegralityWitness:
+    """Cayley-Hamilton: the action matrix's characteristic polynomial, of the
+    entries' type, kills the element, so it is a monic integral dependence."""
+    return IntegralityWitness(tuple(characteristic_polynomial(matrix)), element)
 
 
 def coset_integrality_witness(
     f: Polynomial, g: "Polynomial | MonicGenerator"
 ) -> IntegralityWitness:
     """The integral dependence of f's coset via its multiplication action."""
-    gen = _generator(g)
-    ring = gen.ring
-    matrix = coset_action_matrix(f, gen)
-    return integrality_witness_from_action(
-        matrix, f, zero=ring.zero(), one=ring.one()
-    )
+    return integrality_witness_from_action(coset_action_matrix(f, g), f)
 
 
 @dataclass(frozen=True)
@@ -298,19 +289,23 @@ class ReductionCoefficients:
 
 
 def power_reduce(
-    relation: ReductionCoefficients, i: int, *, zero=0, one=1
+    relation: ReductionCoefficients, i: int, *, zero=None, one=None
 ) -> ReductionCoefficients:
     """Coordinates of a^i, given the coordinates of a^d as the relation.
 
     ``relation`` holds the d coordinates c_0..c_(d-1) expressing a^d in the
     basis 1, ..., a^(d-1) (for a monic dependence these are the negated
-    lower coefficients).  Square-and-multiply over the bits of i takes
-    O(d^2 log i) ring operations: multiplying by a is the shift step
-    ``_times_root``, and squaring sums r_j a^j r by Horner's rule in it.
+    lower coefficients), all of one type, with zero c_0 - c_0 unless
+    ``zero`` and ``one`` are given; the result is of that type.
+    Square-and-multiply over the bits of i takes O(d^2 log i) ring
+    operations: multiplying by a is the shift step ``_times_root``, and
+    squaring sums r_j a^j r by Horner's rule in it.
     """
     check_count("power", i)
     c = relation.coefficients
     d = len(c)
+    zero = c[0] - c[0] if zero is None else zero
+    one = zero + 1 if one is None else one
     r = [one] + [zero] * (d - 1)
     for bit in bin(i)[2:]:
         square = [zero] * d

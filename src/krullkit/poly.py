@@ -39,7 +39,8 @@ from struct import Struct
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
-    ArgumentError, RingMismatchError, SizeLimitError, ZeroPolynomialError, shown, shown_ring,
+    ArgumentError, FieldMismatchError, RingMismatchError, SizeLimitError, ZeroPolynomialError,
+    shown, shown_ring,
 )
 from .field import FieldElement, FieldSpec, check_count, is_scalar, scalar_text
 
@@ -127,6 +128,11 @@ class RingSpec:
     variables: tuple[str, ...]
 
     def __post_init__(self) -> None:
+        if not isinstance(self.field, FieldSpec):
+            raise ArgumentError(f"a ring needs a FieldSpec, got {shown(self.field, 'a value')}")
+        if not isinstance(self.variables, tuple):
+            got = shown(self.variables, "a value")
+            raise ArgumentError(f"variable names must be a tuple, got {got}")
         if not self.variables:
             raise ArgumentError("a ring needs at least one variable")
         for name in self.variables:
@@ -412,15 +418,13 @@ class Polynomial:
         return _power({0: self.ring.one(), 1: self}, exponent)
 
     def __eq__(self, other) -> bool:
-        if is_scalar(other):
-            try:
-                other = self.ring.constant(other)
-            except ZeroDivisionError:  # a Fraction with no value in F_p
-                return False
-        if not isinstance(other, Polynomial):
+        try:
+            rhs = self._coerce(other)
+        except (RingMismatchError, FieldMismatchError, ZeroDivisionError):
+            return False  # another ring, another field's scalar, or no value in F_p
+        if rhs is None:
             return NotImplemented
-        return (self.ring == other.ring and self._keys == other._keys
-                and self._den == other._den)
+        return self._keys == rhs._keys and self._den == rhs._den
 
     __hash__ = None
 

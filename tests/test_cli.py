@@ -1310,6 +1310,30 @@ class TestEntryPoints:
             "bad exponent vector of more than 4300 digits for Q[t1]",
         ]
 
+    @pytest.mark.parametrize("limit", [None, "0"], ids=["default", "no-limit"])
+    def test_library_errors_name_a_long_fraction_by_the_digit_rule(self, limit):
+        # With the interpreter's limit off, such a Fraction was once printed
+        # first and named by its length: "a value of 5003 characters".
+        code = (
+            "from fractions import Fraction\n"
+            "from krullkit.chains import verify_chain\n"
+            "from krullkit.field import FieldSpec\n"
+            "from krullkit.poly import RingSpec\n"
+            "q2 = RingSpec.default(FieldSpec.rationals(), 2)\n"
+            "for value in (Fraction(10**5000, 3), Fraction(3, 10**5000), Fraction(3, 7)):\n"
+            "    try:\n"
+            "        verify_chain(q2, checks_per_level=value)\n"
+            "    except ValueError as error:\n"
+            "        print(error)\n"
+        )
+        proc = self.python("-c", code, **({} if limit is None else {"PYTHONINTMAXSTRDIGITS": limit}))
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout.splitlines() == [
+            "checks per level must be in 1..10000, got a value of more than 4300 digits",
+            "checks per level must be in 1..10000, got a value of more than 4300 digits",
+            "checks per level must be in 1..10000, got 3/7",
+        ]
+
     def test_one_reader_of_the_digit_limit(self):
         # errors.digit_limit alone reads the interpreter's limit, and 4300 is
         # written in code only as errors.MAX_LITERAL_DIGITS.

@@ -278,6 +278,17 @@ class TestSubringIntersection:
             subring_intersection_trivial(P("t2"), P("t2^2 - t1"))
 
 
+    @pytest.mark.parametrize("name", ["t2", "x" * 10, "x" * 11, "x" * 3000],
+                             ids=["short", "10", "11", "3000"])
+    def test_precondition_names_the_variable_by_the_naming_rule(self, name):
+        # A 3,000-character name once gave a 3,026-character line.
+        ring = RingSpec(Q, ("t1", name))
+        t_n = ring.gen(2)
+        with pytest.raises(PreconditionViolatedError) as info:
+            subring_intersection_trivial(t_n, t_n**2 - ring.gen(1))
+        shown = name if len(name) <= 10 else f"a variable of {len(name)} characters"
+        assert str(info.value) == f"candidate must be free of {shown}"
+
 def _tn_free(rng, ring):
     f = random_polynomial(rng, ring, max_degree=4, max_terms=3)
     buckets = f.coefficients_in(ring.nvars)
@@ -338,9 +349,7 @@ class TestCharacteristicPolynomial:
     def test_gaussian_multiplication_symbolically(self):
         ring = RingSpec(Q, ("a", "b"))
         a, b = ring.gens()
-        coeffs = characteristic_polynomial(
-            [[a, b], [-b, a]], zero=ring.zero(), one=ring.one()
-        )
+        coeffs = characteristic_polynomial([[a, b], [-b, a]])
         assert coeffs == [a * a + b * b, -2 * a, ring.one()]
 
     def test_gaussian_at_one_one(self):
@@ -367,7 +376,7 @@ class TestCharacteristicPolynomial:
                 [Fraction(rng.randint(-6, 6)) for _ in range(d)] for _ in range(d)
             ]
             expected = oracles.leibniz_charpoly(matrix)
-            got = characteristic_polynomial(matrix, zero=Fraction(0), one=Fraction(1))
+            got = characteristic_polynomial(matrix)
             assert got == expected
 
     def test_polynomial_entries_against_evaluated_permutation_sum(self):
@@ -378,9 +387,7 @@ class TestCharacteristicPolynomial:
                 [random_polynomial(rng, QR2, max_degree=2, max_terms=2) for _ in range(d)]
                 for _ in range(d)
             ]
-            coeffs = characteristic_polynomial(
-                matrix, zero=QR2.zero(), one=QR2.one()
-            )
+            coeffs = characteristic_polynomial(matrix)
             point = [Fraction(rng.randint(-5, 5)), Fraction(rng.randint(-5, 5))]
             evaluated = [
                 [Fraction(matrix[i][j].evaluate(point).value) for j in range(d)]
@@ -401,7 +408,7 @@ class TestCharacteristicPolynomial:
                     for _ in range(d)
                 ]
                 expected = oracles.leibniz_charpoly(matrix)
-                got = characteristic_polynomial(matrix, zero=Fraction(0), one=Fraction(1))
+                got = characteristic_polynomial(matrix)
                 assert got == expected
 
     @pytest.mark.parametrize("ring", [QR2, F7R2], ids=["Q", "F7"])
@@ -415,9 +422,7 @@ class TestCharacteristicPolynomial:
                 g = random_monic(rng, ring, degree=d)
                 f = random_polynomial(rng, ring, max_degree=3, max_terms=3)
                 matrix = coset_action_matrix(f, g)
-                coeffs = characteristic_polynomial(
-                    matrix, zero=ring.zero(), one=ring.one()
-                )
+                coeffs = characteristic_polynomial(matrix)
                 point = [rng.randint(-5, 5), rng.randint(-5, 5)]
                 evaluated = [
                     [Fraction(e.evaluate(point).value) for e in row] for row in matrix
@@ -426,9 +431,7 @@ class TestCharacteristicPolynomial:
                 if p:
                     expected = [int(c) % p for c in expected]
                 assert [c.evaluate(point).value for c in coeffs] == expected
-                witness = integrality_witness_from_action(
-                    matrix, f, zero=ring.zero(), one=ring.one()
-                )
+                witness = integrality_witness_from_action(matrix, f)
                 assert witness.annihilates_modulo(g)
 
     @given(case=seeded_cases(max_degree=5))
@@ -439,7 +442,7 @@ class TestCharacteristicPolynomial:
         g = dense_monic(rng, ring, d)
         f = dense_in_tn(rng, ring, d + 1)
         matrix = coset_action_matrix(f, g)
-        coeffs = characteristic_polynomial(matrix, zero=ring.zero(), one=ring.one())
+        coeffs = characteristic_polynomial(matrix)
         point = [rng.randint(-5, 5) for _ in range(n)]
         evaluated = [[Fraction(e.evaluate(point).value) for e in row] for row in matrix]
         expected = oracles.leibniz_charpoly(evaluated)
@@ -569,6 +572,114 @@ class TestPowerReduce:
             expected = tuple(buckets.get(j, QR2.zero()) for j in range(gen.degree))
             assert got.coefficients == expected
 
+
+
+def kind(x):
+    # The type of a value, with the ring or field it belongs to.
+    return type(x), getattr(x, "ring", None), getattr(x, "spec", None)
+
+
+F7 = FieldSpec.prime(7)
+ONES = [1, Fraction(1), Q.one(), F7.one(), QR2.one(), F7R2.one()]
+ONE_IDS = ["int", "Fraction", "Q-element", "F7-element", "Q-poly", "F7-poly"]
+
+
+class TestConstantsFromEntries:
+    """The ring's zero and one come from the inputs: every coefficient and
+    coordinate has the type of the entries, and the leading coefficient is
+    their one, not the int 1."""
+
+    @pytest.mark.parametrize("one", ONES, ids=ONE_IDS)
+    def test_characteristic_polynomial(self, one):
+        ints = [[2, 0, -1], [0, 3, 1], [4, 0, 0]]
+        expected = characteristic_polynomial(ints)
+        for matrix in ([[one * v for v in row] for row in ints], [[one - one]]):
+            coeffs = characteristic_polynomial(matrix)
+            assert {kind(c) for c in coeffs} == {kind(one)}
+            assert coeffs[-1] == one
+        assert characteristic_polynomial([[one * v for v in row] for row in ints]) == [
+            one * c for c in expected
+        ]
+
+    @pytest.mark.parametrize("ring", [QR2, F7R2], ids=["Q", "F7"])
+    def test_coset_witnesses(self, ring):
+        rng = random.Random(51)
+        for d in range(1, 5):
+            g = random_monic(rng, ring, degree=d)
+            f = random_polynomial(rng, ring, max_degree=3, max_terms=3)
+            matrix = coset_action_matrix(f, g)
+            for coeffs in (
+                characteristic_polynomial(matrix),
+                integrality_witness_from_action(matrix, f).coefficients,
+                coset_integrality_witness(f, g).coefficients,
+            ):
+                assert {kind(c) for c in coeffs} == {kind(ring.one())}
+                assert coeffs[-1] == ring.one()
+        assert characteristic_polynomial([[ring.zero()]]) == [ring.zero(), ring.one()]
+
+    @pytest.mark.parametrize("one", ONES, ids=ONE_IDS)
+    def test_power_reduce(self, one):
+        # a^3 = 2 - a^2; i < d returns a basis vector, in the relation's type.
+        relation = ReductionCoefficients((one * 2, one * 0, -one))
+        zero = one - one
+        for i in range(10):
+            coords = power_reduce(relation, i).coefficients
+            assert {kind(c) for c in coords} == {kind(one)}
+            assert coords == power_reduce(relation, i, zero=zero, one=one).coefficients
+        assert power_reduce(relation, 1).coefficients == (zero, one, zero)
+
+
+class TestOperationCountContracts:
+    """Operation counts that pin the quotient layer's algorithms (ROADMAP item
+    14): counts at three or more sizes, never times."""
+
+    def test_power_reduce_is_square_and_multiply(self, monkeypatch):
+        """Square-and-multiply over the bits of i: each bit squares by Horner's
+        rule through d shifts by the root, and each set bit shifts once more,
+        so _times_root runs d * bit_length(i) + popcount(i) times, O(d log i)
+        and not O(i)."""
+        import krullkit.integral as integral
+
+        calls = 0
+        times_root = integral._times_root
+
+        def counted(r, relation):
+            nonlocal calls
+            calls += 1
+            return times_root(r, relation)
+
+        monkeypatch.setattr(integral, "_times_root", counted)
+        F = FieldSpec.prime(32003)
+        relation = ReductionCoefficients((F.element(3), F.element(5), F.element(7)))
+        for i, expected in ((10**3, 36), (10**6, 67), (10**9, 103)):
+            calls = 0
+            power_reduce(relation, i)
+            assert calls == 3 * i.bit_length() + bin(i).count("1") == expected
+
+    def test_characteristic_polynomial_is_berkowitz(self, monkeypatch):
+        """Berkowitz on a d x d matrix with no zero entry: bordering step r
+        makes r^2 + r RingSpec.dot calls, (d^3 - d) / 3 in all, and forms
+        r^3 + r(r + 1)/2 pair products, about d^4 / 4: O(d^4) products, not
+        the O(2^d) of a cofactor expansion."""
+        calls = products = 0
+        dot = RingSpec.dot
+
+        def counted(self, pairs):
+            nonlocal calls, products
+            pairs = list(pairs)
+            calls += 1
+            products += sum(len(x._keys) * len(y._keys) for x, y in pairs)
+            return dot(self, pairs)
+
+        monkeypatch.setattr(RingSpec, "dot", counted)
+        ring = RingSpec.default(FieldSpec.prime(32003), 2)
+        rng = random.Random(52)
+        for d, expected in ((4, 20), (6, 70), (8, 168), (10, 330)):
+            matrix = [[ring.constant(rng.randint(1, 32002)) for _ in range(d)] for _ in range(d)]
+            calls = products = 0
+            characteristic_polynomial(matrix)
+            assert calls == (d**3 - d) // 3 == expected
+            assert 0.15 * d**4 <= products <= 0.25 * d**4, (d, products)
 
 class TestContractionWitness:
     def test_worked_examples(self):

@@ -475,6 +475,31 @@ class TestRefusedInputs:
             f.coefficient((2**63, 0))
 
 
+class TestRingSpecTypes:
+    """A ring's field is a FieldSpec and its names a tuple, or ArgumentError."""
+
+    @pytest.mark.parametrize(
+        "call,message",
+        [
+            # A list was accepted, unhashable and unequal to the tuple's ring.
+            (lambda: RingSpec(Q, ["t1"]), "variable names must be a tuple, got ['t1']"),
+            (lambda: RingSpec(Q, "t1"), "variable names must be a tuple, got 't1'"),
+            (
+                lambda: RingSpec(Q, ["t"] * 3000),
+                "variable names must be a tuple, got a value of 15000 characters",
+            ),
+            # A str field once failed later, as an AttributeError from arithmetic.
+            (lambda: RingSpec("Q", ("t1",)), "a ring needs a FieldSpec, got 'Q'"),
+            (lambda: RingSpec(None, ("t1",)), "a ring needs a FieldSpec, got None"),
+        ],
+        ids=["names-list", "names-str", "names-long-list", "field-str", "field-None"],
+    )
+    def test_refused(self, call, message):
+        with pytest.raises(ArgumentError) as info:
+            call()
+        assert str(info.value) == message
+
+
 class TestVariableNames:
     """RingSpec accepts exactly the names the grammar's regex matches."""
 
@@ -657,6 +682,35 @@ class TestScalarOperands:
         assert str(2 * f) == "2*t1 + 2"
         assert str(Q.element(3) - f) == "-t1 + 2"
         assert parse_polynomial("t1", FR2) + F5.element(4) == parse_polynomial("t1 - 1", FR2)
+
+    @pytest.mark.parametrize(
+        "other",
+        [F5.one(), FieldSpec.prime(7).one(), RingSpec.default(Q, 3).gen(1), FR2.gen(1),
+         RingSpec(Q, ("a", "b")).gen(1)],
+        ids=["F5-element", "F7-element", "wider-ring", "F5-ring", "other-names"],
+    )
+    def test_another_field_or_ring_is_unequal(self, other):
+        # Both orders answer; t1 == F5.one() once raised FieldMismatchError.
+        t1 = QR2.gen(1)
+        assert (t1 == other) is False and (other == t1) is False
+        assert (t1 != other) is True and (other != t1) is True
+
+    def test_a_fraction_with_no_value_in_the_field_is_unequal_both_ways(self):
+        assert (Fraction(1, 5) == FR2.one()) is False
+        assert (FR2.gen(1) == Fraction(2, 5)) is False
+
+    def test_equal_rings_built_twice_compare_by_value(self):
+        other = RingSpec(Q, ("t1", "t2"))
+        assert other is not QR2
+        assert P("t1 + 1") == parse_polynomial("t1 + 1", other)
+        assert parse_polynomial("t1 + 1", other) == P("t1 + 1")
+        assert (P("t1 + 1") == parse_polynomial("t1 - 1", other)) is False
+
+    def test_scalars_compare_as_constants(self):
+        assert QR2.constant(3) == 3 and 3 == QR2.constant(3)
+        assert QR2.constant(Fraction(1, 2)) == Q.element(Fraction(1, 2))
+        assert FR2.constant(2) == F5.element(7) and F5.element(7) == FR2.constant(2)
+        assert (QR2.gen(1) == 0) is False
 
     def test_element_of_another_field(self):
         f = parse_polynomial("t1", FR2)
