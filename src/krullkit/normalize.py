@@ -169,7 +169,7 @@ def monicize(f: Polynomial) -> MonicizationResult:
     scale = form.evaluate(point)
     substitution = LinearSubstitution(point[:-1], scale)
     monic = scale.inv() * substitution.apply(f)
-    top = monic.coefficients_in(n).get(degree)
-    if monic.degree_in(n) != degree or top != ring.one():
+    slices = monic.coefficients_in(n)
+    if max(slices, default=-1) != degree or slices[degree] != ring.one():
         raise SelfCheckError("substitution failed to make the polynomial monic")
     return MonicizationResult(substitution, monic, degree)

@@ -120,6 +120,7 @@ class _Parser:
         self.pos = 0
         self.depth = 0
         self.ring = ring
+        self.digits = digit_limit()
 
     def take(self, kind: str, what: str = "") -> tuple[str, str, int] | None:
         """Consume the next token if it is of this kind; else raise if ``what``."""
@@ -222,12 +223,9 @@ class _Parser:
 
     def literal(self, what: str) -> tuple[int, int]:
         _, token, offset = self.take("number", what)
-        if len(token) <= MAX_LITERAL_DIGITS:
-            try:
-                return int(token), offset
-            except ValueError:  # past the interpreter's lower digit limit
-                pass
-        raise ParseError(offset, f"number longer than {digit_limit()} digits")
+        if len(token) > self.digits:
+            raise ParseError(offset, f"number longer than {self.digits} digits")
+        return int(token), offset
 
     def rational(self, p: int | None) -> tuple[int, int]:
         # A signed literal ``-a/b`` as the ints (a, b); over F_p, b is 1.

@@ -8,11 +8,10 @@ the denominator is the lcm of the coefficients' denominators, so
 one int, ``[total degree | e1 | ... | en]`` in 64-bit slots (see
 :class:`_Codec`), so a monomial product is one int add and graded lex order
 is int order.  Keys are built from (j, e) factors only by ``_Codec.key`` and
-read back only by ``_Codec.decode``.  Arithmetic works on ints and builds
-its results with the unchecked :meth:`Polynomial._make`, or with
-:func:`_reduced` where a Q result may share a factor with its denominator;
-``Fraction`` values are built only where scalars leave as
-:class:`FieldElement` values.  Equal polynomials have equal stored fields.
+read back only by ``_Codec.decode``.  Arithmetic works on ints, and every
+result outside the checked constructor is built by :func:`_reduced`, the one
+builder of the stored form; ``Fraction`` values are built only where scalars
+leave as :class:`FieldElement` values.  Equal polynomials have equal stored fields.
 No other module reads or builds the stored form; ``terms`` is a decoded view.
 
 A monomial's total degree is at most :data:`MAX_DEGREE`, 2^63 - 1; a
@@ -177,19 +176,19 @@ class RingSpec:
         return RingSpec(self.field, self.variables[:m])
 
     def zero(self) -> "Polynomial":
-        return Polynomial._make(self, {})
+        return _reduced(self, {})
 
     def one(self) -> "Polynomial":
         return self.constant(1)
 
     def constant(self, value) -> "Polynomial":
         c = self.field.scalar(value)
-        return Polynomial._make(self, {0: c.numerator} if c else {}, c.denominator)
+        return _reduced(self, {0: c.numerator} if c else {}, c.denominator)
 
     def gen(self, j: int) -> "Polynomial":
         """The variable t_j as a polynomial (j is 1-based)."""
         check_range("variable index", j, 1, self.nvars)
-        return Polynomial._make(self, {self._codec.unit(j): 1})
+        return _reduced(self, {self._codec.unit(j): 1})
 
     def gens(self) -> tuple["Polynomial", ...]:
         return tuple(self.gen(j) for j in range(1, self.nvars + 1))
@@ -222,7 +221,7 @@ class RingSpec:
         if acc and max(acc) >= self._codec.over:  # the top slot is the exact degree
             raise _over_the_degree_limit()
         if p:
-            return Polynomial._make(self, {e: r for e, c in acc.items() if (r := c % p)})
+            return _reduced(self, {e: r for e, c in acc.items() if (r := c % p)})
         return _reduced(self, {e: c for e, c in acc.items() if c}, d)
 
     def sum_terms(self, items: Iterable) -> "Polynomial":
@@ -283,10 +282,10 @@ def _common_denominator(acc: dict, d: int, den: int) -> tuple[int, int]:
     return d, d // den
 
 
-def _reduced(ring: RingSpec, keys: dict, den: int) -> "Polynomial":
-    # The one Q normalizer: wrap nonzero numerators over den > 0, divided by
-    # their common factor with den, so that gcd(den, *numerators) == 1.  It
-    # builds the result itself, so den == 1 costs what _make does.
+def _reduced(ring: RingSpec, keys: dict, den: int = 1) -> "Polynomial":
+    # The one builder of the stored form outside Polynomial.__init__: wrap
+    # nonzero numerators over den > 0 (residues over 1 over F_p), divided by
+    # their common factor with den, so that gcd(den, *numerators) == 1.
     if den != 1:
         g = gcd(den, *keys.values())
         if g != 1:
@@ -319,7 +318,8 @@ class Polynomial:
 
     The constructor validates exponents (plain nonnegative ints, so not
     bools, of total degree at most MAX_DEGREE), coerces ints, Fractions and
-    FieldElements through ``FieldSpec.scalar``, and merges duplicate keys.
+    FieldElements through ``FieldSpec.scalar``, and merges duplicate keys;
+    arithmetic builds its results with :func:`_reduced`, unchecked.
     """
 
     __slots__ = ("ring", "_keys", "_den")
@@ -335,15 +335,6 @@ class Polynomial:
             (factors(exps), (c := scalar(v)).numerator, c.denominator) for exps, v in items
         )
         self.ring, self._keys, self._den = ring, f._keys, f._den
-
-    @staticmethod
-    def _make(ring: RingSpec, keys: dict, den: int = 1) -> "Polynomial":
-        """Wrap numerators over den that are already canonical, without checking them."""
-        f = _new(Polynomial)
-        f.ring = ring
-        f._keys = keys
-        f._den = den
-        return f
 
     def _scalar(self, c: int) -> Fraction | int:
         # The raw scalar (FieldSpec.scalar's form) of a stored numerator c.
@@ -409,9 +400,8 @@ class Polynomial:
 
     def __neg__(self) -> "Polynomial":
         p = self.ring.field.modulus
-        return Polynomial._make(
-            self.ring, {k: p - c if p else -c for k, c in self._keys.items()}, self._den
-        )
+        keys = {k: p - c if p else -c for k, c in self._keys.items()}
+        return _reduced(self.ring, keys, self._den)
 
     def __pow__(self, exponent: int) -> "Polynomial":
         check_count("exponent", exponent)
@@ -499,7 +489,7 @@ class Polynomial:
         # they come, and the sum is then put over this polynomial's denominator.
         def pairs():
             for key, c in self._keys.items():
-                term, last = Polynomial._make(target, {0: c}), None
+                term, last = _reduced(target, {0: c}), None
                 for j, e in enumerate(decode(key)):
                     if not e:
                         continue
@@ -580,12 +570,10 @@ class Polynomial:
         """
         check_range("variable index", j, 1, ring.nvars)
         unit = ring._codec.unit(j)
-        # Slices go over the lcm of their denominators, which needs no gcd: a
-        # prime's top power in it comes from one slice, canonical on its own.
-        den = 1 if ring.field.modulus else lcm(*[s._den for s in slices.values()])
+        den = lcm(*[s._den for s in slices.values()])
         keys = {key + e * unit: c * (den // s._den)
                 for e, s in slices.items() for key, c in s._keys.items()}
-        return cls._make(ring, keys, den)
+        return _reduced(ring, keys, den)
 
     def __iter__(self) -> Iterator[tuple[tuple[int, ...], FieldElement]]:
         return iter(self.sorted_terms())
@@ -637,7 +625,7 @@ def embed(f: Polynomial, target: RingSpec) -> Polynomial:
         raise RingMismatchError(f"{shown_ring(target)} does not extend {shown_ring(f.ring)}")
     # The appended variables take the low slots; every part moves up by them.
     shift = target._codec.top - f.ring._codec.top
-    return Polynomial._make(target, {k << shift: c for k, c in f._keys.items()}, f._den)
+    return _reduced(target, {k << shift: c for k, c in f._keys.items()}, f._den)
 
 
 # Over Q a random scalar is a/b with |a| <= 9 and 1 <= b <= 9, drawn as a

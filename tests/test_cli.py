@@ -1236,6 +1236,27 @@ class TestEntryPoints:
                         raisers.append(fn.name if fn is node else f"{node.name}.{fn.name}")
         assert sorted(raisers) == ["RingSpec.dot", "_Codec.key"]
 
+    def test_one_stored_form_builder(self):
+        # Outside Polynomial.__init__, only poly._reduced builds a polynomial
+        # from numerators (through _new, object.__new__), and only poly.py uses it.
+        tree = ast.parse(Path(self.SRC, "krullkit", "poly.py").read_text())
+        builders = []
+        for node in tree.body:
+            for fn in node.body if isinstance(node, ast.ClassDef) else [node]:
+                for call in ast.walk(fn):
+                    if not isinstance(call, ast.Call):
+                        continue
+                    assert getattr(call.func, "attr", None) != "__new__", call.lineno
+                    if getattr(call.func, "id", None) == "_new":
+                        builders.append(fn.name if fn is node else f"{node.name}.{fn.name}")
+        assert builders == ["_reduced"]
+        for path in sorted(Path(self.SRC, "krullkit").glob("*.py")):
+            if path.name == "poly.py":
+                continue
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                names = [a.name for a in node.names] if isinstance(node, ast.ImportFrom) else []
+                assert "_reduced" not in [*names, getattr(node, "attr", None)], path.name
+
     @pytest.mark.parametrize("text", ["10^4300", "3^2147483647", "(2/3)^2147483647"])
     def test_literal_powers_past_the_digit_limit_are_refused(self, text):
         # 3^2147483647 once ran for minutes; the timeout only guards against a hang.

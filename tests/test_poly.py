@@ -1298,3 +1298,41 @@ class TestDegreeLimit:
         with pytest.raises(SizeLimitError):
             str(f.evaluate([1, 1]))
         assert f.total_degree() == 1
+
+
+class TestOperationCountContracts:
+    """Operation counts that pin the kernel's powering (ROADMAP item 14):
+    counts at three sizes, never times.  The one-term base keeps every
+    product 1 x 1, so only the number of products can grow."""
+
+    @pytest.fixture
+    def dots(self, monkeypatch):
+        calls = [0]
+        dot = RingSpec.dot
+
+        def counted(self, pairs):
+            calls[0] += 1
+            return dot(self, pairs)
+
+        monkeypatch.setattr(RingSpec, "dot", counted)
+        return calls
+
+    EXPONENTS = ((10**3, 14), (10**6, 25), (2**31 - 1, 60))
+
+    @pytest.mark.parametrize("e, expected", EXPONENTS)
+    def test_parsed_power_is_square_and_multiply(self, dots, e, expected):
+        """_power's square-and-multiply chain: (t1*t2)^e takes bit_length(e) - 1
+        squarings and popcount(e) - 1 multiplications by the base, one
+        RingSpec.dot each, O(log e) and not O(e)."""
+        assert parse_polynomial(f"(t1*t2)^{e}", QR2) == Polynomial(QR2, {(e, e): 1})
+        assert dots[0] == e.bit_length() + bin(e).count("1") - 2 == expected
+
+    @pytest.mark.parametrize("e, expected", EXPONENTS)
+    def test_substituted_power_is_square_and_multiply(self, dots, e, expected):
+        """_power's square-and-multiply chain in substitute: the image's e-th
+        power as for a parsed power, and one more RingSpec.dot that sums the
+        term's pair."""
+        ring = RingSpec.default(Q, 1)
+        f = Polynomial(ring, {(e,): 1})
+        assert f.substitute([-ring.gen(1)]) == Polynomial(ring, {(e,): -1 if e & 1 else 1})
+        assert dots[0] == e.bit_length() + bin(e).count("1") - 1 == expected + 1
