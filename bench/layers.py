@@ -224,6 +224,11 @@ def cases(smoke: bool, kk) -> dict:
     f, g = (parse_polynomial(text, ring2) for text in SPARSE)
     out[f"Q contraction_witness of the sparse coset {SPARSE[0]} modulo {SPARSE[1]}"] = (
         "integral.contraction_witness", lambda f=f, g=g: contraction_witness(f, g))
+    # The shift matrix of t1 modulo t1^d: d - 1 of its d^2 entries are nonzero.
+    d_shift, t1 = 8 if smoke else 30, RingSpec.default(FieldSpec.rationals(), 1).gen(1)
+    out[f"Q coset_integrality_witness of t1 modulo t1^{d_shift}"] = (
+        "integral.coset_integrality_witness",
+        lambda f=t1, g=t1**d_shift: coset_integrality_witness(f, g))
     out[f"Q RingSpec.default(Q, {n_wide})"] = (
         "poly.ring", lambda: RingSpec.default(FieldSpec.rationals(), n_wide))
     ring = RingSpec.default(FieldSpec.rationals(), n_wide)

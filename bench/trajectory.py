@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -68,12 +69,22 @@ def main() -> int:
     ap.add_argument("files", nargs="*", type=Path, help="BENCH files (default: all, by name)")
     args = ap.parse_args()
     workloads, metrics = schema()
-    for path in args.files or sorted(ROOT.glob("BENCH_*.json")):
-        parent, rows = read(path, workloads, metrics)
-        print(f"{path.name}  parent {parent[:12]}")
-        for w, row in rows.items():
-            for m, (before, after) in row.items():
-                print(f"  {w:<9} {m:<15} {before:>12.6g} -> {after:<12.6g} x{after / before:.3f}")
+    try:
+        for path in args.files or sorted(ROOT.glob("BENCH_*.json")):
+            parent, rows = read(path, workloads, metrics)
+            print(f"{path.name}  parent {parent[:12]}")
+            for w, row in rows.items():
+                for m, (before, after) in row.items():
+                    print(f"  {w:<9} {m:<15} {before:>12.6g} -> {after:<12.6g} "
+                          f"x{after / before:.3f}")
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed the pipe, as `| head` does.  Point stdout at devnull
+        # so that the flush at interpreter exit does not fail a second time.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     return 0
 
 

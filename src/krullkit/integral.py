@@ -32,11 +32,11 @@ from .poly import Polynomial, RingSpec
 class MonicGenerator:
     """A polynomial monic in the last variable, of positive degree there.
 
-    Exposes the degree d and the tail coefficients c_0..c_(d-1), which live
-    in the same ring but are free of the last variable.
+    Exposes the degree d, the tail c_0..c_(d-1), free of t_n, and the relation
+    -c_0..-c_(d-1): t_n^d's coordinates modulo g, as ``power_reduce`` reads them.
     """
 
-    __slots__ = ("polynomial", "degree", "coefficients")
+    __slots__ = ("polynomial", "degree", "coefficients", "relation")
 
     def __init__(self, polynomial: Polynomial) -> None:
         ring = polynomial.ring
@@ -53,6 +53,7 @@ class MonicGenerator:
         self.polynomial = polynomial
         self.degree = d
         self.coefficients = tuple(slices.get(i, ring.zero()) for i in range(d))
+        self.relation = tuple(-c for c in self.coefficients)
 
     @property
     def ring(self) -> RingSpec:
@@ -84,8 +85,8 @@ def divide_monic(
     Because the divisor is monic in t_n, the division needs no field
     inverses beyond the coefficients already present, and the (q, r) pair
     is unique.  Each step moves the top t_n-slice c of f into the quotient
-    and owes the slices below -c times the generator's tail; a slice
-    is settled, its own terms plus one sum of what it is owed, once.
+    and owes the slices below c times the relation; a slice is settled, its
+    own terms plus one sum of what it is owed, once.
     """
     gen = _generator(g, f.ring)
     d = gen.degree
@@ -93,7 +94,7 @@ def divide_monic(
     zero = ring.zero()
     n = ring.nvars
     slices = f.coefficients_in(n)
-    pending: dict[int, list] = {}  # slice -> the (-c, b) pairs it is owed
+    pending: dict[int, list] = {}  # slice -> the (c, b) pairs it is owed
     quotient = {}
     for e in range(max(slices, default=0), d - 1, -1):
         c = slices.pop(e, zero)
@@ -102,10 +103,9 @@ def divide_monic(
         if not c:
             continue
         quotient[e - d] = c
-        owed = -c
-        for j, b in enumerate(gen.coefficients):
+        for j, b in enumerate(gen.relation):
             if b:
-                pending.setdefault(e - d + j, []).append((owed, b))
+                pending.setdefault(e - d + j, []).append((c, b))
     for e, pairs in pending.items():
         slices[e] = slices.get(e, zero) + ring.dot(pairs)
     join = Polynomial.from_coefficients_in
@@ -163,15 +163,14 @@ def coset_action_matrix(
 
     Row i lists the coordinates of f * t_n^i reduced modulo g; every entry
     is free of t_n.  Each row after the first is the one before times t_n,
-    a root of t_n^d = -(c_0 + ... + c_(d-1) t_n^(d-1)) modulo g.
+    a root of the generator's relation.
     """
     gen = _generator(g, f.ring)
     zero = f.ring.zero()
     slices = reduce_mod(f, gen).coefficients_in(f.ring.nvars)
     rows = [[slices.get(j, zero) for j in range(gen.degree)]]
-    relation = [-c for c in gen.coefficients]
     for _ in range(gen.degree - 1):
-        rows.append(_times_root(rows[-1], relation))
+        rows.append(_times_root(rows[-1], gen.relation))
     return rows
 
 
@@ -186,10 +185,9 @@ def _times_root(r, relation):
     return [top * relation[0], *shifted]
 
 
-def _dot(xs, ys, zero):
-    # Sum of products, skipping zero factors; the action matrices are sparse.
-    # Polynomial entries go through their ring's one-pass product loop.
-    pairs = [(x, y) for x, y in zip(xs, ys) if x and y]
+def _dot(pairs, zero):
+    # Sum of the products of pairs listed without zero factors, by RingSpec.dot
+    # for polynomial entries.
     if pairs and isinstance(zero, Polynomial):
         return zero.ring.dot(pairs)
     return sum((x * y for x, y in pairs), zero)
@@ -204,8 +202,9 @@ def characteristic_polynomial(matrix) -> list:
     Border the leading r x r block A by the column C above and the row R left
     of the new diagonal entry a; the characteristic polynomial of the grown
     block is the lower triangular Toeplitz matrix with first column
-    (1, -a, -R C, -R A C, ..., -R A^(r-1) C) applied to that of A.  That is
-    O(d^4) ring operations, and every product skips zero entries.
+    (1, -a, -R C, -R A C, ..., -R A^(r-1) C) applied to that of A: O(d^4) ring
+    operations on a dense matrix.  Each border step tests each entry for zero
+    once, and its products read only the nonzero ones.
     """
     d = len(matrix)
     if d == 0 or any(len(row) != d for row in matrix):
@@ -214,15 +213,16 @@ def characteristic_polynomial(matrix) -> list:
     # p and q hold the coefficients below the leading 1, highest degree first.
     p = [-matrix[0][0]]
     for r in range(1, d):
-        # w runs through R, R A, ..., R A^(r-2); cols[r] is C.
-        cols = list(zip(*matrix[:r]))
+        # cols[j]: column j's nonzero (i, M[i][j]) above row r; w: R, ..., R A^(r-1).
+        cols = [[(i, row[j]) for i, row in enumerate(matrix[:r]) if row[j]] for j in range(r + 1)]
         w = matrix[r][:r]
-        q = [-matrix[r][r], -_dot(w, cols[r], zero)]
+        q = [-matrix[r][r], -_dot([(w[i], m) for i, m in cols[r] if w[i]], zero)]
         for _ in range(r - 1):
-            w = [_dot(w, col, zero) for col in cols[:r]]
-            q.append(-_dot(w, cols[r], zero))
+            w = [_dot([(w[i], m) for i, m in col if w[i]], zero) for col in cols[:r]]
+            q.append(-_dot([(w[i], m) for i, m in cols[r] if w[i]], zero))
         p.append(zero)
-        p = [q[k] + p[k] + _dot(reversed(q[:k]), p, zero) for k in range(r + 1)]
+        p = [q[k] + p[k] + _dot([(x, y) for x, y in zip(reversed(q[:k]), p) if x and y], zero)
+             for k in range(r + 1)]
     return [*p[::-1], zero + 1]
 
 

@@ -80,3 +80,14 @@ def test_the_script_prints_every_file():
     assert [line.split()[0] for line in lines if not line.startswith(" ")] == [
         path.name for path in FILES
     ]
+
+
+def test_a_closed_pipe_ends_without_traceback():
+    # Every file ten times, well past a pipe buffer, so a write after the
+    # reader has gone fails.  The timeout only guards against a hang.
+    proc = subprocess.Popen([sys.executable, str(SCRIPT), *map(str, FILES * 10)],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline().startswith(b"BENCH_")
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert (proc.returncode, err) == (1, b"")  # no traceback

@@ -1058,10 +1058,10 @@ class TestEntryPoints:
         )
         return {**env, **overrides}
 
-    def python(self, *args, **env):
+    def python(self, *args, timeout=60, **env):
         return subprocess.run(
             [sys.executable, *args], capture_output=True, text=True, env=self.env(**env),
-            timeout=60,
+            timeout=timeout,
         )
 
     def test_parser_is_built_once(self):
@@ -1412,6 +1412,21 @@ class TestEntryPoints:
             expected = ",".join(["1"] * n) + "\n"
         assert (proc.returncode, proc.stderr) == (0, "")
         assert proc.stdout == expected
+
+    @pytest.mark.parametrize("argv, expected", [
+        (("witness", "--vars", "1", "t1", "t1^200"),
+         "char_poly: " + "0, " * 200 + "1\nelement: t1\ncheck: zero\n"),
+        (("contract-witness", "--vars", "1", "t1+1", "t1^200-2"),
+         "constant: -1\ncofactor: -t1^199"
+         + "".join(f" {'-' if k % 2 else '+'} t1^{k}" for k in range(198, 1, -1))
+         + " - t1 + 1\n"),
+    ], ids=["witness", "contract-witness"])
+    def test_generators_of_degree_200_answer(self, argv, expected):
+        # Berkowitz once zipped whole rows and columns of these nearly zero
+        # matrices, about d^4/4 steps, and each ran past 30 s.  The 20 s
+        # timeout only guards against a hang; it is not a timing gate.
+        proc = self.python("-m", "krullkit", *argv, timeout=20)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, expected, "")
 
     def test_no_function_calls_itself(self):
         # A function that recursed once per variable ended in RecursionError

@@ -121,6 +121,10 @@ class TestMonicGenerator:
         assert gen.coefficients == (P("-t1"), QR2.zero())
         assert gen.ring == QR2
 
+    def test_relation(self):
+        # t2^2 = t1 modulo t2^2 - t1: the relation is the negated tail.
+        assert MonicGenerator(P("t2^2 - t1")).relation == (P("t1"), QR2.zero())
+
     def test_rejections(self):
         with pytest.raises(NotMonicError):
             MonicGenerator(P("2*t2^2 - t1"))
@@ -485,6 +489,23 @@ class TestIntegralityWitness:
             f = random_polynomial(rng, F5R2, max_degree=3, max_terms=3)
             assert coset_integrality_witness(f, g).annihilates_modulo(g)
 
+    def test_the_check_does_not_rest_on_the_residue(self, monkeypatch):
+        """The check evaluates the dependence at f itself, so a wrong residue
+        of f from reduce_mod, and the matrix built from it, is caught.  A check
+        at that residue r would pass: chi_r(r) = 0 modulo g always holds
+        (Cayley-Hamilton)."""
+        import krullkit.integral as integral
+
+        f, g, t1 = P("t1 + 3*t2 + t2^3"), P("t2^2 - t1"), P("t1")
+        assert coset_integrality_witness(f, g).annihilates_modulo(g)
+
+        def wrong_for_f(h, gen):
+            r = reduce_mod(h, gen)
+            return r + t1 if h == f else r
+
+        monkeypatch.setattr(integral, "reduce_mod", wrong_for_f)
+        assert not coset_integrality_witness(f, g).annihilates_modulo(g)
+
     def test_non_polynomial_element_rejected_for_check(self):
         witness = IntegralityWitness((2, -2, 1), "1+i")
         with pytest.raises(TypeError):
@@ -680,6 +701,51 @@ class TestOperationCountContracts:
             characteristic_polynomial(matrix)
             assert calls == (d**3 - d) // 3 == expected
             assert 0.15 * d**4 <= products <= 0.25 * d**4, (d, products)
+
+    def test_characteristic_polynomial_tests_each_entry_once_per_step(self, monkeypatch):
+        """The matrix of t1 modulo t1^d has d - 1 nonzero entries.  Each border
+        step tests every entry for zero once and the products read only the
+        nonzero ones, so the zero tests grow as d^3, x8 per doubling of d;
+        zipping whole rows and columns grew them as d^4, x16."""
+        t1 = QR1.gen(1)
+        matrices = [coset_action_matrix(t1, t1**d) for d in (10, 20, 40)]
+        tests = 0
+        is_nonzero = Polynomial.__bool__
+
+        def counted(self):
+            nonlocal tests
+            tests += 1
+            return is_nonzero(self)
+
+        monkeypatch.setattr(Polynomial, "__bool__", counted)
+        counts = []
+        for matrix in matrices:
+            tests = 0
+            characteristic_polynomial(matrix)
+            counts.append(tests)
+        assert all(b < 10 * a for a, b in zip(counts, counts[1:])), counts
+
+    def test_a_prebuilt_generator_is_not_negated_again(self, monkeypatch):
+        """MonicGenerator owns g's relation, the negated tail: division,
+        reduction and the action matrix read it and negate nothing."""
+        f = parse_polynomial("(t1+2*t2-3/5*t3+1)^8", QR3)
+        cubic = MonicGenerator(parse_polynomial("t3^3 + t1*t3 - t2", QR3))
+        element, septic = P("t1 + 3/2*t2"), MonicGenerator(P("t2^7 - 5/3*t1"))
+        negations = 0
+        neg = Polynomial.__neg__
+
+        def counted(self):
+            nonlocal negations
+            negations += 1
+            return neg(self)
+
+        monkeypatch.setattr(Polynomial, "__neg__", counted)
+        for call in (lambda: divide_monic(f, cubic), lambda: reduce_mod(f, cubic),
+                     lambda: coset_action_matrix(element, septic)):
+            negations = 0
+            call()
+            assert negations == 0
+
 
 class TestContractionWitness:
     def test_worked_examples(self):
