@@ -122,6 +122,13 @@ def cases(smoke: bool, kk) -> dict:
         integral.coset_integrality_witness, integral.divide_monic)
     monicize, nonvanishing_point = normalize.monicize, normalize.nonvanishing_point
     Polynomial = sub("poly").Polynomial
+    ParseError = sub("parse").ParseError
+
+    def parse_error(text, ring):
+        try:
+            parse_polynomial(text, ring)
+        except ParseError as err:
+            return err.offset, err.message, err.expected
 
     e = 2 if smoke else 8
     n_wide = 3 if smoke else 200
@@ -216,6 +223,10 @@ def cases(smoke: bool, kk) -> dict:
             for exps, c in f.terms.items())
         out[f"{name} parse {len(f.terms)} terms, parenthesized coefficients"] = (
             "parse.parse_polynomial", lambda t=grouped, r=ring4: parse_polynomial(t, r))
+        if field.modulus is None:
+            # The same text with a stray ')' at the end: the error path's cost.
+            out[f"{name} parse error at the last token of the parenthesized-coefficients text"] = (
+                "parse.parse_polynomial", lambda t=grouped + ")", r=ring4: parse_error(t, r))
     e_mon = 100 if smoke else 100000
     ring2 = RingSpec.default(FieldSpec.rationals(), 2)
     g = parse_polynomial(MONICIZE.format(e=e_mon), ring2)

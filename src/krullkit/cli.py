@@ -92,9 +92,10 @@ def _resolve_variable(ring: RingSpec, spec: str) -> int:
     # An index is range-checked by degree_in.
     if _INT.fullmatch(spec):
         return _int(spec)
-    if spec in ring.variables:
+    try:
         return ring.index_of(spec)
-    raise ArgumentError(f"unknown variable {shown(spec, 'name')}")
+    except KeyError:
+        raise ArgumentError(f"unknown variable {shown(spec, 'name')}") from None
 
 
 def _cmd_degree(args, ring, f):

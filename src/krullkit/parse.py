@@ -23,6 +23,9 @@ power is reduced mod p and always fits).
 
 Errors are always :class:`ParseError` values carrying the byte offset into
 the UTF-8 encoding of the input, never raw exceptions from the internals.
+The input is tokenized by one regular-expression pass that keeps only the
+token strings; a token's byte offset is found again, by a second pass, only
+when an error is raised at it.
 Undecodable bytes (lone surrogates from ``surrogateescape``, as in argv)
 encode back to themselves and are reported as unexpected characters; any
 other lone surrogate is reported by its code point.
@@ -53,7 +56,8 @@ __all__ = [
 MAX_EXPONENT = 2**31 - 1
 # A parenthesis level takes at most four frames (parse_term, group, sum_terms
 # and summands), so 100 levels take 400 of the default recursion limit of
-# 1000 and leave the rest to the caller's stack and the arithmetic.
+# 1000, and an error at the innermost level under ten more to find its
+# offset; the rest is left to the caller's stack and the arithmetic.
 MAX_DEPTH = 100
 
 
@@ -92,45 +96,62 @@ class FieldLiteralError(ParseError):
 
 # Matched against the UTF-8 bytes decoded as Latin-1, one character per
 # byte, so match offsets are byte offsets.  Whitespace is exactly
-# [ \t\r\n]; any other byte outside a token is "bad".
-_TOKEN = re.compile(
-    r"(?P<number>[0-9]+)|(?P<name>[A-Za-z][A-Za-z0-9]*)|(?P<op>[-+*^/()])|(?P<bad>[^ \t\r\n])"
-)
+# [ \t\r\n], and _BAD matches every other byte that no token can hold.  A
+# byte that is neither lies inside some token, so one _BAD search before
+# tokenizing finds the first bad byte where a token-by-token scan would.
+_TOKEN = re.compile(r"[0-9]+|[A-Za-z][A-Za-z0-9]*|[-+*^/()]")
+_BAD = re.compile(r"[^ \t\r\n0-9A-Za-z*^/()+-]")
 
 
 class _Parser:
-    """Recursive descent over (kind, text, byte offset) token tuples."""
+    """Recursive descent over token strings, with ``""`` for the end.
+
+    An operator token is its character, a number starts with a digit and a
+    name with a letter.  Byte offsets are not stored: :meth:`offset` finds
+    one again when an error is raised.
+    """
 
     def __init__(self, text: str, ring: RingSpec):
         try:
             data = text.encode("utf-8", "surrogateescape").decode("latin-1")
         except UnicodeEncodeError as exc:
-            # An earlier bad character wins; the prefix's end token is at the surrogate.
-            offset = _Parser(text[: exc.start], ring).tokens[-1][2]
+            # An earlier bad character wins; the prefix's end is at the surrogate.
+            offset = _Parser(text[: exc.start], ring).offset(-1)
             code_point = ord(text[exc.start])
             raise ParseError(offset, f"unexpected character U+{code_point:04X}") from None
-        self.tokens = []
-        for m in _TOKEN.finditer(data):
-            kind, token, i = m.lastgroup, m.group(), m.start()
-            if kind == "bad":
-                named = repr(token) if token < "\x80" else f"0x{ord(token):02x}"
-                raise ParseError(i, f"unexpected character {named}")
-            self.tokens.append((token if kind == "op" else kind, token, i))
-        self.tokens.append(("end", "", len(data)))
+        if bad := _BAD.search(data):
+            char = bad.group()
+            named = repr(char) if char < "\x80" else f"0x{ord(char):02x}"
+            raise ParseError(bad.start(), f"unexpected character {named}")
+        self.data = data
+        self.tokens = _TOKEN.findall(data)
+        self.tokens.append("")
         self.pos = 0
         self.depth = 0
         self.ring = ring
         self.digits = digit_limit()
 
-    def take(self, kind: str, what: str = "") -> tuple[str, str, int] | None:
-        """Consume the next token if it is of this kind; else raise if ``what``."""
-        tok = self.tokens[self.pos]
-        if tok[0] == kind:
+    def offset(self, i: int) -> int:
+        """The byte offset of token i, found again by re-scanning; only errors need it."""
+        return [*(m.start() for m in _TOKEN.finditer(self.data)), len(self.data)][i]
+
+    def fail(self, what: str):
+        raise ParseError(self.offset(self.pos), f"expected {what}", expected=(what,))
+
+    def take(self, token: str) -> bool:
+        """Consume the next token if it is ``token``."""
+        if self.tokens[self.pos] == token:
             self.pos += 1
-            return tok
-        if what:
-            raise ParseError(tok[2], f"expected {what}", expected=(what,))
-        return None
+            return True
+        return False
+
+    def number(self, what: str) -> str:
+        """Consume the next token if it is a number; else raise, expecting ``what``."""
+        token = self.tokens[self.pos]
+        if not token.isdigit():
+            self.fail(what)
+        self.pos += 1
+        return token
 
     def parse_expr(self) -> Polynomial:
         return self.ring.sum_terms(self.summands(self.parse_term(1)))
@@ -138,9 +159,9 @@ class _Parser:
     def summands(self, first):
         # The terms of one sum, in order, as RingSpec.sum_terms reads them.
         yield first
-        while (kind := self.tokens[self.pos][0]) == "+" or kind == "-":
+        while (token := self.tokens[self.pos]) == "+" or token == "-":
             self.pos += 1
-            yield self.parse_term(1 if kind == "+" else -1)
+            yield self.parse_term(1 if token == "+" else -1)
 
     def parse_term(self, sign: int) -> tuple[list, int, int] | Polynomial:
         # A term is one scalar num/den (a residue over 1 over F_p), sparse
@@ -148,22 +169,26 @@ class _Parser:
         # literal, like a bare literal, is folded into the scalar.
         ring = self.ring
         p = ring.field.modulus
-        num, den = -sign if self.take("-") else sign, 1
+        tokens = self.tokens
+        num, den = sign, 1
+        if tokens[self.pos] == "-":
+            self.pos += 1
+            num = -sign
         factors = []
         value = None
         while True:
-            kind, token, offset = self.tokens[self.pos]
-            if kind == "name":
+            token = tokens[self.pos]
+            if token[:1].isalpha():
                 self.pos += 1
                 try:
                     j = ring.index_of(token)
                 except KeyError:
-                    raise UnknownVariableError(offset, token) from None
+                    raise UnknownVariableError(self.offset(self.pos - 1), token) from None
                 factors.append((j, self.exponent()))
-            elif kind == "number" or kind == "-":
+            elif token.isdigit() or token == "-":
                 num, den = self.scale(num, den, *self.rational(p))
-            elif kind == "(":
-                group = self.group(offset)
+            elif token == "(":
+                group = self.group()
                 if isinstance(group, Polynomial):
                     e = self.exponent()
                     group = group if e == 1 else group**e
@@ -171,11 +196,11 @@ class _Parser:
                 else:
                     num, den = self.scale(num, den, *group)
             else:
-                raise ParseError(
-                    offset, "expected a value", expected=("number", "variable", "'('")
-                )
-            if not self.take("*"):
+                raise ParseError(self.offset(self.pos), "expected a value",
+                                 expected=("number", "variable", "'('"))
+            if tokens[self.pos] != "*":
                 break
+            self.pos += 1
         if p:
             num %= p
         if value is None:
@@ -184,19 +209,20 @@ class _Parser:
             value = value * ring.sum_terms(((factors, num, den),))
         return value
 
-    def group(self, offset: int) -> Polynomial | tuple[int, int]:
+    def group(self) -> Polynomial | tuple[int, int]:
         # A parenthesized sum as a Polynomial, or the scalar (num, den) of a
         # lone literal, as in (-3/5), which skips the sum.
         if self.depth == MAX_DEPTH:
-            raise ParseError(offset, f"parentheses nested deeper than {MAX_DEPTH}")
+            raise ParseError(self.offset(self.pos), f"parentheses nested deeper than {MAX_DEPTH}")
         self.pos += 1
         self.depth += 1
         first = self.parse_term(1)
-        if type(first) is tuple and not first[0] and self.tokens[self.pos][0] == ")":
+        if type(first) is tuple and not first[0] and self.tokens[self.pos] == ")":
             value = first[1:]
         else:
             value = self.ring.sum_terms(self.summands(first))
-        self.take(")", "')'")
+        if not self.take(")"):
+            self.fail("')'")
         self.depth -= 1
         return value
 
@@ -211,31 +237,32 @@ class _Parser:
         return num * _literal_power(a, e), den * _literal_power(b, e)
 
     def exponent(self) -> int:
-        if not self.take("^"):
+        if self.tokens[self.pos] != "^":
             return 1
-        _, token, offset = self.take("number", "exponent")
+        self.pos += 1
+        token = self.number("exponent")
         digits = token.lstrip("0") or "0"
         e = int(digits) if len(digits) <= 10 else MAX_EXPONENT + 1
         if e > MAX_EXPONENT:
             what = digits if len(digits) <= 10 else f"of {len(digits)} digits"
-            raise ParseError(offset, f"exponent {what} exceeds {MAX_EXPONENT}")
+            raise ParseError(self.offset(self.pos - 1), f"exponent {what} exceeds {MAX_EXPONENT}")
         return e
 
-    def literal(self, what: str) -> tuple[int, int]:
-        _, token, offset = self.take("number", what)
+    def literal(self, what: str) -> int:
+        token = self.number(what)
         if len(token) > self.digits:
-            raise ParseError(offset, f"number longer than {self.digits} digits")
-        return int(token), offset
+            raise ParseError(self.offset(self.pos - 1), f"number longer than {self.digits} digits")
+        return int(token)
 
     def rational(self, p: int | None) -> tuple[int, int]:
         # A signed literal ``-a/b`` as the ints (a, b); over F_p, b is 1.
         sign = -1 if self.take("-") else 1
-        numerator = sign * self.literal("number")[0]
+        numerator = sign * self.literal("number")
         if not self.take("/"):
             return numerator, 1
-        denominator, offset = self.literal("positive denominator")
+        denominator = self.literal("positive denominator")
         if denominator == 0:
-            raise ParseError(offset, "denominator must be positive")
+            raise ParseError(self.offset(self.pos - 1), "denominator must be positive")
         if not p:
             return numerator, denominator
         # Reduced first, so 4/2 is 0 over F2; only 1/2 and the like are refused.
@@ -243,8 +270,9 @@ class _Parser:
         try:
             return field.scalar(Fraction(numerator, denominator)), 1
         except ZeroDivisionError:
+            named = shown(denominator, "", str)
             raise FieldLiteralError(
-                offset, f"denominator {shown(denominator, '', str)} is not invertible in {field}"
+                self.offset(self.pos - 1), f"denominator {named} is not invertible in {field}"
             ) from None
 
 
@@ -263,10 +291,10 @@ def parse_polynomial(text: str, ring: RingSpec) -> Polynomial:
     """Parse an expression into a polynomial over the given ring."""
     parser = _Parser(text, ring)
     value = parser.parse_expr()
-    kind, token, offset = parser.tokens[parser.pos]
-    if kind != "end":
+    token = parser.tokens[parser.pos]
+    if token:
         raise ParseError(
-            offset,
+            parser.offset(parser.pos),
             f"unexpected {shown(token, 'token')} after expression",
             expected=("'+'", "'-'", "'*'", "end of input"),
         )

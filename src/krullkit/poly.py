@@ -163,12 +163,14 @@ class RingSpec:
             raise ArgumentError(f"bad exponent vector {shown(exps)} for {shown_ring(self)}")
         return [(j, e) for j, e in enumerate(exps, 1) if e]
 
+    @cached_property
+    def _indices(self) -> dict[str, int]:
+        # Not a field either: each name's 1-based index, built once per ring.
+        return {name: j for j, name in enumerate(self.variables, 1)}
+
     def index_of(self, name: str) -> int:
         """1-based index of a variable name; raises KeyError if unknown."""
-        try:
-            return self.variables.index(name) + 1
-        except ValueError:
-            raise KeyError(name) from None
+        return self._indices[name]
 
     def subring(self, m: int) -> "RingSpec":
         """The ring on the first m variables."""

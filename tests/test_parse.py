@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import oracles
 
+from krullkit import parse
 from krullkit.errors import SizeLimitError
 from krullkit.field import FieldSpec
 from krullkit.parse import (
@@ -411,3 +412,82 @@ class TestReferenceParser:
         # Any exception other than a ParseError escapes outcome() and fails.
         assume(not LARGE_EXPONENT.search(text))
         assert outcome(text, ring) == reference_outcome(text, ring)
+
+
+# Signed coefficients with no denominator divisible by 5, so over F5R3 the
+# only error is the one placed near the end.
+DECK_COEFFICIENTS = st.builds(
+    lambda sign, num, den: f"{sign}{num}" + ("" if den == 1 else f"/{den}"),
+    st.sampled_from(["", "-"]),
+    st.integers(0, 40),
+    st.sampled_from([1, 1, 2, 3, 4, 7]),
+)
+
+
+@st.composite
+def long_deck_text(draw):
+    """A ring and 20-200 terms shaped like the decks' "(c)*t1^a*t2^b", with
+    one character near the end replaced."""
+    ring = draw(st.sampled_from([QR3, F5R3]))
+    terms = []
+    for _ in range(draw(st.integers(20, 200))):
+        factors = [f"({draw(DECK_COEFFICIENTS)})"]
+        for name in ring.variables:
+            e = draw(st.integers(0, 4))
+            if e:
+                factors.append(name if e == 1 else f"{name}^{e}")
+        terms.append("*".join(factors))
+    text = " + ".join(terms)
+    i = len(text) - draw(st.integers(1, 12))
+    piece = draw(st.sampled_from(["", "+", "-", "*", "^", "/", "(", ")", " ", "0", "12", "t2",
+                                  "t9", "@", "é", "\udcff"]))
+    return ring, text[:i] + piece + text[i + 1 :]
+
+
+class TestLongTexts:
+    """Offsets found again deep in a long token stream."""
+
+    @given(ring_text=long_deck_text())
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    def test_long_text_matches_reference(self, ring_text):
+        ring, text = ring_text
+        assert outcome(text, ring) == reference_outcome(text, ring)
+
+
+class CountingPattern:
+    """A compiled pattern that counts the calls of each of its methods."""
+
+    def __init__(self, pattern):
+        self.pattern = pattern
+        self.calls = {}
+
+    def __getattr__(self, name):
+        method = getattr(self.pattern, name)
+
+        def counted(*args, **kwargs):
+            self.calls[name] = self.calls.get(name, 0) + 1
+            return method(*args, **kwargs)
+
+        return counted
+
+
+class TestTokenizerCounts:
+    """One findall per parse; token offsets are scanned for again only on an error."""
+
+    TEXT = format_polynomial(P("(t1+2*t2-3/5*t3+1)^8", QR3))
+
+    @pytest.fixture
+    def token_pattern(self, monkeypatch):
+        pattern = CountingPattern(parse._TOKEN)
+        monkeypatch.setattr(parse, "_TOKEN", pattern)
+        return pattern
+
+    def test_a_parse_scans_once(self, token_pattern):
+        assert len(P(self.TEXT, QR3).terms) == 165
+        assert token_pattern.calls == {"findall": 1}
+
+    def test_an_error_at_the_last_token_scans_again_once(self, token_pattern):
+        with pytest.raises(ParseError) as exc_info:
+            P(self.TEXT + ")", QR3)
+        assert exc_info.value.offset == len(self.TEXT)
+        assert token_pattern.calls == {"findall": 1, "finditer": 1}

@@ -29,7 +29,7 @@ from krullkit.errors import (
 )
 from krullkit.field import FieldElement, FieldSpec, enumerate_nonzero
 from krullkit.integral import divide_monic
-from krullkit.parse import MAX_LITERAL_DIGITS, parse_polynomial
+from krullkit.parse import MAX_LITERAL_DIGITS, UnknownVariableError, parse_polynomial
 from krullkit.poly import (
     MAX_VARIABLES, Polynomial, RingSpec, _randbelow, embed, random_polynomial, random_scalar,
 )
@@ -525,6 +525,37 @@ class TestVariableNames:
     @settings(max_examples=300, derandomize=True)
     def test_against_the_regex(self, name):
         assert self.accepted(name) == bool(oracles.VAR_NAME_RE.match(name))
+
+
+class TestIndexOf:
+    """RingSpec.index_of is one dict lookup, built once per ring and invisible to ==."""
+
+    RING = RingSpec(Q, tuple(f"x{j}" for j in range(999, 0, -1)) + ("t1",))
+
+    def test_every_name(self):
+        ring = self.RING
+        assert [ring.index_of(name) for name in ring.variables] == [
+            ring.variables.index(name) + 1 for name in ring.variables
+        ] == list(range(1, 1001))
+
+    @pytest.mark.parametrize("name", ["x1000", "x0", "t2", "T1", ""])
+    def test_unknown_name(self, name):
+        with pytest.raises(KeyError):
+            self.RING.index_of(name)
+
+    def test_ring_identity_unchanged(self):
+        ring = RingSpec(Q, self.RING.variables)
+        ring.index_of("t1")
+        assert ring == self.RING and hash(ring) == hash(self.RING)
+        assert pickle.loads(pickle.dumps(ring)) == ring
+        assert pickle.loads(pickle.dumps(ring)).index_of("x1") == 999
+
+    def test_unknown_variable_errors_unchanged(self):
+        with pytest.raises(UnknownVariableError) as exc_info:
+            P("x999 + t1*x2^2 - 3*y1", self.RING)
+        err = exc_info.value
+        assert (err.offset, err.name, str(err)) == (
+            19, "y1", "unknown variable 'y1' (byte 19)")
 
 
 class TestSubstitution:
