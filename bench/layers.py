@@ -72,6 +72,11 @@ DENSE = {
             " + 31092*t2^2 + 10253*t1 + 13435*t2"),
     },
 }
+# power_reduce relations, a^d in the basis 1, ..., a^(d-1), parsed as the CLI
+# and the integral deck parse them: constants over F32003 with d = 4, and
+# polynomials in two variables over Q with d = 3.
+RELATION_F32003 = ("3", "-5", "0", "7")
+RELATION_Q = ("t1 - 2/3", "3*t1*t2", "t2 + 1")
 # Scalar operands: a Q pair with small coprime parts, and residues mod 32003.
 SCALARS = {"Q": (Fraction(-7, 3), Fraction(5, 12)), "F32003": (12345, 6789)}
 # Tiny polynomials in a wide ring of n variables, like the wide deck's jobs.
@@ -235,6 +240,13 @@ def cases(smoke: bool, kk) -> dict:
     f, g = (parse_polynomial(text, ring2) for text in SPARSE)
     out[f"Q contraction_witness of the sparse coset {SPARSE[0]} modulo {SPARSE[1]}"] = (
         "integral.contraction_witness", lambda f=f, g=g: contraction_witness(f, g))
+    power_reduce, ReductionCoefficients = integral.power_reduce, integral.ReductionCoefficients
+    for ring, texts, i in ((RingSpec.default(FieldSpec.prime(32003), 1), RELATION_F32003, 10**6),
+                           (ring2, RELATION_Q, 30)):
+        i = 10 if smoke else i
+        relation = ReductionCoefficients(tuple(parse_polynomial(t, ring) for t in texts))
+        out[f"{ring.field} power_reduce of the relation {', '.join(texts)} at i={i}"] = (
+            "integral.power_reduce", lambda rel=relation, i=i: power_reduce(rel, i))
     # The shift matrix of t1 modulo t1^d: d - 1 of its d^2 entries are nonzero.
     d_shift, t1 = 8 if smoke else 30, RingSpec.default(FieldSpec.rationals(), 1).gen(1)
     out[f"Q coset_integrality_witness of t1 modulo t1^{d_shift}"] = (

@@ -22,6 +22,7 @@ from .chains import DEFAULT_SEED, MonomialPrimeIdeal, extract_min_power, verify_
 from .errors import ArgumentError, KrullkitError, SelfCheckError, digit_limit, shown
 from .field import FieldElement, FieldSpec
 from .integral import (
+    MonicGenerator,
     ReductionCoefficients,
     contraction_witness,
     coset_integrality_witness,
@@ -169,8 +170,9 @@ def _cmd_pmember(args, ring, f, g):
 
 
 def _cmd_witness(args, ring, f, g):
-    witness = coset_integrality_witness(f, g)
-    if not witness.annihilates_modulo(g):
+    gen = MonicGenerator(g)
+    witness = coset_integrality_witness(f, gen)
+    if not witness.annihilates_modulo(gen):
         raise SelfCheckError("integral dependence failed its annihilation check")
     doc = witness.to_json_dict()
     # The char poly's coefficients join with ", ", not ",".

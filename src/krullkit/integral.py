@@ -162,27 +162,28 @@ def coset_action_matrix(
     """The matrix of multiplication by f on the basis 1, t_n, ..., t_n^(d-1).
 
     Row i lists the coordinates of f * t_n^i reduced modulo g; every entry
-    is free of t_n.  Each row after the first is the one before times t_n,
-    a root of the generator's relation.
+    is free of t_n.  The rows are ``_action``'s: f's coordinates times the
+    powers of t_n, a root of the generator's relation.
     """
     gen = _generator(g, f.ring)
     zero = f.ring.zero()
     slices = reduce_mod(f, gen).coefficients_in(f.ring.nvars)
-    rows = [[slices.get(j, zero) for j in range(gen.degree)]]
-    for _ in range(gen.degree - 1):
-        rows.append(_times_root(rows[-1], gen.relation))
+    return _action([slices.get(j, zero) for j in range(gen.degree)], gen.relation, gen.degree)
+
+
+def _action(r, relation, count):
+    # The rows r, r a, ..., r a^(count-1) for a root a of a^d = sum(c_j a^j): each
+    # shifts the one before up a place and substitutes for a^d, r'_0 = r_(d-1) c_0,
+    # r'_j = r_(j-1) + r_(d-1) c_j, skipping zero factors (rows and tails are sparse).
+    rows = [r]
+    for _ in range(count - 1):
+        top = r[-1]
+        if top:
+            r = [top * relation[0], *(x + top * c if c else x for x, c in zip(r, relation[1:]))]
+        else:
+            r = [top, *r[:-1]]
+        rows.append(r)
     return rows
-
-
-def _times_root(r, relation):
-    # Coordinates r times a root a of a^d = sum(c_j a^j): shift up one place
-    # and substitute for a^d, r'_0 = r_(d-1) c_0, r'_j = r_(j-1) + r_(d-1) c_j.
-    # Zero factors are skipped: coset rows and generator tails are sparse.
-    top = r[-1]
-    if not top:
-        return [top, *r[:-1]]
-    shifted = (x + top * c if c else x for x, c in zip(r, relation[1:]))
-    return [top * relation[0], *shifted]
 
 
 def _dot(pairs, zero):
@@ -298,8 +299,8 @@ def power_reduce(
     lower coefficients), all of one type, with zero c_0 - c_0 unless
     ``zero`` and ``one`` are given; the result is of that type.
     Square-and-multiply over the bits of i takes O(d^2 log i) ring
-    operations: multiplying by a is the shift step ``_times_root``, and
-    squaring sums r_j a^j r by Horner's rule in it.
+    operations: r^2 = sum(r_j * r a^j), so each bit reads the rows of
+    ``_action`` from r, and a set bit reads them one power higher.
     """
     check_count("power", i)
     c = relation.coefficients
@@ -307,13 +308,9 @@ def power_reduce(
     zero = c[0] - c[0] if zero is None else zero
     one = zero + 1 if one is None else one
     r = [one] + [zero] * (d - 1)
-    for bit in bin(i)[2:]:
-        square = [zero] * d
-        for x in reversed(r):
-            square = _times_root(square, c)
-            if x:
-                square = [s + x * y for s, y in zip(square, r)]
-        r = _times_root(square, c) if bit == "1" else square
+    for bit in map(int, bin(i)[2:]):
+        rows = _action(r, c, d + bit)[bit:]
+        r = [_dot([(x, v[k]) for x, v in zip(r, rows) if x and v[k]], zero) for k in range(d)]
     return ReductionCoefficients(tuple(r))
 
 

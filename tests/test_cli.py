@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from krullkit.cli import build_parser, main
 from krullkit.errors import KrullkitError
 from krullkit.field import MAX_MODULUS
-from krullkit.integral import IntegralityWitness
+from krullkit.integral import IntegralityWitness, MonicGenerator
 from krullkit.poly import MAX_VARIABLES, Polynomial
 
 EXAMPLE = "t1^3 + 2*t1^2*t2 + 4*t2^3"
@@ -138,6 +138,21 @@ class TestWorkedExampleTranscripts:
         code, out, _ = run(capsys, "witness", "--vars", "2", "t1 + t2", "t2^2 - t1")
         assert code == 0
         assert out == "char_poly: t1^2 - t1, -2*t1, 1\nelement: t1 + t2\ncheck: zero\n"
+
+    def test_witness_builds_the_generator_once(self, capsys, monkeypatch):
+        # The char poly and its annihilation check read one MonicGenerator of g.
+        built = 0
+        init = MonicGenerator.__init__
+
+        def counted(self, polynomial):
+            nonlocal built
+            built += 1
+            init(self, polynomial)
+
+        monkeypatch.setattr(MonicGenerator, "__init__", counted)
+        code, out, _ = run(capsys, "witness", "--vars", "2", "t1 + 3*t2", "t2^2 - t1")
+        assert (code, built) == (0, 1)
+        assert out == "char_poly: t1^2 - 9*t1, -2*t1, 1\nelement: t1 + 3*t2\ncheck: zero\n"
 
     def test_contract_witness(self, capsys):
         code, out, _ = run(

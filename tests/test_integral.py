@@ -549,20 +549,29 @@ class TestPowerReduce:
             )
             assert list(got.coefficients) == expected
 
-    def test_every_power_to_300_against_division_oracle(self):
-        # Covers every exponent bit pattern of up to eight bits.
+    @staticmethod
+    def check_every_power_to_300(scalar):
+        # Covers every exponent bit pattern of up to eight bits.  The oracle
+        # divides by the integer relation, so its coordinates are integers,
+        # which scalar maps into the relation's field.
         rng = random.Random(49)
         for d in range(1, 7):
             tail = [rng.choice([0, 0, -1, 1]) for _ in range(d - 1)]
-            relation = ReductionCoefficients(
-                tuple(Fraction(c) for c in [rng.choice([-1, 1]), *tail])
-            )
+            ints = [rng.choice([-1, 1]), *tail]
+            relation = ReductionCoefficients(tuple(scalar(c) for c in ints))
             for i in range(301):
-                got = power_reduce(relation, i, zero=Fraction(0), one=Fraction(1))
-                expected = oracles.power_coords_by_division(
-                    list(relation.coefficients), i
-                )
-                assert list(got.coefficients) == expected
+                got = power_reduce(relation, i, zero=scalar(0), one=scalar(1))
+                expected = oracles.power_coords_by_division([Fraction(c) for c in ints], i)
+                assert list(got.coefficients) == [scalar(x) for x in expected]
+
+    def test_every_power_to_300_against_division_oracle(self):
+        self.check_every_power_to_300(Fraction)
+
+    @pytest.mark.parametrize("p", [2, 3, 32003])
+    def test_every_power_to_300_over_prime_fields(self, p):
+        # The oracle's coordinates reduced mod p; F2's many zero coordinates
+        # exercise the zero-factor skips.
+        self.check_every_power_to_300(FieldSpec.prime(p).element)
 
     @pytest.mark.parametrize("ring", [QR2, F7R2], ids=["Q", "F7"])
     def test_polynomial_relations_match_monomial_reduction(self, ring):
@@ -655,27 +664,27 @@ class TestOperationCountContracts:
     14): counts at three or more sizes, never times."""
 
     def test_power_reduce_is_square_and_multiply(self, monkeypatch):
-        """Square-and-multiply over the bits of i: each bit squares by Horner's
-        rule through d shifts by the root, and each set bit shifts once more,
-        so _times_root runs d * bit_length(i) + popcount(i) times, O(d log i)
-        and not O(i)."""
+        """Square-and-multiply over the bits of i: each bit squares r against
+        its rows r, r a, ..., r a^(d-1), and a set bit reads one row more, so
+        _action builds (d - 1) * bit_length(i) + popcount(i) rows beyond the
+        first, O(d log i) and not O(i)."""
         import krullkit.integral as integral
 
-        calls = 0
-        times_root = integral._times_root
+        rows = 0
+        action = integral._action
 
-        def counted(r, relation):
-            nonlocal calls
-            calls += 1
-            return times_root(r, relation)
+        def counted(r, relation, count):
+            nonlocal rows
+            rows += count - 1
+            return action(r, relation, count)
 
-        monkeypatch.setattr(integral, "_times_root", counted)
+        monkeypatch.setattr(integral, "_action", counted)
         F = FieldSpec.prime(32003)
         relation = ReductionCoefficients((F.element(3), F.element(5), F.element(7)))
-        for i, expected in ((10**3, 36), (10**6, 67), (10**9, 103)):
-            calls = 0
+        for i, expected in ((10**3, 26), (10**6, 47), (10**9, 73)):
+            rows = 0
             power_reduce(relation, i)
-            assert calls == 3 * i.bit_length() + bin(i).count("1") == expected
+            assert rows == 2 * i.bit_length() + bin(i).count("1") == expected
 
     def test_characteristic_polynomial_is_berkowitz(self, monkeypatch):
         """Berkowitz on a d x d matrix with no zero entry: bordering step r
