@@ -123,8 +123,8 @@ def cases(smoke: bool, kk) -> dict:
     extract_min_power = sub("chains").extract_min_power
     integral, normalize = sub("integral"), sub("normalize")
     contraction_witness = integral.contraction_witness
-    coset_integrality_witness, divide_monic = (
-        integral.coset_integrality_witness, integral.divide_monic)
+    coset_integrality_witness, divide_monic, reduce_mod = (
+        integral.coset_integrality_witness, integral.divide_monic, integral.reduce_mod)
     monicize, nonvanishing_point = normalize.monicize, normalize.nonvanishing_point
     Polynomial = sub("poly").Polynomial
     ParseError = sub("parse").ParseError
@@ -184,6 +184,8 @@ def cases(smoke: bool, kk) -> dict:
         if field.modulus is None:
             out[f"Q divide_monic: {size}-term {POWER.format(e=e)} by {CUBIC}"] = (
                 "integral.divide_monic", lambda a=big, g=cubic: divide_monic(a, g))
+            out[f"Q reduce_mod: {size}-term {POWER.format(e=e)} by {CUBIC}"] = (
+                "integral.reduce_mod", lambda a=big, g=cubic: reduce_mod(a, g))
             # The same supports with pairwise-coprime 20-bit denominators:
             # the worst case for one common denominator per factor.
             primes = _primes(2 * size, 1 << 19)
@@ -247,6 +249,17 @@ def cases(smoke: bool, kk) -> dict:
         relation = ReductionCoefficients(tuple(parse_polynomial(t, ring) for t in texts))
         out[f"{ring.field} power_reduce of the relation {', '.join(texts)} at i={i}"] = (
             "integral.power_reduce", lambda rel=relation, i=i: power_reduce(rel, i))
+    # The same F32003 relation with FieldElement coordinates, as a library caller builds it.
+    F32003 = FieldSpec.prime(32003)
+    relation = ReductionCoefficients(tuple(F32003.element(int(t)) for t in RELATION_F32003))
+    i = 10 if smoke else 10**6
+    out[f"F32003 power_reduce of the FieldElement relation {', '.join(RELATION_F32003)} "
+        f"at i={i}"] = ("integral.power_reduce", lambda rel=relation, i=i: power_reduce(rel, i))
+    # A remainder linear in the dividend's t_n-degree: e/2 steps of the division walk.
+    e_rem = 1000 if smoke else 100000
+    f, g = parse_polynomial(f"t2^{e_rem}", ring2), parse_polynomial("t2^2 - t1", ring2)
+    out[f"Q reduce_mod of t2^{e_rem} modulo t2^2 - t1"] = (
+        "integral.reduce_mod", lambda f=f, g=g: reduce_mod(f, g))
     # The shift matrix of t1 modulo t1^d: d - 1 of its d^2 entries are nonzero.
     d_shift, t1 = 8 if smoke else 30, RingSpec.default(FieldSpec.rationals(), 1).gen(1)
     out[f"Q coset_integrality_witness of t1 modulo t1^{d_shift}"] = (

@@ -5,8 +5,8 @@ canonical form (a reduced ``Fraction`` over the rationals, the least
 nonnegative residue modulo ``p`` over a prime field).  Polynomials store
 integer numerators over one denominator (see ``poly.py``) and turn them into
 the plain canonical values that :meth:`FieldSpec.scalar` produces, wrapped in
-elements, only at their API.  All arithmetic is exact; there is no floating
-point anywhere.
+elements, only at their API.  All arithmetic is exact: no scalar, coefficient
+or printed value is a float; the one float is ``verify_chain``'s seeded coin.
 
 This module owns the scalar rules.  :func:`is_scalar` is the one test of
 what counts as a scalar (an ``int`` that is not a ``bool``, a ``Fraction``,

@@ -70,30 +70,21 @@ class MonicGenerator:
         return f"MonicGenerator({self.polynomial!r})"
 
 
-def _generator(g: "Polynomial | MonicGenerator", ring: RingSpec | None = None) -> MonicGenerator:
+def _generator(g: "Polynomial | MonicGenerator", ring: RingSpec) -> MonicGenerator:
     gen = g if isinstance(g, MonicGenerator) else MonicGenerator(g)
-    if ring is not None and ring != gen.ring:
+    if ring != gen.ring:
         raise RingMismatchError(f"{shown_ring(ring)} is not {shown_ring(gen.ring)}")
     return gen
 
 
-def divide_monic(
-    f: Polynomial, g: "Polynomial | MonicGenerator"
-) -> tuple[Polynomial, Polynomial]:
-    """Divide by a monic-in-t_n generator: f = q * g + r with deg_tn r < d.
-
-    Because the divisor is monic in t_n, the division needs no field
-    inverses beyond the coefficients already present, and the (q, r) pair
-    is unique.  Each step moves the top t_n-slice c of f into the quotient
-    and owes the slices below c times the relation; a slice is settled, its
-    own terms plus one sum of what it is owed, once.
-    """
-    gen = _generator(g, f.ring)
+def _divide(f: Polynomial, gen: MonicGenerator) -> tuple[dict, list]:
+    # q's t_n-slices and r's d coordinates, zero-filled, for f = q * g + r.  Each step
+    # moves the top slice c of f into q and owes the slices below c times the relation;
+    # a slice is settled, its own terms plus one sum of what it is owed, once.
     d = gen.degree
     ring = f.ring
     zero = ring.zero()
-    n = ring.nvars
-    slices = f.coefficients_in(n)
+    slices = f.coefficients_in(ring.nvars)
     pending: dict[int, list] = {}  # slice -> the (c, b) pairs it is owed
     quotient = {}
     for e in range(max(slices, default=0), d - 1, -1):
@@ -108,18 +99,32 @@ def divide_monic(
                 pending.setdefault(e - d + j, []).append((c, b))
     for e, pairs in pending.items():
         slices[e] = slices.get(e, zero) + ring.dot(pairs)
+    return quotient, [slices.get(j, zero) for j in range(d)]
+
+
+def divide_monic(
+    f: Polynomial, g: "Polynomial | MonicGenerator"
+) -> tuple[Polynomial, Polynomial]:
+    """Divide by a monic-in-t_n generator: f = q * g + r with deg_tn r < d.
+
+    Because the divisor is monic in t_n, the division needs no field
+    inverses beyond the coefficients already present, and the (q, r) pair
+    is unique.
+    """
+    quotient, r = _divide(f, _generator(g, f.ring))
     join = Polynomial.from_coefficients_in
-    return join(ring, n, quotient), join(ring, n, slices)
+    return join(f.ring, f.ring.nvars, quotient), join(f.ring, f.ring.nvars, dict(enumerate(r)))
 
 
 def reduce_mod(f: Polynomial, g: "Polynomial | MonicGenerator") -> Polynomial:
     """The remainder of f modulo a monic-in-t_n generator."""
-    return divide_monic(f, g)[1]
+    r = _divide(f, _generator(g, f.ring))[1]
+    return Polynomial.from_coefficients_in(f.ring, f.ring.nvars, dict(enumerate(r)))
 
 
 def principal_member(f: Polynomial, g: "Polynomial | MonicGenerator") -> bool:
     """Whether f lies in the principal ideal of a monic-in-t_n generator."""
-    return reduce_mod(f, g).is_zero
+    return not any(_divide(f, _generator(g, f.ring))[1])
 
 
 def subring_intersection_trivial(
@@ -152,7 +157,7 @@ class QuotientElement:
 
 
 def coset(f: Polynomial, g: "Polynomial | MonicGenerator") -> QuotientElement:
-    gen = _generator(g)
+    gen = _generator(g, f.ring)
     return QuotientElement(gen, reduce_mod(f, gen))
 
 
@@ -166,9 +171,7 @@ def coset_action_matrix(
     powers of t_n, a root of the generator's relation.
     """
     gen = _generator(g, f.ring)
-    zero = f.ring.zero()
-    slices = reduce_mod(f, gen).coefficients_in(f.ring.nvars)
-    return _action([slices.get(j, zero) for j in range(gen.degree)], gen.relation, gen.degree)
+    return _action(_divide(f, gen)[1], gen.relation, gen.degree)
 
 
 def _action(r, relation, count):
@@ -250,7 +253,7 @@ class IntegralityWitness:
         """Evaluate the dependence at the element, modulo g; True means zero."""
         if not isinstance(self.element, Polynomial):
             raise TypeError("annihilation check needs a polynomial element")
-        return _horner(self.coefficients, self.element, _generator(g)).is_zero
+        return _horner(self.coefficients, self.element, _generator(g, self.element.ring)).is_zero
 
 
 def _horner(coefficients, x: Polynomial, gen: MonicGenerator) -> Polynomial:
@@ -328,7 +331,7 @@ def contraction_witness(
     divisor, so the quotient gave no usable witness; reported, never
     patched).
     """
-    gen = _generator(g)
+    gen = _generator(g, f.ring)
     residue = reduce_mod(f, gen)
     if residue.is_zero:
         raise ZeroCosetError("the element is a multiple of the generator")
@@ -342,7 +345,7 @@ def contraction_witness(
     constant = stripped[0]
     # w = -(b_1 + b_2 f + ... + b_m f^(m-1)) modulo g.
     w = -_horner(stripped[1:], residue, gen)
-    if not reduce_mod(f * w - constant, gen).is_zero:
+    if not principal_member(f * w - constant, gen):
         raise DegenerateCharPolyError(
             "stripped relation does not hold, the coset is a zero divisor"
         )

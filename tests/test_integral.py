@@ -46,6 +46,7 @@ F7R2 = RingSpec.default(FieldSpec.prime(7), 2)
 # constants, so these rings also cover the rebuild of one-slot keys.
 SLICE_RINGS = (QR2, QR1, QR3, F7R2)
 DENSE_RINGS = [QR2, QR3] + [RingSpec.default(FieldSpec.prime(p), 2) for p in (2, 3, 32003)]
+AGREEMENT_FIELDS = [Q] + [FieldSpec.prime(p) for p in (2, 7, 32003)]
 
 
 def P(text, ring=QR2):
@@ -94,8 +95,11 @@ def dense_in_tn(rng, ring, top):
     n = ring.nvars
     f = ring.zero()
     for e in range(top + 1):
-        c = random_polynomial(rng, ring.subring(n - 1), max_degree=2, max_terms=3)
-        f = f + embed(c, ring) * ring.gen(n) ** e
+        if n > 1:
+            c = embed(random_polynomial(rng, ring.subring(n - 1), max_degree=2, max_terms=3), ring)
+        else:
+            c = ring.constant(random_scalar(rng, ring.field))
+        f = f + c * ring.gen(n) ** e
     return f
 
 
@@ -146,6 +150,20 @@ class TestMonicGenerator:
         assert repr(MonicGenerator(P("t2^2 - t1"))) == (
             "MonicGenerator(<Polynomial t2^2 - t1 over Q[t1,t2]>)"
         )
+
+
+@st.composite
+def agreement_cases(draw):
+    """f and a monic g of t_n-degree 1..5 over Q, F2, F7 or F32003 in 1..3
+    variables; f has t_n-degree up to 12, and is a multiple h * g for a
+    third of the draws."""
+    ring = RingSpec.default(draw(st.sampled_from(AGREEMENT_FIELDS)), draw(st.integers(1, 3)))
+    d = draw(st.integers(1, 5))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    g = random_monic(rng, ring, degree=d)
+    if rng.randrange(3) == 0:
+        return dense_in_tn(rng, ring, rng.randint(0, 12 - d)) * g, g
+    return dense_in_tn(rng, ring, rng.randint(0, 12)), g
 
 
 class TestDivideMonic:
@@ -224,6 +242,40 @@ class TestDivideMonic:
             f = random_polynomial(rng, F5R2, max_degree=6, max_terms=5)
             q, r = divide_monic(f, g)
             assert q * g + r == f
+
+    @given(case=agreement_cases())
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    def test_every_remainder_consumer_agrees_with_the_division(self, case):
+        f, g = case
+        n, d = f.ring.nvars, MonicGenerator(g).degree
+        q, r = divide_monic(f, g)
+        assert reduce_mod(f, g) == r
+        assert q * g + r == f
+        assert r.is_zero or r.degree_in(n) < d
+        assert principal_member(f, g) == r.is_zero
+        assert coset_action_matrix(f, g) == coset_action_matrix(r, g)
+
+    def test_every_entry_checks_the_generator_as_division_does(self):
+        """Each entry refuses a non-monic generator, or one of another ring,
+        with the class and text of divide_monic's refusal, non-monic first."""
+        f, g = P("t1 + 3*t2 + t2^3"), P("t2^2 - t1")
+        witness = coset_integrality_witness(f, g)
+        entries = (
+            lambda h: coset(f, h),
+            witness.annihilates_modulo,
+            lambda h: contraction_witness(f, h),
+            lambda h: principal_member(f, h),
+            lambda h: coset_action_matrix(f, h),
+            lambda h: subring_intersection_trivial(P("t1"), h),
+        )
+        for bad in (parse_polynomial("t3^2 - t1", QR3), P("2*t2^2 - t1"),
+                    parse_polynomial("t1*t3^2", QR3), MonicGenerator(P("t2 + 1", F7R2))):
+            with pytest.raises((NotMonicError, RingMismatchError)) as expected:
+                divide_monic(f, bad)
+            for entry in entries:
+                with pytest.raises(expected.type) as refused:
+                    entry(bad)
+                assert str(refused.value) == str(expected.value)
 
 
 def _random_low_remainder(rng, ring, d):
@@ -491,19 +543,21 @@ class TestIntegralityWitness:
 
     def test_the_check_does_not_rest_on_the_residue(self, monkeypatch):
         """The check evaluates the dependence at f itself, so a wrong residue
-        of f from reduce_mod, and the matrix built from it, is caught.  A check
-        at that residue r would pass: chi_r(r) = 0 modulo g always holds
+        of f from the division, and the matrix built from it, is caught.  A
+        check at that residue r would pass: chi_r(r) = 0 modulo g always holds
         (Cayley-Hamilton)."""
         import krullkit.integral as integral
 
         f, g, t1 = P("t1 + 3*t2 + t2^3"), P("t2^2 - t1"), P("t1")
         assert coset_integrality_witness(f, g).annihilates_modulo(g)
+        divide = integral._divide
 
         def wrong_for_f(h, gen):
-            r = reduce_mod(h, gen)
-            return r + t1 if h == f else r
+            # r + t1: t1 is free of t2, so it adds to r's first coordinate.
+            quotient, r = divide(h, gen)
+            return (quotient, [r[0] + t1, *r[1:]]) if h == f else (quotient, r)
 
-        monkeypatch.setattr(integral, "reduce_mod", wrong_for_f)
+        monkeypatch.setattr(integral, "_divide", wrong_for_f)
         assert not coset_integrality_witness(f, g).annihilates_modulo(g)
 
     def test_non_polynomial_element_rejected_for_check(self):
@@ -754,6 +808,35 @@ class TestOperationCountContracts:
             negations = 0
             call()
             assert negations == 0
+
+    def test_a_reduction_builds_only_its_remainder(self, monkeypatch):
+        """One division splits f by t_n once.  reduce_mod joins the remainder
+        and no quotient; principal_member and coset_action_matrix read the
+        remainder's coordinates, with no join and no second split."""
+        f = parse_polynomial("(t1+2*t2-3/5*t3+1)^8", QR3)
+        cubic = MonicGenerator(parse_polynomial("t3^3 + t1*t3 - t2", QR3))
+        element, septic = P("t1 + 3/2*t2"), MonicGenerator(P("t2^7 - 5/3*t1"))
+        joins = splits = 0
+        join, split = Polynomial.from_coefficients_in.__func__, Polynomial.coefficients_in
+
+        def counted_join(cls, ring, j, slices):
+            nonlocal joins
+            joins += 1
+            return join(cls, ring, j, slices)
+
+        def counted_split(self, j):
+            nonlocal splits
+            splits += 1
+            return split(self, j)
+
+        monkeypatch.setattr(Polynomial, "from_coefficients_in", classmethod(counted_join))
+        monkeypatch.setattr(Polynomial, "coefficients_in", counted_split)
+        for call, expected in ((lambda: reduce_mod(f, cubic), (1, 1)),
+                               (lambda: principal_member(f, cubic), (0, 1)),
+                               (lambda: coset_action_matrix(element, septic), (0, 1))):
+            joins = splits = 0
+            call()
+            assert (joins, splits) == expected
 
 
 class TestContractionWitness:
