@@ -119,8 +119,9 @@ def cases(smoke: bool, kk) -> dict:
 
     FieldSpec, RingSpec, parse_polynomial = kk.FieldSpec, kk.RingSpec, kk.parse_polynomial
     random_polynomial = kk.random_polynomial
-    verify_chain, main = sub("chains").verify_chain, sub("cli").main
-    extract_min_power = sub("chains").extract_min_power
+    chains, main = sub("chains"), sub("cli").main
+    verify_chain, extract_min_power = chains.verify_chain, chains.extract_min_power
+    MonomialPrimeIdeal = chains.MonomialPrimeIdeal
     integral, normalize = sub("integral"), sub("normalize")
     contraction_witness = integral.contraction_witness
     coset_integrality_witness, divide_monic, reduce_mod = (
@@ -272,9 +273,16 @@ def cases(smoke: bool, kk) -> dict:
     out[f"Q parse in {n_wide} variables: {text}"] = (
         "parse.parse_polynomial", lambda t=text, r=ring: parse_polynomial(t, r))
     for n in (3, 200):
+        wide = RingSpec.default(FieldSpec.rationals(), n)
         out[f"Q random_polynomial x{CHAIN_DRAWS} in {n} variables"] = (
-            "poly.random_polynomial",
-            lambda r=RingSpec.default(FieldSpec.rationals(), n): draws(random_polynomial, r))
+            "poly.random_polynomial", lambda r=wide: draws(random_polynomial, r))
+        # verify_chain's product check, on consecutive draws paired as its g and h.
+        sample = draws(random_polynomial, wide)
+        pairs, ideal = list(zip(sample[::2], sample[1::2])), MonomialPrimeIdeal(wide, n // 2)
+        out[f"Q product_check of the x{CHAIN_DRAWS} chain draws in {n} variables, "
+            f"level {n // 2}"] = (
+            "chains.product_check",
+            lambda ideal=ideal, pairs=pairs: [ideal.product_check(g, h) for g, h in pairs])
     out[f"Q verify_chain n={n_wide}, checks_per_level=2"] = (
         "chains.verify_chain", lambda: verify_chain(ring, checks_per_level=2))
     f, k = parse_polynomial(WIDE.format(n=n_wide, m=n_wide // 2 + 1), ring), n_wide // 2

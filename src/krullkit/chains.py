@@ -39,7 +39,7 @@ class MonomialPrimeIdeal:
         Decided exactly on the exponent vectors; level 0 contains only the
         zero polynomial.
         """
-        if f.ring != self.ring:
+        if f.ring is not self.ring and f.ring != self.ring:
             raise RingMismatchError(f"{shown_ring(f.ring)} is not {shown_ring(self.ring)}")
         return f.in_variable_ideal(self.level)
 

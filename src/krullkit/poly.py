@@ -201,8 +201,9 @@ class RingSpec:
         The one product loop: every product of numerators goes unreduced into
         one accumulator over d, the lcm of the pairs' denominators d1 * d2, and
         each output term is reduced once, by ``% p`` or, over Q, by one gcd
-        for the whole result.  The pairs are read once, in order, so they may
-        come from a generator.
+        for the whole result.  Over Q the accumulator is stored as it is,
+        unless a term cancelled.  The pairs are read once, in order, so they
+        may come from a generator.
         """
         p = self.field.modulus
         acc: dict[int, int] = {}
@@ -224,7 +225,9 @@ class RingSpec:
             raise _over_the_degree_limit()
         if p:
             return _reduced(self, {e: r for e, c in acc.items() if (r := c % p)})
-        return _reduced(self, {e: c for e, c in acc.items() if c}, d)
+        if 0 in acc.values():  # a sum of products cancelled
+            acc = {e: c for e, c in acc.items() if c}
+        return _reduced(self, acc, d)
 
     def sum_terms(self, items: Iterable) -> "Polynomial":
         """The one merge loop: the sum of polynomials of this ring and of terms
@@ -288,6 +291,9 @@ def _reduced(ring: RingSpec, keys: dict, den: int = 1) -> "Polynomial":
     # The one builder of the stored form outside Polynomial.__init__: wrap
     # nonzero numerators over den > 0 (residues over 1 over F_p), divided by
     # their common factor with den, so that gcd(den, *numerators) == 1.
+    # When that factor is 1, keys itself becomes the stored dict, so a caller
+    # hands over a dict it no longer uses: over Q, dot's accumulator is
+    # stored as it is, unless a term cancelled.
     if den != 1:
         g = gcd(den, *keys.values())
         if g != 1:
@@ -678,17 +684,25 @@ def random_polynomial(
     bits, terms, degrees = rng.getrandbits, max_terms + 1, max_degree + 1
     kt, kd, kn, kp = terms.bit_length(), degrees.bit_length(), n.bit_length(), p and p.bit_length()
     while True:
-        # Its own merge loop: through sum_terms it was x1.21-1.23 slower per call at n = 3-20.
+        # Its own merge loop: through sum_terms it was x1.21-1.23 slower per call
+        # at n = 3-20.  It merges as sum_terms does, so it never stores a zero.
         acc: dict[int, int] = {}
+        get = acc.get
         for _ in range(_randbelow(bits, terms, kt)):
             degree = _randbelow(bits, degrees, kd)
             key = degree << top
             for _ in range(degree):  # one unit in the slot of a random variable
                 key += 1 << shifts[_randbelow(bits, n, kn)]
             c = _random_raw(bits, p, kp)
-            if key in acc:
-                c = (acc[key] + c) % p if p else acc[key] + c
+            if not c:
+                continue
+            prev = get(key)
+            if prev is not None:
+                c = (prev + c) % p if p else prev + c
+                if not c:
+                    del acc[key]
+                    continue
             acc[key] = c
-        f = _reduced(ring, {k: c for k, c in acc.items() if c}, 1 if p else _RANDOM_DEN)
+        f = _reduced(ring, acc, 1 if p else _RANDOM_DEN)
         if not (nonzero and f.is_zero):
             return f

@@ -24,7 +24,7 @@ def test_paired_mode_smoke():
     report = layers("--ab", str(SRC))
     assert set(report) == {"python", "platform", "a", "b", "cases"}
     assert report["a"] == report["b"] == str(SRC)
-    assert len(report["cases"]) == 69
+    assert len(report["cases"]) == 71
     for case in report["cases"].values():
         assert set(case) == {"layer", "median_b_over_a", "iqr", "b_slower", "rounds", "number",
                              "median_a_s"}

@@ -246,6 +246,27 @@ class TestChainVerify:
             "product_checks_passed",
         }
 
+    @pytest.mark.parametrize("mode", [(), ("--json",)], ids=["text", "json"])
+    def test_each_witness_is_formatted_once(self, capsys, monkeypatch, mode):
+        # The text lines are read off the JSON doc, so the n witnesses go
+        # through str() once each, in either mode, and no failure line needs one.
+        formatted = 0
+        to_text = Polynomial.__str__
+
+        def counted(self):
+            nonlocal formatted
+            formatted += 1
+            return to_text(self)
+
+        monkeypatch.setattr(Polynomial, "__str__", counted)
+        code, out, _ = run(capsys, "chain-verify", "--vars", "5", "--checks", "3", *mode)
+        assert (code, formatted) == (0, 5)
+        witnesses = [f"t{k}" for k in range(1, 6)]
+        if mode:
+            assert [level["witness"] for level in json.loads(out)["levels"]] == witnesses
+        else:
+            assert [line.split()[3] for line in out.splitlines()[4:]] == witnesses
+
     def test_nonpositive_checks_rejected(self, capsys):
         code, out, err = run(capsys, "chain-verify", "--vars", "2", "--checks", "-5")
         assert (code, out) == (2, "")

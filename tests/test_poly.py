@@ -777,16 +777,22 @@ class TestRandomPolynomial:
             assert f.total_degree() <= 3
             assert len(f.terms) <= 4
 
-    @pytest.mark.parametrize("field", [Q, FieldSpec.prime(7)])
+    @pytest.mark.parametrize("field", [Q, FieldSpec.prime(2), FieldSpec.prime(7)])
     @pytest.mark.parametrize("n", [3, 200])
     def test_canonical_and_seeded(self, field, n):
+        # At max_degree=1 in few variables keys repeat, and over F2 about half
+        # the draws are 0 and a repeated key cancels: no zero may be stored.
         ring = RingSpec.default(field, n)
         for seed in range(40):
-            f = random_polynomial(random.Random(seed), ring, max_terms=6)
-            assert_canonical(f)
-            assert random_polynomial(random.Random(seed), ring, max_terms=6).terms == f.terms
+            for max_degree in (5, 1):
+                f = random_polynomial(random.Random(seed), ring, max_terms=6,
+                                      max_degree=max_degree)
+                assert_canonical(f)
+                again = random_polynomial(random.Random(seed), ring, max_terms=6,
+                                          max_degree=max_degree)
+                assert again.terms == f.terms
 
-    @pytest.mark.parametrize("field", [Q, FieldSpec.prime(7)])
+    @pytest.mark.parametrize("field", [Q, FieldSpec.prime(2), FieldSpec.prime(7)])
     def test_same_draws_as_checked_constructor(self, field):
         # Drawing term by term through random_scalar and the checked
         # constructor gives the same polynomials and leaves the RNG in the
