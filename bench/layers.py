@@ -272,7 +272,7 @@ def cases(smoke: bool, kk) -> dict:
     text = WIDE_TEXT.format(n=n_wide, m=n_wide // 2 + 1)
     out[f"Q parse in {n_wide} variables: {text}"] = (
         "parse.parse_polynomial", lambda t=text, r=ring: parse_polynomial(t, r))
-    for n in (3, 200):
+    for n in (3, 20, 200):
         wide = RingSpec.default(FieldSpec.rationals(), n)
         out[f"Q random_polynomial x{CHAIN_DRAWS} in {n} variables"] = (
             "poly.random_polynomial", lambda r=wide: draws(random_polynomial, r))

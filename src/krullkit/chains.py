@@ -14,7 +14,9 @@ from dataclasses import dataclass
 from random import Random
 
 from .errors import PreconditionViolatedError, RingMismatchError, shown_ring
-from .poly import Polynomial, RingSpec, _randbelow, check_range, random_polynomial
+from .poly import (
+    Polynomial, RingSpec, _draw, _draw_shape, _randbelow, _times_variable, check_range,
+)
 
 DEFAULT_SEED = 1729
 MAX_CHECKS = 10_000  # the most product checks per level that verify_chain runs
@@ -146,25 +148,28 @@ def verify_chain(
 
     For each level k in 1..n the witness t_k must lie in level k but not in
     level k - 1, and ``checks_per_level`` randomized product checks probe
-    primality.  Half of the random pairs are biased so the product really is
-    a member, exercising the nontrivial branch of the implication.  The
-    zero ideal gets the same treatment (biased by zeroing a factor), and
-    properness means 1 is outside the top level.  Any failed check lands in
-    ``failures`` with the offending witnesses, and ``accepted`` reflects the
-    whole ladder.  ``checks_per_level`` is at most :data:`MAX_CHECKS`.
+    primality.  Each factor is drawn as ``random_polynomial(rng, ring,
+    max_degree=4, max_terms=4)`` draws it, from one ``Random(seed)``.  Half
+    of the pairs are biased so the product really is a member, exercising
+    the nontrivial branch of the implication: g becomes t_j * g for a random
+    j <= k.  The zero ideal gets the same treatment (biased by zeroing a
+    factor), and properness means 1 is outside the top level.  Any failed
+    check lands in ``failures`` with the offending witnesses, and
+    ``accepted`` reflects the whole ladder.  ``checks_per_level`` is at most :data:`MAX_CHECKS`.
     """
     check_range("checks per level", checks_per_level, 1, MAX_CHECKS)
     rng = Random(seed)
+    bits, shape = rng.getrandbits, _draw_shape(ring, 4, 4)
     n = ring.nvars
     failures: list[str] = []
 
     def draw(bias_into: MonomialPrimeIdeal | None) -> Polynomial:
-        f = random_polynomial(rng, ring, max_degree=4, max_terms=4)
+        f = _draw(bits, ring, shape)
         if bias_into is not None and rng.random() < 0.5:
             level = bias_into.level
             if level == 0:
                 return ring.zero()
-            f = f * ring.gen(1 + _randbelow(rng.getrandbits, level, level.bit_length()))
+            f = _times_variable(f, 1 + _randbelow(bits, level, level.bit_length()))
         return f
 
     def probe(ideal: MonomialPrimeIdeal) -> int:
@@ -177,11 +182,11 @@ def verify_chain(
                 failures.append(f"level {ideal.level}: product check failed for g={g}, h={h}")
         return passed
 
-    zero_passed = probe(MonomialPrimeIdeal(ring, 0))
+    lower = MonomialPrimeIdeal(ring, 0)
+    zero_passed = probe(lower)
     levels = []
     for k in range(1, n + 1):
         upper = MonomialPrimeIdeal(ring, k)
-        lower = MonomialPrimeIdeal(ring, k - 1)
         witness = ring.gen(k)
         in_upper = upper.contains(witness)
         in_lower = lower.contains(witness)
@@ -190,8 +195,9 @@ def verify_chain(
         if in_lower:
             failures.append(f"level {k}: witness {witness} in lower ideal")
         levels.append(ChainLevel(k, witness, in_upper, in_lower, probe(upper)))
+        lower = upper  # level k is the next step's lower ideal
 
-    proper = ring.one() not in MonomialPrimeIdeal(ring, n)
+    proper = ring.one() not in lower  # lower is now the top level, n
     if not proper:
         failures.append("top level contains 1, ideal not proper")
 

@@ -665,6 +665,54 @@ def random_scalar(rng: Random, field: FieldSpec) -> FieldElement:
     return field.element(c if p else Fraction(c, _RANDOM_DEN))
 
 
+def _draw_shape(ring: RingSpec, max_degree: int, max_terms: int) -> tuple:
+    # The constants every draw reads: n, the key layout, p, and each range's
+    # size with its bit length.  Computed once per caller, not once per draw.
+    n, codec, p = ring.nvars, ring._codec, ring.field.modulus
+    terms, degrees = max_terms + 1, max_degree + 1
+    return (n, n.bit_length(), codec.top, codec.shifts, p, p and p.bit_length(),
+            terms, terms.bit_length(), degrees, degrees.bit_length())
+
+
+def _draw(bits, ring: RingSpec, shape: tuple) -> Polynomial:
+    # One draw of random_polynomial, through bits = rng.getrandbits.  Its own
+    # merge loop: through sum_terms it was x1.21-1.23 slower per call at n = 3-20.
+    n, kn, top, shifts, p, kp, terms, kt, degrees, kd = shape
+    pairs = []
+    for _ in range(_randbelow(bits, terms, kt)):
+        degree = _randbelow(bits, degrees, kd)
+        key = degree << top
+        for _ in range(degree):  # one unit in the slot of a random variable
+            key += 1 << shifts[_randbelow(bits, n, kn)]
+        c = _random_raw(bits, p, kp)
+        if c:
+            pairs.append((key, c))
+    # Over Q the numerators are over _RANDOM_DEN: their common factor g is
+    # divided out before the merge, so _reduced rebuilds nothing unless a
+    # merged sum leaves one.
+    g = 1 if p else gcd(_RANDOM_DEN, *[c for _, c in pairs])
+    acc: dict[int, int] = {}
+    setdefault = acc.setdefault
+    for key, c in pairs:  # one hash per key unless it repeats
+        c //= g
+        size = len(acc)
+        prev = setdefault(key, c)
+        if len(acc) == size:  # a repeated key merges as sum_terms does, storing no zero
+            c = (prev + c) % p if p else prev + c
+            if c:
+                acc[key] = c
+            else:
+                del acc[key]
+    return _reduced(ring, acc, 1 if p else _RANDOM_DEN // g)
+
+
+def _times_variable(f: Polynomial, j: int) -> Polynomial:
+    # f * t_j, t_j's key added to each key.  Like embed, unchecked for the
+    # degree limit: its one caller multiplies draws of degree at most 4.
+    unit = f.ring._codec.unit(j)
+    return _reduced(f.ring, {key + unit: c for key, c in f._keys.items()}, f._den)
+
+
 def random_polynomial(
     rng: Random,
     ring: RingSpec,
@@ -675,34 +723,13 @@ def random_polynomial(
 ) -> Polynomial:
     """A random sparse polynomial with small coefficients, for test sampling; its
     draws follow ``random.Random``'s randrange/randint stream, taken through
-    ``rng.getrandbits``, so a subclass that overrides ``getrandbits`` changes them."""
+    ``rng.getrandbits``, so a subclass that overrides ``getrandbits`` changes them.
+    Each draw is up to ``max_terms`` terms of degree up to ``max_degree``, with
+    repeated monomials summed; ``nonzero`` draws again until one is nonzero."""
     if max_terms < nonzero or max_degree < 0:  # an empty range: no draw would end
         raise ArgumentError(f"max_terms must be at least {int(nonzero)} and max_degree at least 0")
-    n = ring.nvars
-    top, shifts = ring._codec.top, ring._codec.shifts
-    p = ring.field.modulus
-    bits, terms, degrees = rng.getrandbits, max_terms + 1, max_degree + 1
-    kt, kd, kn, kp = terms.bit_length(), degrees.bit_length(), n.bit_length(), p and p.bit_length()
+    bits, shape = rng.getrandbits, _draw_shape(ring, max_degree, max_terms)
     while True:
-        # Its own merge loop: through sum_terms it was x1.21-1.23 slower per call
-        # at n = 3-20.  It merges as sum_terms does, so it never stores a zero.
-        acc: dict[int, int] = {}
-        get = acc.get
-        for _ in range(_randbelow(bits, terms, kt)):
-            degree = _randbelow(bits, degrees, kd)
-            key = degree << top
-            for _ in range(degree):  # one unit in the slot of a random variable
-                key += 1 << shifts[_randbelow(bits, n, kn)]
-            c = _random_raw(bits, p, kp)
-            if not c:
-                continue
-            prev = get(key)
-            if prev is not None:
-                c = (prev + c) % p if p else prev + c
-                if not c:
-                    del acc[key]
-                    continue
-            acc[key] = c
-        f = _reduced(ring, acc, 1 if p else _RANDOM_DEN)
+        f = _draw(bits, ring, shape)
         if not (nonzero and f.is_zero):
             return f

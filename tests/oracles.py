@@ -7,7 +7,9 @@ multiplication instead of binary powering, dense univariate division,
 permutation-sum determinants, a point search that recurses once per
 variable, and a recursive-descent parser that makes every atom a dict and
 combines them with the naive operations.  The only package coupling allowed
-is reading ``Polynomial.terms`` when a test converts a value for comparison.
+is reading ``Polynomial.terms`` when a test converts a value for comparison,
+and the reference chain report, which is built from the package's public
+sampler, products and product check, as ``verify_chain`` first built it.
 """
 
 import re
@@ -86,6 +88,58 @@ def naive_subst(a: dict, images, target_nvars: int, modulus=None) -> dict:
 def member_scan(a: dict, k: int) -> bool:
     """Per-term divisibility: every term divisible by some of the first k vars."""
     return all(any(exps[i] > 0 for i in range(k)) for exps in a)
+
+
+def reference_chain_report(ring, checks_per_level: int, seed: int) -> dict:
+    """``verify_chain(ring, ...).to_json_dict()`` rebuilt from the public API.
+
+    Every draw is ``random_polynomial(rng, ring, max_degree=4, max_terms=4)``;
+    with probability 1/2 a g drawn for level k becomes 0 at k = 0 and
+    t_j times itself for j = ``rng.randint(1, k)`` by a product otherwise.
+    Each check is ``product_check(g, h)``, and membership of the witnesses
+    and of 1 is the per-term scan.
+    """
+    from random import Random
+
+    from krullkit import MonomialPrimeIdeal, random_polynomial
+
+    rng = Random(seed)
+    n = ring.nvars
+    failures = []
+
+    def draw(level):
+        f = random_polynomial(rng, ring, max_degree=4, max_terms=4)
+        if level is not None and rng.random() < 0.5:
+            f = ring.zero() if level == 0 else f * ring.gen(rng.randint(1, level))
+        return f
+
+    def probe(level):
+        ideal, passed = MonomialPrimeIdeal(ring, level), 0
+        for _ in range(checks_per_level):
+            g, h = draw(level), draw(None)
+            if ideal.product_check(g, h):
+                passed += 1
+            else:
+                failures.append(f"level {level}: product check failed for g={g}, h={h}")
+        return passed
+
+    zero_passed = probe(0)
+    levels = []
+    for k in range(1, n + 1):
+        witness = raw(ring.gen(k))
+        in_upper, in_lower = member_scan(witness, k), member_scan(witness, k - 1)
+        name = ring.variables[k - 1]
+        if not in_upper:
+            failures.append(f"level {k}: witness {name} not in upper ideal")
+        if in_lower:
+            failures.append(f"level {k}: witness {name} in lower ideal")
+        levels.append({"level": k, "witness": name, "in_upper": in_upper,
+                       "in_lower": in_lower, "product_checks_passed": probe(k)})
+    proper = not member_scan(raw(ring.one()), n)
+    if not proper:
+        failures.append("top level contains 1, ideal not proper")
+    return {"ring": str(ring), "accepted": not failures, "proper": proper,
+            "zero_ideal_checks_passed": zero_passed, "levels": levels, "failures": failures}
 
 
 def total_deg(a: dict):

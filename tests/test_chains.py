@@ -258,6 +258,22 @@ class TestVerifyChain:
                 verify_chain(QR2, checks_per_level=checks)
             assert str(info.value) == f"checks per level must be in 1..{MAX_CHECKS}, got {got}"
 
+    @pytest.mark.parametrize("modulus", [None, 2, 3, 7, 32003])
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 20, 60])
+    def test_report_matches_the_public_api_reference(self, modulus, n, monkeypatch):
+        # The reference draws through random_polynomial, biases by a product
+        # with a generator and randint, and scans exponent tuples.  A second
+        # pass refuses every product check, so that each drawn pair is named
+        # in a failure line and compared too.
+        ring = RingSpec.default(Q if modulus is None else FieldSpec.prime(modulus), n)
+        for refuse in (False, True):
+            if refuse:
+                monkeypatch.setattr(MonomialPrimeIdeal, "product_check", lambda self, g, h: False)
+            for seed, checks in ((0, 1), (1729, 7), (2026, 20)):
+                report = verify_chain(ring, checks_per_level=checks, seed=seed).to_json_dict()
+                assert report == oracles.reference_chain_report(ring, checks, seed)
+                assert len(report["failures"]) == refuse * (n + 1) * checks
+
     def test_json_shape(self):
         report = verify_chain(QR2, checks_per_level=5)
         doc = report.to_json_dict()
@@ -284,9 +300,8 @@ class TestVerifyChain:
 
 class TestWidthContract:
     """verify_chain's products grow with (n + 1) * checks and nothing else:
-    each product check forms g * h, and a biased g one more product by a
-    generator, so there are 1 to 2 RingSpec.dot calls per check at every n.
-    Counts, not times."""
+    each product check forms g * h by one RingSpec.dot, and a biased g is
+    t_j times a draw by a key shift, with no product.  Counts, not times."""
 
     @pytest.mark.parametrize("field", [Q, FieldSpec.prime(32003)])
     def test_dot_calls_per_check_do_not_grow_with_n(self, field, monkeypatch):
@@ -299,10 +314,10 @@ class TestWidthContract:
             return dot(self, pairs)
 
         monkeypatch.setattr(RingSpec, "dot", counted)
-        for n in (10, 100, 1000):
+        for n, checks in ((10, 3), (100, 2), (1000, 1)):
             calls = 0
-            assert verify_chain(RingSpec.default(field, n), checks_per_level=1).accepted
-            assert 1 <= calls / (n + 1) <= 2, (n, calls)
+            assert verify_chain(RingSpec.default(field, n), checks_per_level=checks).accepted
+            assert calls == (n + 1) * checks, (n, calls)
 
 
 class TestContract:

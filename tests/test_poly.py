@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from krullkit import poly
 from krullkit.chains import MonomialPrimeIdeal, verify_chain
 from krullkit.errors import (
     ArgumentError,
@@ -809,6 +810,37 @@ class TestRandomPolynomial:
             f = random_polynomial(fast, ring, max_degree=2, max_terms=6)
             assert f.terms == Polynomial(ring, terms).terms
         assert fast.getstate() == slow.getstate()
+
+    def test_q_draws_leave_no_common_factor_but_after_a_merge(self, monkeypatch):
+        # Over Q the numerators are drawn over 2520; dividing out their gcd
+        # before the merge leaves _reduced no factor to divide out, and so no
+        # dict to rebuild, unless a repeated key's sum brings one back.  A
+        # second stream, drawn by randrange and randint, finds those draws.
+        # Counts at chain-verify's shape in 20 variables.
+        shared = 0
+
+        def spy(ring, keys, den=1):
+            nonlocal shared
+            shared += gcd(den, *keys.values()) != 1
+            return reduced(ring, keys, den)
+
+        reduced = poly._reduced
+        monkeypatch.setattr(poly, "_reduced", spy)
+        ring = RingSpec.default(Q, 20)
+        fast, slow = random.Random(84), random.Random(84)
+        repeated = 0
+        for _ in range(2000):
+            keys = []
+            for _ in range(slow.randrange(5)):
+                exps = [0] * 20
+                for _ in range(slow.randrange(5)):
+                    exps[slow.randrange(20)] += 1
+                if slow.randint(-9, 9) * slow.randint(1, 9):
+                    keys.append(tuple(exps))
+            repeated += len(set(keys)) < len(keys)
+            random_polynomial(fast, ring, max_degree=4, max_terms=4)
+        assert fast.getstate() == slow.getstate()
+        assert shared <= repeated, (shared, repeated)
 
     @pytest.mark.parametrize("max_terms, max_degree, nonzero", [
         (-1, 5, False), (4, -1, False), (0, 5, True),
